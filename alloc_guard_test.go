@@ -1,8 +1,7 @@
 //go:build !race
 
-// External test package: internal/experiments imports cerfix (for the
-// e12 persistence measurements), so an in-package test file could not
-// import experiments back without a cycle.
+// External test package: the guards drive internal/experiments and
+// the internal packages, never cerfix's unexported state.
 package cerfix_test
 
 import (

@@ -1,6 +1,6 @@
-// External test package like alloc_guard_test.go: internal/experiments
-// imports cerfix (for the e12 persistence measurements), so in-package
-// test files could not import experiments back without a cycle.
+// External test package like alloc_guard_test.go: the benchmarks drive
+// internal/experiments and the internal packages, never cerfix's
+// unexported state.
 package cerfix_test
 
 // Benchmarks, one (or more) per reproduced table/figure — see the
@@ -311,8 +311,7 @@ func BenchmarkSuggestionAblation(b *testing.B) {
 // (Chase), the compiled program into reused scratch (ChaseScratch, the
 // batch hot path, 0 allocs/op in steady state — asserted by
 // TestChaseSteadyStateZeroAlloc and internal/core's alloc suite), and
-// the legacy round-robin loop (ChaseLegacy, the parity oracle and e10
-// baseline).
+// the legacy round-robin loop (ChaseLegacy, the parity oracle).
 func BenchmarkChaseSingle(b *testing.B) {
 	eng, err := experiments.DemoEngine()
 	if err != nil {

@@ -234,11 +234,7 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	if ov := simd.Override(); ov != "" {
-		log.Printf("cerfixd: simd kernels: %s (CERFIX_KERNELS=%s)", simd.Active(), ov)
-	} else {
-		log.Printf("cerfixd: simd kernels: %s", simd.Active())
-	}
+	log.Printf("cerfixd: simd kernels: %s", simd.Active())
 	log.Printf("cerfixd: serving on %s (input %s, master %s, %d rules, %d master tuples)",
 		*addr, sys.InputSchema().Name(), sys.MasterSchema().Name(),
 		sys.RuleSet().Len(), sys.Master().Len())

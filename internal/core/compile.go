@@ -271,9 +271,9 @@ type Chaser struct {
 	// effectiveness, flushed to the program totals when the run ends.
 	skip               []uint64
 	skipped, evaluated int
-	// noPrefilter disables the premise prefilter (the parity sweep and
-	// the e13 baseline measure against it); results are byte-identical
-	// either way — only the counters and the work done move.
+	// noPrefilter disables the premise prefilter (the parity sweep
+	// measures against it); results are byte-identical either way —
+	// only the counters and the work done move.
 	noPrefilter bool
 
 	// keyBuf is the probe key-encode scratch; dict is the bound
@@ -405,8 +405,8 @@ func (c *Chaser) ChaseInto(dst *ChaseResult, t *schema.Tuple, validated schema.A
 // chaser. Disabling it never changes any chase result — the prefilter
 // only skips rules the agenda would have evaluated to no-fire (the
 // parity sweep in prefilter_test.go pins this) — it just restores the
-// pre-prefilter amount of per-rule work, which the e13 benchmark
-// measures against. Release resets the chaser to filtered.
+// pre-prefilter amount of per-rule work. Release resets the chaser to
+// filtered.
 func (c *Chaser) SetPrefilter(on bool) { c.noPrefilter = !on }
 
 // buildSkip computes the chase's skip set: rules that, were the agenda

@@ -170,22 +170,6 @@ func (e *Engine) Snapshot() *Engine {
 	return &Engine{input: e.input, rules: e.rules, store: e.store.Snapshot(), prog: e.prog}
 }
 
-// SnapshotDeep is the legacy deep-clone snapshot — cloned rule set
-// plus a deep-copied master store, O(master size). Retained as the
-// benchmark baseline for Snapshot (cerfixbench e9) and for callers
-// that need a private copy of the whole engine state, e.g. to mutate
-// the cloned MASTER data without affecting the original.
-//
-// The chase program is recompiled from the cloned set so the clone
-// shares no rule objects with the original. The immutable-after-
-// publish discipline still applies per engine: as everywhere, adding
-// or removing rules afterwards means building a new engine around a
-// new set (NewEngine), as cerfix.System does.
-func (e *Engine) SnapshotDeep() *Engine {
-	rs := e.rules.Clone()
-	return &Engine{input: e.input, rules: rs, store: e.store.CloneDeep(), prog: compileProgram(e.input, rs.Rules())}
-}
-
 // InputSchema returns the input relation's schema.
 func (e *Engine) InputSchema() *schema.Schema { return e.input }
 
@@ -317,9 +301,8 @@ func (e *Engine) Chase(t *schema.Tuple, validated schema.AttrSet) *ChaseResult {
 // ChaseLegacy is the original chase executor: every round rescans the
 // entire rule set in order, re-resolving attribute names, premise and
 // target sets and projection keys per application. Retained as the
-// benchmark baseline for the compiled program (cerfixbench e10) and
-// as the oracle of the compiled/legacy parity suite — it is the
-// reference semantics the compiled path must reproduce byte for byte.
+// oracle of the compiled/legacy parity suite — it is the reference
+// semantics the compiled path must reproduce byte for byte.
 func (e *Engine) ChaseLegacy(t *schema.Tuple, validated schema.AttrSet) *ChaseResult {
 	res := &ChaseResult{Tuple: t.Clone(), Validated: validated}
 	rules := e.rules.Rules()

@@ -3,15 +3,13 @@ package cowmap
 import (
 	"math/rand"
 	"testing"
-
-	"cerfix/internal/simd"
 )
 
 // refShard is the scalar FNV-1a routing definition FNV/FNVBytes
 // replaced. Shard routing is persistent state in disguise — a key
 // stored under one routing must be found under the other — so the
-// simd-backed forms must match it bit for bit, under both kernel
-// tables, for every string/bytes representation pair.
+// simd-backed forms must match it bit for bit for every string/bytes
+// representation pair.
 func refShard(k string, fanout int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(k); i++ {
@@ -21,27 +19,21 @@ func refShard(k string, fanout int) int {
 }
 
 func TestFNVMatchesScalarReference(t *testing.T) {
-	defer simd.Reset()
-	for _, kernel := range []string{simd.KernelPortable, simd.KernelNative} {
-		if err := simd.Select(kernel); err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.Intn(80)
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
 		}
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 5000; trial++ {
-			n := rng.Intn(80)
-			b := make([]byte, n)
-			for i := range b {
-				b[i] = byte(rng.Intn(256))
+		k := string(b)
+		for _, fanout := range []int{1, 16, 64, 256} {
+			want := refShard(k, fanout)
+			if got := FNV(k, fanout); got != want {
+				t.Fatalf("FNV(%q, %d) = %d, want %d", k, fanout, got, want)
 			}
-			k := string(b)
-			for _, fanout := range []int{1, 16, 64, 256} {
-				want := refShard(k, fanout)
-				if got := FNV(k, fanout); got != want {
-					t.Fatalf("kernel %s: FNV(%q, %d) = %d, want %d", kernel, k, fanout, got, want)
-				}
-				if got := FNVBytes(b, fanout); got != want {
-					t.Fatalf("kernel %s: FNVBytes(%q, %d) = %d, want %d", kernel, k, fanout, got, want)
-				}
+			if got := FNVBytes(b, fanout); got != want {
+				t.Fatalf("FNVBytes(%q, %d) = %d, want %d", k, fanout, got, want)
 			}
 		}
 	}

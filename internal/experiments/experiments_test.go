@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"os"
-	"runtime"
 	"strings"
 	"testing"
-
-	"cerfix/internal/master"
 )
 
 func TestRunE1(t *testing.T) {
@@ -304,118 +300,5 @@ func TestRunE4HospShape(t *testing.T) {
 	// but stays well below CerFix recall.
 	if r.Baseline.Recall() >= 0.9 {
 		t.Fatalf("baseline recall suspiciously high: %v", r.Baseline.Recall())
-	}
-}
-
-// E8's shape: one row per (mode, workers), throughput positive,
-// speedup normalized to the 1-worker run of each mode. The pipeline's
-// output-equality assertion runs inside RunE8 itself, so a passing
-// run also certifies determinism. The ≥2x scaling bar needs real
-// cores — asserted only where the hardware can physically show it.
-func TestRunE8Shape(t *testing.T) {
-	counts := []int{1, 4}
-	rows, err := RunE8(counts, 40, 200, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2*len(counts) {
-		t.Fatalf("rows = %d, want %d", len(rows), 2*len(counts))
-	}
-	for _, r := range rows {
-		if r.TuplesPerSec <= 0 || r.NsPerFix <= 0 {
-			t.Fatalf("non-positive throughput: %+v", r)
-		}
-		if r.Workers == 1 && r.Speedup != 1.0 {
-			t.Fatalf("1-worker speedup = %v", r.Speedup)
-		}
-	}
-	// Wall-clock scaling needs ≥4 real cores and no race-detector
-	// serialization — conditions shared CI runners don't guarantee —
-	// so the hard ≥2x bar is opt-in (CERFIX_STRICT_SCALING=1 on
-	// dedicated hardware); elsewhere the measurement is logged, and
-	// cerfixbench -exp e8 reports it per run.
-	strict := os.Getenv("CERFIX_STRICT_SCALING") == "1" && runtime.NumCPU() >= 4
-	for _, r := range rows {
-		if r.Mode == master.ModePlainIndex && r.Workers == 4 {
-			t.Logf("plain-index speedup at 4 workers: %.2fx (NumCPU=%d)", r.Speedup, runtime.NumCPU())
-			if strict && r.Speedup < 2.0 {
-				t.Errorf("plain-index speedup at 4 workers = %.2fx, want >= 2x", r.Speedup)
-			}
-		}
-	}
-}
-
-// E9's shape: one row per master size, every latency populated, and —
-// the point of the COW rework — the copy-on-write snapshot orders of
-// magnitude cheaper than the deep clone even at test sizes. The
-// deep-vs-COW fix-parity assertion runs inside RunE9 itself, so a
-// passing run also certifies the two snapshot kinds agree.
-func TestRunE9Shape(t *testing.T) {
-	sizes := []int{500, 2000}
-	rows, err := RunE9(sizes, 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(sizes) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(sizes))
-	}
-	for i, r := range rows {
-		if r.MasterSize != sizes[i] {
-			t.Fatalf("row %d size = %d, want %d", i, r.MasterSize, sizes[i])
-		}
-		if r.DeepCloneNs <= 0 || r.CowSnapshotNs <= 0 || r.DeepFixNs <= 0 || r.CowFixNs <= 0 || r.CowWriterNs <= 0 {
-			t.Fatalf("row %d has unpopulated measurements: %+v", i, r)
-		}
-		if r.CowSnapshotNs*10 > r.DeepCloneNs {
-			t.Fatalf("size %d: COW snapshot %dns not clearly cheaper than deep clone %dns",
-				r.MasterSize, r.CowSnapshotNs, r.DeepCloneNs)
-		}
-	}
-}
-
-func TestRunE10Shape(t *testing.T) {
-	ruleCounts := []int{1, 8}
-	sizes := []int{500}
-	rows, err := RunE10(ruleCounts, sizes, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(ruleCounts)*len(sizes) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(ruleCounts)*len(sizes))
-	}
-	for i, r := range rows {
-		if r.Rules != ruleCounts[i%len(ruleCounts)] || r.MasterSize != sizes[i/len(ruleCounts)] {
-			t.Fatalf("row %d is cell (%d rules, %d size), want (%d, %d)",
-				i, r.Rules, r.MasterSize, ruleCounts[i%len(ruleCounts)], sizes[i/len(ruleCounts)])
-		}
-		if r.CompiledNsPerFix <= 0 || r.LegacyNsPerFix <= 0 || r.Speedup <= 0 {
-			t.Fatalf("row %d has unpopulated measurements: %+v", i, r)
-		}
-		// The legacy loop allocates per call (result clone, dedup maps,
-		// key strings); the compiled scratch path must allocate far
-		// less. The strict 0 steady-state claim is pinned by the alloc
-		// suite — here a loose bound keeps the shape test robust on
-		// noisy CI machines.
-		if r.LegacyAllocsPerFix < 10 {
-			t.Fatalf("rules=%d: legacy allocs/fix = %.1f, expected the allocating baseline", r.Rules, r.LegacyAllocsPerFix)
-		}
-		if r.CompiledAllocsPerFix > r.LegacyAllocsPerFix/4 {
-			t.Fatalf("rules=%d: compiled allocs/fix %.1f not clearly below legacy %.1f",
-				r.Rules, r.CompiledAllocsPerFix, r.LegacyAllocsPerFix)
-		}
-	}
-}
-
-// ruleSetOfSize must produce exactly n valid rules whose extra copies
-// are idempotent clones (same fixes as the base prefix).
-func TestRuleSetOfSize(t *testing.T) {
-	for _, n := range []int{1, 9, 10, 64} {
-		rs, err := ruleSetOfSize(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs.Len() != n {
-			t.Fatalf("ruleSetOfSize(%d) has %d rules", n, rs.Len())
-		}
 	}
 }

@@ -160,19 +160,6 @@ func (m *Store) Snapshot() *Store {
 	return cp
 }
 
-// CloneDeep returns an isolated deep copy of the store — cloned table
-// (rows, hash indexes) and deep-copied rule indexes — that is itself
-// live and mutable. This is the legacy O(master size) snapshot path,
-// retained for callers that need a private mutable copy and as the
-// benchmark baseline for Snapshot (cerfixbench e9).
-func (m *Store) CloneDeep() *Store {
-	m.rlock()
-	defer m.runlock()
-	cp := &Store{table: m.table.Clone(), ruleIdx: m.ruleIdx.clone()}
-	cp.mode.Store(m.mode.Load())
-	return cp
-}
-
 // Frozen reports whether the store is a read-only snapshot.
 func (m *Store) Frozen() bool { return m.frozen }
 

@@ -205,15 +205,4 @@ func TestSnapshotIsolation(t *testing.T) {
 	if m.Len() != 4 || snap.Len() != 3 {
 		t.Fatalf("lens = live %d snap %d", m.Len(), snap.Len())
 	}
-	// A deep clone, by contrast, stays mutable and isolated both ways.
-	cl := m.CloneDeep()
-	if _, err := cl.InsertValues("Zed", "Hall", "111", "1", "2", "9 Oak", "Ldn", "ZZ1 1ZZ"); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 4 || cl.Len() != 5 {
-		t.Fatalf("lens = live %d clone %d", m.Len(), cl.Len())
-	}
-	if got := m.Lookup([]string{"zip"}, value.List{"ZZ1 1ZZ"}); len(got) != 0 {
-		t.Fatalf("clone insert leaked into live store: %v", got)
-	}
 }

@@ -233,25 +233,6 @@ func (ri *ruleIndexes) snapshot() *ruleIndexes {
 	return &ruleIndexes{indexes: ri.indexes, shared: true}
 }
 
-// clone deep-copies the registry (the legacy snapshot path, retained
-// for Store.CloneDeep and the e9 benchmark baseline). Entry objects
-// are shared — they are immutable after publication.
-func (ri *ruleIndexes) clone() *ruleIndexes {
-	cp := newRuleIndexes()
-	for k, ix := range ri.indexes {
-		icp := &ruleIndex{matchAttrs: ix.matchAttrs, rhsAttrs: ix.rhsAttrs, matchPos: ix.matchPos}
-		for i, sh := range &ix.shards {
-			m := make(map[string]*rhsEntry, len(sh.M))
-			for ek, e := range sh.M {
-				m[ek] = e
-			}
-			icp.shards[i] = &entryShard{M: m}
-		}
-		cp.indexes[k] = icp
-	}
-	return cp
-}
-
 // lookup answers the unique-RHS question for a registered pair; the
 // final result reports whether the pair has an index. A key value the
 // dictionary has never seen is a certain NoMatch for a registered

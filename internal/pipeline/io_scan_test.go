@@ -12,7 +12,6 @@ import (
 	"testing/iotest"
 
 	"cerfix/internal/schema"
-	"cerfix/internal/simd"
 	"cerfix/internal/value"
 )
 
@@ -22,7 +21,7 @@ import (
 // fields, escapes, multi-byte UTF-8 straddling 8-byte word
 // boundaries, blank lines, torn final lines, wrong field counts,
 // oversized lines) and across chunked readers that force every
-// lineReader refill path. Both kernel tables run.
+// lineReader refill path.
 
 // refJSONLNext is the reference JSONL decoder: bufio.Scanner +
 // encoding/json, the exact shape JSONLSource had before its fast path
@@ -167,17 +166,6 @@ func scanSchema(t *testing.T) *schema.Schema {
 	return sch
 }
 
-func withKernels(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	defer simd.Reset()
-	for _, k := range []string{simd.KernelPortable, simd.KernelNative} {
-		if err := simd.Select(k); err != nil {
-			t.Fatal(err)
-		}
-		t.Run(k, f)
-	}
-}
-
 func TestJSONLSourceDifferentialCurated(t *testing.T) {
 	sch := scanSchema(t)
 	inputs := []string{
@@ -209,14 +197,12 @@ func TestJSONLSourceDifferentialCurated(t *testing.T) {
 		strings.Repeat(`{"a":"r","b":"s","c":"t"}`+"\n", 500),
 		`{"a":"` + strings.Repeat("long", 50000) + `","b":"2","c":"3"}` + "\n", // 200 KB value
 	}
-	withKernels(t, func(t *testing.T) {
-		for i, in := range inputs {
-			for rname, mk := range readers(in) {
-				drainCompare(t, fmt.Sprintf("input %d reader %s", i, rname),
-					NewJSONLSource(sch, mk()), newRefJSONL(sch, mk()))
-			}
+	for i, in := range inputs {
+		for rname, mk := range readers(in) {
+			drainCompare(t, fmt.Sprintf("input %d reader %s", i, rname),
+				NewJSONLSource(sch, mk()), newRefJSONL(sch, mk()))
 		}
-	})
+	}
 }
 
 func TestJSONLSourceTooLong(t *testing.T) {
@@ -224,9 +210,7 @@ func TestJSONLSourceTooLong(t *testing.T) {
 	// One line over the 1 MiB cap: both decoders report
 	// bufio.ErrTooLong bare.
 	in := `{"a":"` + strings.Repeat("x", 1<<20) + `","b":"2","c":"3"}` + "\n"
-	withKernels(t, func(t *testing.T) {
-		drainCompareUntilErr(t, "toolong", NewJSONLSource(sch, strings.NewReader(in)), newRefJSONL(sch, strings.NewReader(in)))
-	})
+	drainCompareUntilErr(t, "toolong", NewJSONLSource(sch, strings.NewReader(in)), newRefJSONL(sch, strings.NewReader(in)))
 }
 
 // drainCompareUntilErr compares steps until the first non-EOF error
@@ -295,11 +279,9 @@ func TestJSONLSourceDifferentialRandom(t *testing.T) {
 		}
 	}
 	in := b.String()
-	withKernels(t, func(t *testing.T) {
-		for rname, mk := range readers(in) {
-			drainCompare(t, "random/"+rname, NewJSONLSource(sch, mk()), newRefJSONL(sch, mk()))
-		}
-	})
+	for rname, mk := range readers(in) {
+		drainCompare(t, "random/"+rname, NewJSONLSource(sch, mk()), newRefJSONL(sch, mk()))
+	}
 }
 
 // csvPair builds both decoders, comparing constructor errors too.
@@ -352,18 +334,16 @@ func TestCSVSourceDifferentialCurated(t *testing.T) {
 		"a,b,c\n" + strings.Repeat("1,2,3\n", 500),
 		"a,b,c\n1,2," + strings.Repeat("w", 200000) + "\n", // long line forces window growth
 	}
-	withKernels(t, func(t *testing.T) {
-		for i, in := range inputs {
-			for rname, mk := range readers(in) {
-				label := fmt.Sprintf("input %d reader %s", i, rname)
-				got, want, ok := csvPair(t, label, sch, in, mk)
-				if !ok {
-					continue
-				}
-				drainCompare(t, label, got, want)
+	for i, in := range inputs {
+		for rname, mk := range readers(in) {
+			label := fmt.Sprintf("input %d reader %s", i, rname)
+			got, want, ok := csvPair(t, label, sch, in, mk)
+			if !ok {
+				continue
 			}
+			drainCompare(t, label, got, want)
 		}
-	})
+	}
 }
 
 func TestCSVSourceDifferentialRandom(t *testing.T) {
@@ -419,14 +399,12 @@ func TestCSVSourceDifferentialRandom(t *testing.T) {
 		}
 	}
 	in := b.String()
-	withKernels(t, func(t *testing.T) {
-		for rname, mk := range readers(in) {
-			label := "random/" + rname
-			got, want, ok := csvPair(t, label, sch, in, mk)
-			if !ok {
-				continue
-			}
-			drainCompare(t, label, got, want)
+	for rname, mk := range readers(in) {
+		label := "random/" + rname
+		got, want, ok := csvPair(t, label, sch, in, mk)
+		if !ok {
+			continue
 		}
-	})
+		drainCompare(t, label, got, want)
+	}
 }

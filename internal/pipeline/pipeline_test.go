@@ -10,6 +10,7 @@ import (
 
 	"cerfix/internal/core"
 	"cerfix/internal/dataset"
+	"cerfix/internal/master"
 	"cerfix/internal/schema"
 )
 
@@ -31,50 +32,54 @@ func workloadEngine(t testing.TB, entities, inputs int) (*core.Engine, []*schema
 // TestPipelineDeterministic is the core guarantee: at 8 workers the
 // pipeline's output — every fixed value, validated set, change list,
 // conflict list, in input order — equals the sequential engine path
-// byte for byte.
+// byte for byte, on the rule-index and the plain-index access paths.
 func TestPipelineDeterministic(t *testing.T) {
 	eng, dirty, seed := workloadEngine(t, 60, 400)
 
-	// Sequential reference.
-	want := make([]*core.ChaseResult, len(dirty))
-	for i, tu := range dirty {
-		want[i] = eng.Chase(tu, seed)
-	}
+	for _, mode := range []master.LookupMode{master.ModeRuleIndex, master.ModePlainIndex} {
+		eng.Master().SetMode(mode)
+		// Sequential reference.
+		want := make([]*core.ChaseResult, len(dirty))
+		for i, tu := range dirty {
+			want[i] = eng.Chase(tu, seed)
+		}
 
-	for _, workers := range []int{1, 3, 8} {
-		sink := &SliceSink{}
-		stats, err := Run(context.Background(), eng, seed, NewSliceSource(dirty), sink,
-			&Options{Workers: workers, ChunkSize: 5, Window: 40})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Tuples != len(dirty) || stats.Workers != workers {
-			t.Fatalf("workers=%d: stats = %+v", workers, stats)
-		}
-		if len(sink.Results) != len(dirty) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(sink.Results), len(dirty))
-		}
-		for i, r := range sink.Results {
-			if r.Seq != i {
-				t.Fatalf("workers=%d: result %d has seq %d (order broken)", workers, i, r.Seq)
+		for _, workers := range []int{1, 3, 8} {
+			label := fmt.Sprintf("%s workers=%d", mode, workers)
+			sink := &SliceSink{}
+			stats, err := Run(context.Background(), eng, seed, NewSliceSource(dirty), sink,
+				&Options{Workers: workers, ChunkSize: 5, Window: 40})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !r.Fixed.Equal(want[i].Tuple) {
-				t.Fatalf("workers=%d tuple %d: fixed %v, want %v", workers, i, r.Fixed, want[i].Tuple)
+			if stats.Tuples != len(dirty) || stats.Workers != workers {
+				t.Fatalf("%s: stats = %+v", label, stats)
 			}
-			if r.Chase.Validated != want[i].Validated {
-				t.Fatalf("workers=%d tuple %d: validated %v, want %v",
-					workers, i, r.Chase.Validated, want[i].Validated)
+			if len(sink.Results) != len(dirty) {
+				t.Fatalf("%s: %d results, want %d", label, len(sink.Results), len(dirty))
 			}
-			if !reflect.DeepEqual(r.Chase.Changes, want[i].Changes) {
-				t.Fatalf("workers=%d tuple %d: changes differ\n got %+v\nwant %+v",
-					workers, i, r.Chase.Changes, want[i].Changes)
-			}
-			if !reflect.DeepEqual(r.Chase.Conflicts, want[i].Conflicts) {
-				t.Fatalf("workers=%d tuple %d: conflicts differ", workers, i)
-			}
-			if r.Chase.Rounds != want[i].Rounds {
-				t.Fatalf("workers=%d tuple %d: rounds %d, want %d",
-					workers, i, r.Chase.Rounds, want[i].Rounds)
+			for i, r := range sink.Results {
+				if r.Seq != i {
+					t.Fatalf("%s: result %d has seq %d (order broken)", label, i, r.Seq)
+				}
+				if !r.Fixed.Equal(want[i].Tuple) {
+					t.Fatalf("%s tuple %d: fixed %v, want %v", label, i, r.Fixed, want[i].Tuple)
+				}
+				if r.Chase.Validated != want[i].Validated {
+					t.Fatalf("%s tuple %d: validated %v, want %v",
+						label, i, r.Chase.Validated, want[i].Validated)
+				}
+				if !reflect.DeepEqual(r.Chase.Changes, want[i].Changes) {
+					t.Fatalf("%s tuple %d: changes differ\n got %+v\nwant %+v",
+						label, i, r.Chase.Changes, want[i].Changes)
+				}
+				if !reflect.DeepEqual(r.Chase.Conflicts, want[i].Conflicts) {
+					t.Fatalf("%s tuple %d: conflicts differ", label, i)
+				}
+				if r.Chase.Rounds != want[i].Rounds {
+					t.Fatalf("%s tuple %d: rounds %d, want %d",
+						label, i, r.Chase.Rounds, want[i].Rounds)
+				}
 			}
 		}
 	}

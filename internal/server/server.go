@@ -202,7 +202,7 @@ type statusResponse struct {
 	// columnar-packed rows, snapshot-shared bytes and COW debt, rule
 	// indexes, interning dictionary.
 	Memory *master.MemStats `json:"memory,omitempty"`
-	// Kernels reports the simd dispatch table in effect and the chase
+	// Kernels reports the simd kernel build in effect and the chase
 	// prefilter's lifetime effectiveness.
 	Kernels kernelStatus `json:"kernels"`
 	// Persistence reports where the instance was loaded from and the
@@ -228,12 +228,10 @@ type persistenceStatus struct {
 	Health *faultfs.HealthStatus `json:"health,omitempty"`
 }
 
-// kernelStatus reports which simd dispatch table the process selected
-// (simd.Active: "amd64", "portable", ...) and whether a CERFIX_KERNELS
-// override forced it, plus the compiled chase's prefilter totals.
+// kernelStatus reports which simd kernel build runs (simd.Active:
+// "amd64", "arm64", ...) plus the compiled chase's prefilter totals.
 type kernelStatus struct {
 	Active    string          `json:"active"`
-	Override  string          `json:"override,omitempty"`
 	Prefilter prefilterStatus `json:"prefilter"`
 }
 
@@ -299,8 +297,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Jobs:         qs,
 		Memory:       &mem,
 		Kernels: kernelStatus{
-			Active:   simd.Active(),
-			Override: simd.Override(),
+			Active: simd.Active(),
 			Prefilter: prefilterStatus{
 				RulesSkipped:   skipped,
 				RulesEvaluated: evaluated,

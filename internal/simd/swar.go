@@ -33,25 +33,6 @@ func load64[K ~string | ~[]byte](k K, i int) uint64 {
 		uint64(k[i+4])<<32 | uint64(k[i+5])<<40 | uint64(k[i+6])<<48 | uint64(k[i+7])<<56
 }
 
-// indexByteSWAR is the portable IndexByte: word-at-a-time haszero over
-// b XOR the broadcast needle, scalar tail for the last < 8 bytes.
-func indexByteSWAR(b []byte, c byte) int {
-	pat := uint64(c) * swarOnes
-	i, n := 0, len(b)
-	for ; i+8 <= n; i += 8 {
-		v := load64(b, i) ^ pat
-		if m := (v - swarOnes) &^ v & swarHighs; m != 0 {
-			return i + bits.TrailingZeros64(m)>>3
-		}
-	}
-	for ; i < n; i++ {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
 // scanJSONSWAR classifies 8 bytes per step for the JSONL fast path:
 // first index of '"', '\\', a control byte (< 0x20) or a non-ASCII
 // byte (>= 0x80), else -1.
@@ -77,16 +58,11 @@ func scanJSONSWAR(b []byte) int {
 	return -1
 }
 
-// fnv1aString is the wide FNV-1a body over a string: one 8-byte load,
-// then the 8 mix steps extracted from the word. The hash chain is the
-// byte-serial FNV-1a definition exactly — widening the loads cannot
-// change a single bit — so cowmap shard routing and dictionary slots
-// computed by either form always agree.
-func fnv1aString(h uint32, s string) uint32 { return fnv1aWide(h, s) }
-
-// fnv1aBytes is fnv1aString for a byte slice.
-func fnv1aBytes(h uint32, b []byte) uint32 { return fnv1aWide(h, b) }
-
+// fnv1aWide is the wide FNV-1a body: one 8-byte load, then the 8 mix
+// steps extracted from the word. The hash chain is the byte-serial
+// FNV-1a definition exactly — widening the loads cannot change a
+// single bit — so cowmap shard routing and dictionary slots always
+// agree with the reference definition.
 func fnv1aWide[K ~string | ~[]byte](h uint32, k K) uint32 {
 	i, n := 0, len(k)
 	for ; i+8 <= n; i += 8 {

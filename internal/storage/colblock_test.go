@@ -217,26 +217,3 @@ func TestMemStatsAccounting(t *testing.T) {
 		t.Fatalf("snapshot stats lost its boxed shards: %+v", sm)
 	}
 }
-
-func TestCloneSharesPackedBlocks(t *testing.T) {
-	tb := NewTable(personSchema(t))
-	ids := fillVaried(t, tb, 300)
-	tb.SetPackMinRows(1)
-	tb.PackColumnar(0)
-	before := dumpRows(tb)
-
-	cp := tb.Clone()
-	if got := dumpRows(cp); !reflect.DeepEqual(got, before) {
-		t.Fatal("clone of packed table scans differently")
-	}
-	// The clone is mutable and isolated.
-	tu, _ := cp.Get(ids[0])
-	tu.Set("FN", "clone-only")
-	if err := cp.Update(tu); err != nil {
-		t.Fatal(err)
-	}
-	orig, _ := tb.Get(ids[0])
-	if orig.Get("FN") == "clone-only" {
-		t.Fatal("clone write leaked into the original")
-	}
-}

@@ -394,45 +394,6 @@ func (t *Table) maybeCompactLocked() {
 	t.dead = 0
 }
 
-// Clone returns an isolated deep copy of the table: fresh row
-// registry, insertion order and index structures, all mutable.
-// Stored tuples are shared (the table never mutates a stored row in
-// place). This is the legacy O(n) snapshot path, retained for
-// callers that need a private mutable copy and as the benchmark
-// baseline for Snapshot (cerfixbench e9).
-func (t *Table) Clone() *Table {
-	t.rlock()
-	defer t.runlock()
-	cp := &Table{
-		sch:         t.sch,
-		gen:         t.gen,
-		count:       t.count,
-		order:       append([]int64(nil), t.order...),
-		dead:        t.dead,
-		nextID:      t.nextID,
-		indexes:     make(map[string]*hashIndex, len(t.indexes)),
-		dict:        t.dict, // append-only, safe to share with the clone
-		packMinRows: t.packMinRows,
-	}
-	for i, sh := range &t.rows {
-		if sh.col != nil {
-			// Packed blocks are immutable: the clone shares the block
-			// and unpacks privately if it ever writes into it.
-			cp.rows[i] = &rowShard{col: sh.col, bytes: sh.bytes}
-			continue
-		}
-		m := make(map[int64]*schema.Tuple, len(sh.m))
-		for id, tu := range sh.m {
-			m[id] = tu
-		}
-		cp.rows[i] = &rowShard{m: m, bytes: sh.bytes}
-	}
-	for k, ix := range t.indexes {
-		cp.indexes[k] = ix.deepClone()
-	}
-	return cp
-}
-
 // Scan calls fn on a copy of every row in insertion order; fn
 // returning false stops the scan. The scan runs over an O(1)
 // snapshot taken up front, so it holds no locks while fn runs, sees
@@ -636,19 +597,6 @@ func (ix *hashIndex) remove(tu *schema.Tuple, dict *value.Dict) {
 	} else {
 		sh.M[k] = out
 	}
-}
-
-// deepClone copies the whole index (legacy Clone path).
-func (ix *hashIndex) deepClone() *hashIndex {
-	cp := &hashIndex{attrs: ix.attrs, pos: ix.pos}
-	for i, sh := range &ix.shards {
-		m := make(map[string][]int64, len(sh.M))
-		for k, ids := range sh.M {
-			m[k] = append([]int64(nil), ids...)
-		}
-		cp.shards[i] = &bucketShard{M: m}
-	}
-	return cp
 }
 
 // indexesMut returns the index registry, copying the map first when

@@ -299,57 +299,3 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("Len = %d after concurrent inserts", tb.Len())
 	}
 }
-
-// Clone yields an isolated table: inserts, updates and deletes on
-// either side stay invisible to the other, including through indexes.
-func TestTableClone(t *testing.T) {
-	tb := NewTable(personSchema(t))
-	if err := tb.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatal(err)
-	}
-	id, err := tb.InsertValues("F", "L", "Z1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := tb.Clone()
-	if cp.Len() != 1 || !cp.HasIndex([]string{"zip"}) {
-		t.Fatalf("clone: len %d", cp.Len())
-	}
-
-	// Diverge both sides.
-	if _, err := tb.InsertValues("A", "B", "Z2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cp.InsertValues("C", "D", "Z3"); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(tb.LookupEq([]string{"zip"}, value.List{"Z3"})); n != 0 {
-		t.Fatalf("clone insert visible in original: %d", n)
-	}
-	if n := len(cp.LookupEq([]string{"zip"}, value.List{"Z2"})); n != 0 {
-		t.Fatalf("original insert visible in clone: %d", n)
-	}
-
-	// Updating the original does not rewrite the clone's row.
-	row, _ := tb.Get(id)
-	row.Set("zip", "Z9")
-	if err := tb.Update(row); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := cp.Get(id)
-	if !ok || got.Get("zip") != "Z1" {
-		t.Fatalf("clone row = %v", got)
-	}
-	if n := len(cp.LookupEq([]string{"zip"}, value.List{"Z1"})); n != 1 {
-		t.Fatalf("clone index after original update: %d", n)
-	}
-
-	// Fresh IDs never collide across the pair.
-	id2, err := cp.InsertValues("E", "F", "Z4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, clash := tb.Get(id2); clash {
-		t.Fatalf("id %d allocated on both sides refers to original's row", id2)
-	}
-}

@@ -274,6 +274,5 @@ func AppendSym(dst []byte, s Sym) []byte {
 // fnvString is FNV-1a over the string bytes via the simd kernel's
 // wide body — bit-identical to the scalar definition and to
 // cowmap.FNVBytes, so callers can hash either representation
-// consistently and table slots never move when the kernel table
-// changes.
+// consistently.
 func fnvString(s string) uint32 { return simd.Hash(s) }
