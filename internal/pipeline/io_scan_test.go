@@ -20,8 +20,8 @@ import (
 // the fast paths replaced, across adversarial inputs (quotes inside
 // fields, escapes, multi-byte UTF-8 straddling 8-byte word
 // boundaries, blank lines, torn final lines, wrong field counts,
-// oversized lines) and across chunked readers that force every
-// lineReader refill path.
+// oversized lines), across chunked readers that force every
+// lineReader refill path, and under both line-ending conventions.
 
 // refJSONLNext is the reference JSONL decoder: bufio.Scanner +
 // encoding/json, the exact shape JSONLSource had before its fast path
@@ -157,6 +157,19 @@ func readers(s string) map[string]func() io.Reader {
 	}
 }
 
+// withLineEndings runs f once per line-ending convention, passing the
+// rewrite f applies to each input before decoding it. "native" keeps
+// the input as written, '\n' ends with a few "\r\n" ones mixed in.
+// "portable" turns every '\n' into "\r\n", the RFC 4180 interchange
+// ending, so every line reaches the fast paths with a '\r' to trim and
+// the lines already ending in "\r\n" carry a stray '\r' before it.
+func withLineEndings(t *testing.T, f func(t *testing.T, ending func(string) string)) {
+	t.Run("native", func(t *testing.T) { f(t, func(s string) string { return s }) })
+	t.Run("portable", func(t *testing.T) {
+		f(t, func(s string) string { return strings.ReplaceAll(s, "\n", "\r\n") })
+	})
+}
+
 func scanSchema(t *testing.T) *schema.Schema {
 	t.Helper()
 	sch, err := schema.New("T", schema.Str("a"), schema.Str("b"), schema.Str("c"))
@@ -197,20 +210,24 @@ func TestJSONLSourceDifferentialCurated(t *testing.T) {
 		strings.Repeat(`{"a":"r","b":"s","c":"t"}`+"\n", 500),
 		`{"a":"` + strings.Repeat("long", 50000) + `","b":"2","c":"3"}` + "\n", // 200 KB value
 	}
-	for i, in := range inputs {
-		for rname, mk := range readers(in) {
-			drainCompare(t, fmt.Sprintf("input %d reader %s", i, rname),
-				NewJSONLSource(sch, mk()), newRefJSONL(sch, mk()))
+	withLineEndings(t, func(t *testing.T, ending func(string) string) {
+		for i, in := range inputs {
+			for rname, mk := range readers(ending(in)) {
+				drainCompare(t, fmt.Sprintf("input %d reader %s", i, rname),
+					NewJSONLSource(sch, mk()), newRefJSONL(sch, mk()))
+			}
 		}
-	}
+	})
 }
 
 func TestJSONLSourceTooLong(t *testing.T) {
 	sch := scanSchema(t)
 	// One line over the 1 MiB cap: both decoders report
 	// bufio.ErrTooLong bare.
-	in := `{"a":"` + strings.Repeat("x", 1<<20) + `","b":"2","c":"3"}` + "\n"
-	drainCompareUntilErr(t, "toolong", NewJSONLSource(sch, strings.NewReader(in)), newRefJSONL(sch, strings.NewReader(in)))
+	withLineEndings(t, func(t *testing.T, ending func(string) string) {
+		in := ending(`{"a":"` + strings.Repeat("x", 1<<20) + `","b":"2","c":"3"}` + "\n")
+		drainCompareUntilErr(t, "toolong", NewJSONLSource(sch, strings.NewReader(in)), newRefJSONL(sch, strings.NewReader(in)))
+	})
 }
 
 // drainCompareUntilErr compares steps until the first non-EOF error
@@ -279,9 +296,11 @@ func TestJSONLSourceDifferentialRandom(t *testing.T) {
 		}
 	}
 	in := b.String()
-	for rname, mk := range readers(in) {
-		drainCompare(t, "random/"+rname, NewJSONLSource(sch, mk()), newRefJSONL(sch, mk()))
-	}
+	withLineEndings(t, func(t *testing.T, ending func(string) string) {
+		for rname, mk := range readers(ending(in)) {
+			drainCompare(t, "random/"+rname, NewJSONLSource(sch, mk()), newRefJSONL(sch, mk()))
+		}
+	})
 }
 
 // csvPair builds both decoders, comparing constructor errors too.
@@ -334,16 +353,19 @@ func TestCSVSourceDifferentialCurated(t *testing.T) {
 		"a,b,c\n" + strings.Repeat("1,2,3\n", 500),
 		"a,b,c\n1,2," + strings.Repeat("w", 200000) + "\n", // long line forces window growth
 	}
-	for i, in := range inputs {
-		for rname, mk := range readers(in) {
-			label := fmt.Sprintf("input %d reader %s", i, rname)
-			got, want, ok := csvPair(t, label, sch, in, mk)
-			if !ok {
-				continue
+	withLineEndings(t, func(t *testing.T, ending func(string) string) {
+		for i, in := range inputs {
+			in = ending(in)
+			for rname, mk := range readers(in) {
+				label := fmt.Sprintf("input %d reader %s", i, rname)
+				got, want, ok := csvPair(t, label, sch, in, mk)
+				if !ok {
+					continue
+				}
+				drainCompare(t, label, got, want)
 			}
-			drainCompare(t, label, got, want)
 		}
-	}
+	})
 }
 
 func TestCSVSourceDifferentialRandom(t *testing.T) {
@@ -399,12 +421,15 @@ func TestCSVSourceDifferentialRandom(t *testing.T) {
 		}
 	}
 	in := b.String()
-	for rname, mk := range readers(in) {
-		label := "random/" + rname
-		got, want, ok := csvPair(t, label, sch, in, mk)
-		if !ok {
-			continue
+	withLineEndings(t, func(t *testing.T, ending func(string) string) {
+		in := ending(in)
+		for rname, mk := range readers(in) {
+			label := "random/" + rname
+			got, want, ok := csvPair(t, label, sch, in, mk)
+			if !ok {
+				continue
+			}
+			drainCompare(t, label, got, want)
 		}
-		drainCompare(t, label, got, want)
-	}
+	})
 }

@@ -38,45 +38,74 @@ func refHash(s string) uint32 {
 	return h
 }
 
+// withPlacements runs f once per input placement, passing the offsets
+// past an 8-byte word boundary at which f places its inputs.
+// "native" starts every input on a word boundary, the layout a fresh
+// allocation gets. "portable" starts them at offsets 1..7: load64
+// assembles words byte by byte, so the SWAR bodies issue no unaligned
+// word load and run unchanged on strict-alignment architectures, and
+// no result may depend on where an input starts.
+func withPlacements(t *testing.T, f func(t *testing.T, offs []int)) {
+	t.Run("native", func(t *testing.T) { f(t, []int{0}) })
+	t.Run("portable", func(t *testing.T) { f(t, []int{1, 2, 3, 4, 5, 6, 7}) })
+}
+
+// placed returns a copy of b that starts off bytes past a word
+// boundary. The gc allocator gives every object of 16 bytes or more a
+// word-aligned base, and the backing array here is always that large.
+func placed(b []byte, off int) []byte {
+	buf := make([]byte, off+len(b)+16)
+	return buf[off : off+copy(buf[off:], b)]
+}
+
+// placedString is placed for a string: a substring of a word-aligned
+// concatenation.
+func placedString(s string, off int) string {
+	buf := strings.Repeat(".", off) + s + strings.Repeat(".", 16)
+	return buf[off : off+len(s)]
+}
+
 func TestIndexByteDifferential(t *testing.T) {
-	// Exhaustive over short lengths, every needle position, and the
-	// borrow-adjacent byte values around each classifier boundary.
-	interesting := []byte{0x00, 0x01, 0x1f, 0x20, '"', ',', '\\', '\n', 0x7f, 0x80, 0xff}
-	for n := 0; n <= 24; n++ {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte('a' + i%26)
-		}
-		for _, c := range interesting {
-			for pos := 0; pos <= n; pos++ {
-				for i := range b {
-					b[i] = byte('a' + i%26)
-				}
-				if pos < n {
-					b[pos] = c
-				}
-				if got, want := IndexByte(b, c), refIndexByte(b, c); got != want {
-					t.Fatalf("IndexByte(len=%d, c=%#x at %d) = %d, want %d", n, c, pos, got, want)
+	withPlacements(t, func(t *testing.T, offs []int) {
+		// Exhaustive over short lengths, every needle position, and the
+		// borrow-adjacent byte values around each classifier boundary.
+		interesting := []byte{0x00, 0x01, 0x1f, 0x20, '"', ',', '\\', '\n', 0x7f, 0x80, 0xff}
+		for n := 0; n <= 24; n++ {
+			src := make([]byte, n)
+			for _, c := range interesting {
+				for pos := 0; pos <= n; pos++ {
+					for i := range src {
+						src[i] = byte('a' + i%26)
+					}
+					if pos < n {
+						src[pos] = c
+					}
+					for _, off := range offs {
+						b := placed(src, off)
+						if got, want := IndexByte(b, c), refIndexByte(b, c); got != want {
+							t.Fatalf("IndexByte(len=%d, c=%#x at %d, off %d) = %d, want %d", n, c, pos, off, got, want)
+						}
+					}
 				}
 			}
 		}
-	}
-	// Randomized, with unaligned subslices so word loads start at
-	// every offset.
-	rng := rand.New(rand.NewSource(13))
-	big := make([]byte, 4096)
-	for trial := 0; trial < 2000; trial++ {
-		for i := range big {
-			big[i] = byte(rng.Intn(256))
+		// Randomized, with subslices of a word-aligned buffer that start
+		// at this placement's offsets.
+		rng := rand.New(rand.NewSource(13))
+		big := make([]byte, 4096)
+		for trial := 0; trial < 2000; trial++ {
+			for i := range big {
+				big[i] = byte(rng.Intn(256))
+			}
+			off := 8*rng.Intn(8) + offs[rng.Intn(len(offs))]
+			n := rng.Intn(len(big) - off)
+			b := big[off : off+n]
+			c := byte(rng.Intn(256))
+			if got, want := IndexByte(b, c), refIndexByte(b, c); got != want {
+				t.Fatalf("trial %d: IndexByte = %d, want %d", trial, got, want)
+			}
 		}
-		off := rng.Intn(64)
-		n := rng.Intn(len(big) - off)
-		b := big[off : off+n]
-		c := byte(rng.Intn(256))
-		if got, want := IndexByte(b, c), refIndexByte(b, c); got != want {
-			t.Fatalf("trial %d: IndexByte = %d, want %d", trial, got, want)
-		}
-	}
+	})
 }
 
 func TestScanJSONDifferential(t *testing.T) {
@@ -101,62 +130,69 @@ func TestScanJSONDifferential(t *testing.T) {
 		[]byte(strings.Repeat("x", 31) + "\x1f"),
 		[]byte(strings.Repeat("x", 32) + "\\"),
 	}
-	for off := 0; off < 9; off++ {
-		pad := []byte(strings.Repeat(".", off))
-		for _, c := range cases {
-			b := append(append([]byte{}, pad...), c...)
-			b = b[off:] // vary the load alignment without changing bytes
+	withPlacements(t, func(t *testing.T, offs []int) {
+		for _, off := range offs {
+			for _, c := range cases {
+				b := placed(c, off)
+				if got, want := ScanJSON(b), refScanJSON(b); got != want {
+					t.Fatalf("ScanJSON(%q, off %d) = %d, want %d", b, off, got, want)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(17))
+		src := make([]byte, 80)
+		for trial := 0; trial < 4000; trial++ {
+			n := rng.Intn(80)
+			for i := range src[:n] {
+				// Bias heavily toward plain bytes so specials land at
+				// random sparse positions, including none.
+				if rng.Intn(12) == 0 {
+					src[i] = byte(rng.Intn(256))
+				} else {
+					src[i] = byte(0x20 + rng.Intn(0x5f))
+				}
+			}
+			b := placed(src[:n], offs[trial%len(offs)])
 			if got, want := ScanJSON(b), refScanJSON(b); got != want {
-				t.Fatalf("ScanJSON(%q, off %d) = %d, want %d", b, off, got, want)
+				t.Fatalf("trial %d: ScanJSON(%q) = %d, want %d", trial, b, got, want)
 			}
 		}
-	}
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 4000; trial++ {
-		n := rng.Intn(80)
-		b := make([]byte, n)
-		for i := range b {
-			// Bias heavily toward plain bytes so specials land at
-			// random sparse positions, including none.
-			if rng.Intn(12) == 0 {
-				b[i] = byte(rng.Intn(256))
-			} else {
-				b[i] = byte(0x20 + rng.Intn(0x5f))
-			}
-		}
-		if got, want := ScanJSON(b), refScanJSON(b); got != want {
-			t.Fatalf("trial %d: ScanJSON(%q) = %d, want %d", trial, b, got, want)
-		}
-	}
+	})
 }
 
 func TestHashDifferential(t *testing.T) {
-	// Exhaustive over every length 0..64 (covers every wide/tail
-	// split) with fixed content, then randomized contents.
-	base := strings.Repeat("The quick brown fox jumps over the lazy dog 0123456789!", 2)
-	for n := 0; n <= 64; n++ {
-		s := base[:n]
-		if got, want := Hash(s), refHash(s); got != want {
-			t.Fatalf("Hash(len %d) = %#x, want %#x", n, got, want)
+	withPlacements(t, func(t *testing.T, offs []int) {
+		// Exhaustive over every length 0..64 (covers every wide/tail
+		// split) with fixed content, then randomized contents.
+		base := strings.Repeat("The quick brown fox jumps over the lazy dog 0123456789!", 2)
+		for n := 0; n <= 64; n++ {
+			for _, off := range offs {
+				s := base[:n]
+				if got, want := Hash(placedString(s, off)), refHash(s); got != want {
+					t.Fatalf("Hash(len %d, off %d) = %#x, want %#x", n, off, got, want)
+				}
+				if got, want := HashBytes(placed([]byte(s), off)), refHash(s); got != want {
+					t.Fatalf("HashBytes(len %d, off %d) = %#x, want %#x", n, off, got, want)
+				}
+			}
 		}
-		if got, want := HashBytes([]byte(s)), refHash(s); got != want {
-			t.Fatalf("HashBytes(len %d) = %#x, want %#x", n, got, want)
+		rng := rand.New(rand.NewSource(19))
+		src := make([]byte, 100)
+		for trial := 0; trial < 4000; trial++ {
+			n := rng.Intn(100)
+			for i := range src[:n] {
+				src[i] = byte(rng.Intn(256))
+			}
+			off := offs[trial%len(offs)]
+			want := refHash(string(src[:n]))
+			if got := HashBytes(placed(src[:n], off)); got != want {
+				t.Fatalf("trial %d: HashBytes = %#x, want %#x", trial, got, want)
+			}
+			if got := Hash(placedString(string(src[:n]), off)); got != want {
+				t.Fatalf("trial %d: Hash = %#x, want %#x", trial, got, want)
+			}
 		}
-	}
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 4000; trial++ {
-		n := rng.Intn(100)
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(rng.Intn(256))
-		}
-		if got, want := HashBytes(b), refHash(string(b)); got != want {
-			t.Fatalf("trial %d: HashBytes = %#x, want %#x", trial, got, want)
-		}
-		if got, want := Hash(string(b)), refHash(string(b)); got != want {
-			t.Fatalf("trial %d: Hash = %#x, want %#x", trial, got, want)
-		}
-	}
+	})
 }
 
 func BenchmarkIndexByte(b *testing.B) {
