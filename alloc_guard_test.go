@@ -20,10 +20,9 @@ import (
 // TestChaseSteadyStateZeroAlloc is the allocation companion of
 // BenchmarkChaseSingle: once a Chaser's scratch buffers are warm, the
 // full Fig. 3 chase on the happy path (rule-index access, no
-// conflicts) must perform ZERO heap allocations per tuple — with the
-// premise prefilter at its default (on), so buildSkip's per-seed mask
-// pass is covered by the guarantee. Guarded out under the race
-// detector, whose instrumentation allocates; the finer-grained variant
+// conflicts) must perform ZERO heap allocations per tuple. Guarded out
+// under the race detector, whose instrumentation allocates; the
+// finer-grained variant
 // (live vs snapshot engines) lives in internal/core's alloc suite.
 func TestChaseSteadyStateZeroAlloc(t *testing.T) {
 	eng, err := experiments.DemoEngine()

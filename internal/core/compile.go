@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sync"
 
-	"cerfix/internal/counter"
 	"cerfix/internal/master"
 	"cerfix/internal/pattern"
 	"cerfix/internal/rule"
@@ -42,27 +41,12 @@ type chaseProgram struct {
 	deps [][]int32
 	// words is the rule-bitset width in uint64 words (≥ 1).
 	words int
-	// anyTargets is the union of every rule's target set. A position
-	// outside it can never be written by any chase, so its seed value is
-	// fixed for the whole run — the prefilter's stability test (a
-	// position validated at seed is equally immutable).
-	anyTargets schema.AttrSet
 	// staticSkip flags rules whose pattern is unsatisfiable over the
 	// input schema: matches() is false for every tuple, so the agenda
-	// would evaluate them to no-fire on every chase. Folded into each
-	// chase's skip set.
+	// would evaluate them to no-fire on every chase. A flagged rule
+	// whose premise becomes satisfied is counted skipped instead of
+	// entering the agenda.
 	staticSkip []uint64
-	// prefAttrs is the premise prefilter, grouped by input position: the
-	// cheap per-tuple rejects that can be decided once per chase from a
-	// stable position's value, before any rule reaches the agenda. See
-	// Chaser.buildSkip for the soundness argument.
-	prefAttrs []prefAttr
-	// skipped/evaluated are program-lifetime prefilter effectiveness
-	// totals across every chase on any view sharing this program
-	// (snapshots included), surfaced through Engine.PrefilterStats and
-	// /api/v1/status. They reset when the rule set changes, because a
-	// rule edit builds a new engine and with it a new program.
-	skipped, evaluated counter.Monotonic
 	// pool holds idle Chasers for reuse across runs and across engine
 	// views (snapshots share the program, so a chaser released by one
 	// batch run can be rebound to the next run's snapshot without
@@ -136,30 +120,6 @@ type compiledCond struct {
 	cond pattern.Condition
 }
 
-// prefAttr is the prefilter state for one input position.
-type prefAttr struct {
-	pos int
-	// conds are the string-domain pattern conditions on pos, tagged with
-	// their rule. Non-string domains are excluded on purpose:
-	// value.Compare parses numeric and date operands per call, which
-	// both costs more than the reject saves and allocates on malformed
-	// input — the string domain compares allocation-free.
-	conds []prefCond
-	// matchMask flags every rule whose match key X includes pos (nil
-	// when none does). When a stable position's value is absent from the
-	// store's interning dictionary, no master cell carries it, so every
-	// lookup probing pos must return NoMatch — the whole mask skips.
-	matchMask []uint64
-}
-
-// prefCond is one prefilterable condition: rule bit to set when the
-// stable value fails the condition.
-type prefCond struct {
-	rule int32
-	dom  value.Domain
-	cond pattern.Condition
-}
-
 // matches reports whether the tuple satisfies the compiled pattern.
 func (r *compiledRule) matches(t *schema.Tuple) bool {
 	for i := range r.conds {
@@ -185,8 +145,6 @@ func compileProgram(input *schema.Schema, rules []*rule.Rule) *chaseProgram {
 		p.words = 1
 	}
 	p.staticSkip = make([]uint64, p.words)
-	condsAt := make([][]prefCond, input.Len())
-	matchAt := make([][]uint64, input.Len())
 	for i, r := range rules {
 		cr := &p.rules[i]
 		cr.src = r
@@ -213,27 +171,9 @@ func compileProgram(input *schema.Schema, rules []*rule.Rule) *chaseProgram {
 		for _, a := range cr.premise.Positions() {
 			p.deps[a] = append(p.deps[a], int32(i))
 		}
-		p.anyTargets = p.anyTargets.Union(cr.targets)
 		if !pattern.Satisfiable(r.When, input) {
 			p.staticSkip[i>>6] |= 1 << uint(i&63)
 		}
-		for _, cc := range cr.conds {
-			if cc.dom == value.DString {
-				condsAt[cc.pos] = append(condsAt[cc.pos], prefCond{rule: int32(i), dom: cc.dom, cond: cc.cond})
-			}
-		}
-		for _, pos := range cr.matchInputPos {
-			if matchAt[pos] == nil {
-				matchAt[pos] = make([]uint64, p.words)
-			}
-			matchAt[pos][i>>6] |= 1 << uint(i&63)
-		}
-	}
-	for pos := 0; pos < input.Len(); pos++ {
-		if condsAt[pos] == nil && matchAt[pos] == nil {
-			continue
-		}
-		p.prefAttrs = append(p.prefAttrs, prefAttr{pos: pos, conds: condsAt[pos], matchMask: matchAt[pos]})
 	}
 	return p
 }
@@ -264,17 +204,10 @@ type Chaser struct {
 	// construction.
 	missing   []int32  // unvalidated premise attrs per rule
 	cur, next []uint64 // this round's / next round's ready bitsets
-
-	// skip is the per-chase rule skip set — staticSkip plus the tuple's
-	// prefilter rejects (see buildSkip). A skipped rule never reaches
-	// the agenda; skipped/evaluated count this chase's prefilter
-	// effectiveness, flushed to the program totals when the run ends.
-	skip               []uint64
+	// skipped/evaluated count this chase's premise-ready rules that
+	// staticSkip kept off the agenda and that the agenda evaluated
+	// (reported in ChaseResult.Stats).
 	skipped, evaluated int
-	// noPrefilter disables the premise prefilter (the parity sweep
-	// measures against it); results are byte-identical either way —
-	// only the counters and the work done move.
-	noPrefilter bool
 
 	// keyBuf is the probe key-encode scratch; dict is the bound
 	// store's interning dictionary (probe keys are sym-encoded).
@@ -300,7 +233,6 @@ func (e *Engine) NewChaser() *Chaser {
 		missing: make([]int32, len(p.rules)),
 		cur:     make([]uint64, p.words),
 		next:    make([]uint64, p.words),
-		skip:    make([]uint64, p.words),
 	}
 	c.rebind(e)
 	return c
@@ -329,8 +261,7 @@ func (e *Engine) AcquireChaser() *Chaser {
 // snapshot's store.
 func (c *Chaser) Release() {
 	c.eng = nil
-	c.dict = nil          // don't pin a dead snapshot's dictionary arena
-	c.noPrefilter = false // a pooled chaser always starts filtered
+	c.dict = nil // don't pin a dead snapshot's dictionary arena
 	for i := range c.handles {
 		c.handles[i] = master.RuleHandle{}
 	}
@@ -401,81 +332,6 @@ func (c *Chaser) ChaseInto(dst *ChaseResult, t *schema.Tuple, validated schema.A
 	return dst
 }
 
-// SetPrefilter enables or disables the premise prefilter for this
-// chaser. Disabling it never changes any chase result — the prefilter
-// only skips rules the agenda would have evaluated to no-fire (the
-// parity sweep in prefilter_test.go pins this) — it just restores the
-// pre-prefilter amount of per-rule work. Release resets the chaser to
-// filtered.
-func (c *Chaser) SetPrefilter(on bool) { c.noPrefilter = !on }
-
-// buildSkip computes the chase's skip set: rules that, were the agenda
-// to evaluate them, would provably return no-fire without side
-// effects, decided once per chase instead of once per evaluation.
-//
-// Soundness rests on stability: a prefilter position's value must be
-// the value evaluate() would see. Positions validated at seed are
-// immutable (evaluate never writes a validated cell); positions
-// outside anyTargets are never written by any rule. All other
-// positions contribute nothing to the skip set. For a stable position,
-//
-//   - a failing pattern condition means matches() returns false
-//     whenever the rule is evaluated — evaluate()'s first exit, taken
-//     before any side effect;
-//   - a value absent from the store's interning dictionary cannot
-//     equal any master cell (PrepareForRules indexes every rule's
-//     match columns in every mode, and index maintenance interns each
-//     cell), so every lookup probing the position returns NoMatch on
-//     every access path — evaluate()'s second silent exit.
-//
-// Statically unsatisfiable patterns (staticSkip) are the degenerate
-// tuple-independent case of the first argument.
-func (c *Chaser) buildSkip(res *ChaseResult) {
-	p := c.prog
-	if c.noPrefilter {
-		for i := range c.skip {
-			c.skip[i] = 0
-		}
-		return
-	}
-	copy(c.skip, p.staticSkip)
-	// Match masks first: one dictionary lookup per stable position
-	// covers every rule probing it — the prefilter's economy of scale.
-	for i := range p.prefAttrs {
-		pa := &p.prefAttrs[i]
-		if pa.matchMask == nil {
-			continue
-		}
-		if !res.Validated.Has(pa.pos) && p.anyTargets.Has(pa.pos) {
-			continue // value may change mid-chase; not prefilterable
-		}
-		if _, ok := c.dict.LookupV(res.Tuple.Vals[pa.pos]); !ok {
-			for w := range c.skip {
-				c.skip[w] |= pa.matchMask[w]
-			}
-		}
-	}
-	// Conditions second, and only for rules the masks left alive: a
-	// condition probe here costs the same as evaluate()'s own matches()
-	// walk, so re-deciding an already-skipped rule is pure waste.
-	for i := range p.prefAttrs {
-		pa := &p.prefAttrs[i]
-		if len(pa.conds) == 0 {
-			continue
-		}
-		if !res.Validated.Has(pa.pos) && p.anyTargets.Has(pa.pos) {
-			continue
-		}
-		v := res.Tuple.Vals[pa.pos]
-		for j := range pa.conds {
-			pc := &pa.conds[j]
-			if c.skip[pc.rule>>6]&(1<<uint(pc.rule&63)) == 0 && !pc.cond.Matches(v, pc.dom) {
-				c.skip[pc.rule>>6] |= 1 << uint(pc.rule&63)
-			}
-		}
-	}
-}
-
 // run executes the agenda loop. The scheduling reproduces the legacy
 // round-robin scan exactly:
 //
@@ -497,15 +353,14 @@ func (c *Chaser) run(res *ChaseResult) {
 		c.cur[i], c.next[i] = 0, 0
 	}
 	c.skipped, c.evaluated = 0, 0
-	c.buildSkip(res)
 	// Seed: per-rule missing-premise counts under the initial
 	// validated set; rules already satisfied form round 1's agenda —
-	// unless prefiltered, in which case they never enter it.
+	// unless statically unsatisfiable, in which case they never enter it.
 	for i := range p.rules {
 		miss := int32(p.rules[i].premise.Minus(res.Validated).Count())
 		c.missing[i] = miss
 		if miss == 0 {
-			if c.skip[i>>6]&(1<<uint(i&63)) != 0 {
+			if p.staticSkip[i>>6]&(1<<uint(i&63)) != 0 {
 				c.skipped++
 				continue
 			}
@@ -531,8 +386,6 @@ func (c *Chaser) run(res *ChaseResult) {
 		res.Rounds = round
 		if !progressed {
 			res.Stats = ChaseStats{RulesSkipped: c.skipped, RulesEvaluated: c.evaluated}
-			p.skipped.Add(int64(c.skipped))
-			p.evaluated.Add(int64(c.evaluated))
 			return
 		}
 		round++
@@ -606,7 +459,7 @@ func (c *Chaser) evaluate(ri, round int, res *ChaseResult) bool {
 		for _, rj := range c.prog.deps[bi] {
 			c.missing[rj]--
 			if c.missing[rj] == 0 {
-				if c.skip[rj>>6]&(1<<uint(rj&63)) != 0 {
+				if c.prog.staticSkip[rj>>6]&(1<<uint(rj&63)) != 0 {
 					c.skipped++
 					continue
 				}

@@ -179,15 +179,6 @@ func (e *Engine) Rules() *rule.Set { return e.rules }
 // Master returns the engine's master store.
 func (e *Engine) Master() *master.Store { return e.store }
 
-// PrefilterStats returns the compiled program's lifetime premise
-// prefilter totals — rules skipped before reaching the agenda and
-// rules evaluated — aggregated across every chase on this engine and
-// all its snapshots (they share the program). The counters reset when
-// the rule set changes, since that builds a new engine and program.
-func (e *Engine) PrefilterStats() (skipped, evaluated int64) {
-	return e.prog.skipped.Load(), e.prog.evaluated.Load()
-}
-
 // ChaseResult is the outcome of one chase run.
 type ChaseResult struct {
 	// Tuple is the fixed copy of the input (the original is untouched).
@@ -202,18 +193,16 @@ type ChaseResult struct {
 	Conflicts []Conflict
 	// Rounds is the number of fixpoint iterations performed.
 	Rounds int
-	// Stats reports the compiled chase's prefilter effectiveness for
-	// this run. ChaseLegacy has no prefilter and leaves it zero; it
-	// carries no fixing semantics, so the compiled/legacy parity
-	// contract does not cover it.
+	// Stats reports the compiled chase's agenda work for this run.
+	// ChaseLegacy leaves it zero; it carries no fixing semantics, so the
+	// compiled/legacy parity contract does not cover it.
 	Stats ChaseStats
 }
 
-// ChaseStats counts the premise prefilter's work avoidance in one
-// chase: RulesSkipped premise-ready rules were rejected before
-// reaching the agenda (each saves a pattern match and usually a master
-// probe), RulesEvaluated reached it. Program-lifetime totals aggregate
-// in the compiled program; see Engine.PrefilterStats.
+// ChaseStats counts the agenda's work in one chase: RulesEvaluated
+// premise-ready rules were evaluated; RulesSkipped premise-ready rules
+// never reached the agenda because their pattern is unsatisfiable over
+// the input schema (decided once, when the rule set compiles).
 type ChaseStats struct {
 	RulesSkipped   int
 	RulesEvaluated int

@@ -324,3 +324,121 @@ func TestCompiledAgendaSkipsUnreadyRules(t *testing.T) {
 	}
 	assertSameResult(t, "unready rules", res, eng.ChaseLegacy(in, schema.SetOf(0, 1)))
 }
+
+// craftedEngine builds a three-attribute world (IN: a0 a1 a2, MD: m0
+// m1 m2) over the given master rows and rules.
+func craftedEngine(t *testing.T, rows [][]string, rules ...*rule.Rule) (*Engine, *schema.Schema) {
+	t.Helper()
+	input := schema.MustNew("IN", schema.Str("a0"), schema.Str("a1"), schema.Str("a2"))
+	msch := schema.MustNew("MD", schema.Str("m0"), schema.Str("m1"), schema.Str("m2"))
+	st := master.New(msch)
+	for _, row := range rows {
+		if _, err := st.InsertValues(value.V(row[0]), value.V(row[1]), value.V(row[2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs, err := rule.NewSet(rules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(input, rs, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, input
+}
+
+// TestCompiledLegacyParityCrafted pins hand-built worlds for the
+// agenda's silent no-fire exits, each against the legacy oracle and a
+// known fixed value: a failing pattern condition, a match-key value no
+// master cell carries (the rule-index probe answers NoMatch on the
+// dictionary miss), and a gate that fails on the seed value but passes
+// once an earlier rule rewrites the gated attribute.
+func TestCompiledLegacyParityCrafted(t *testing.T) {
+	// r0 fixes a1 from a0 gated on a0 = "go"; r1 fixes a2 from a0
+	// unconditionally. Master knows the a0 values "go" and "stop" only.
+	eng, input := craftedEngine(t, [][]string{{"go", "x", "y"}, {"stop", "x2", "y2"}},
+		&rule.Rule{
+			ID:    "r0",
+			Match: []rule.Correspondence{{Input: "a0", Master: "m0"}},
+			Set:   []rule.Correspondence{{Input: "a1", Master: "m1"}},
+			When:  pattern.NewPattern(pattern.Eq("a0", value.V("go"))),
+		},
+		&rule.Rule{
+			ID:    "r1",
+			Match: []rule.Correspondence{{Input: "a0", Master: "m0"}},
+			Set:   []rule.Correspondence{{Input: "a2", Master: "m2"}},
+		},
+	)
+	ch := eng.NewChaser()
+	seed := schema.SetOf(0)
+
+	// a0 = "stop": r0's condition fails, r1 matches and fixes a2.
+	in := &schema.Tuple{Schema: input, Vals: value.List{value.V("stop"), value.V(""), value.V("")}}
+	res := ch.Chase(in, seed)
+	assertSameResult(t, "cond reject", res, eng.ChaseLegacy(in, seed))
+	if got := string(res.Tuple.Vals[2]); got != "y2" {
+		t.Fatalf("cond reject: a2 = %q, want fixed to %q", got, "y2")
+	}
+
+	// a0 = "unknown": absent from the master dictionary, so neither
+	// rule's probe can match and nothing is fixed.
+	in = &schema.Tuple{Schema: input, Vals: value.List{value.V("unknown"), value.V(""), value.V("")}}
+	res = ch.Chase(in, seed)
+	assertSameResult(t, "dict miss", res, eng.ChaseLegacy(in, seed))
+	if len(res.Changes) != 0 {
+		t.Fatalf("dict miss: changes %+v, want none", res.Changes)
+	}
+
+	// r0 rewrites a1; r1's gate and match key are on a1. The seed value
+	// "WRONG" fails the gate and is absent from the dictionary, but the
+	// value r1 actually sees is r0's "x", so the chain completes.
+	eng, input = craftedEngine(t, [][]string{{"go", "x", "y"}},
+		&rule.Rule{
+			ID:    "r0",
+			Match: []rule.Correspondence{{Input: "a0", Master: "m0"}},
+			Set:   []rule.Correspondence{{Input: "a1", Master: "m1"}},
+		},
+		&rule.Rule{
+			ID:    "r1",
+			Match: []rule.Correspondence{{Input: "a1", Master: "m1"}},
+			Set:   []rule.Correspondence{{Input: "a2", Master: "m2"}},
+			When:  pattern.NewPattern(pattern.Eq("a1", value.V("x"))),
+		},
+	)
+	in = &schema.Tuple{Schema: input, Vals: value.List{value.V("go"), value.V("WRONG"), value.V("")}}
+	res = eng.Chase(in, seed)
+	assertSameResult(t, "unstable chain", res, eng.ChaseLegacy(in, seed))
+	if got := string(res.Tuple.Vals[2]); got != "y" {
+		t.Fatalf("unstable chain: a2 = %q, want %q via the a1 chain", got, "y")
+	}
+}
+
+// TestCompiledLegacyParityStaticSkip pins the compile-time skip: a rule
+// whose pattern no tuple can satisfy never reaches the agenda, is
+// counted skipped, and the result still equals the legacy oracle's.
+func TestCompiledLegacyParityStaticSkip(t *testing.T) {
+	eng, input := craftedEngine(t, [][]string{{"x", "x1", "x2"}},
+		&rule.Rule{
+			ID:    "r0",
+			Match: []rule.Correspondence{{Input: "a0", Master: "m0"}},
+			Set:   []rule.Correspondence{{Input: "a1", Master: "m1"}},
+			When:  pattern.NewPattern(pattern.Eq("a0", value.V("x")), pattern.Eq("a0", value.V("y"))),
+		},
+		&rule.Rule{
+			ID:    "r1",
+			Match: []rule.Correspondence{{Input: "a0", Master: "m0"}},
+			Set:   []rule.Correspondence{{Input: "a2", Master: "m2"}},
+		},
+	)
+	in := &schema.Tuple{Schema: input, Vals: value.List{value.V("x"), value.V(""), value.V("")}}
+	seed := schema.SetOf(0)
+	res := eng.Chase(in, seed)
+	assertSameResult(t, "static skip", res, eng.ChaseLegacy(in, seed))
+	if res.Stats.RulesSkipped != 1 {
+		t.Fatalf("stats %+v, want exactly the unsatisfiable rule skipped", res.Stats)
+	}
+	if got := string(res.Tuple.Vals[2]); got != "x2" {
+		t.Fatalf("a2 = %q, want the satisfiable rule to fix it to %q", got, "x2")
+	}
+}

@@ -1,6 +1,6 @@
 // Package counter provides the one monotonic counter primitive behind
 // every cumulative count the status API reports — admission shed
-// totals, job-backlog sheds, chase prefilter effectiveness. Before it,
+// totals and job-backlog sheds. Before it,
 // each site hand-rolled its own atomic and its own JSON snapshot
 // shape; one helper keeps the discipline (monotonic, race-free,
 // snake_case on the wire) in one place.

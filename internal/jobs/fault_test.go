@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -236,56 +237,78 @@ func TestJobPermanentErrorNoRetry(t *testing.T) {
 }
 
 // TestJournalCorruptionQuarantine pins restart integrity checking: a
-// job.json whose payload no longer matches its checksum is set aside
-// as <id>.corrupt — visible in stats, preserved on disk, never run.
+// job.json that is not a checksum-valid envelope — its payload no
+// longer matches the checksum, or there is no envelope at all — is set
+// aside as <id>.corrupt: visible in stats, preserved on disk, never run.
 func TestJournalCorruptionQuarantine(t *testing.T) {
 	eng, dirty, validated := testWorkload(t, 20, 10)
 	dirty = dirty[:2]
-	dir := t.TempDir()
-	m, err := Open(faultConfig(dir, eng, nil))
-	if err != nil {
-		t.Fatal(err)
+	corruptions := []struct {
+		name    string
+		corrupt func(t *testing.T, data []byte) []byte
+	}{
+		// Flip bytes inside the checksummed payload (still valid JSON, so
+		// only the CRC can catch it).
+		{"flipped payload", func(t *testing.T, data []byte) []byte {
+			bad := bytes.Replace(data, []byte(`"done"`), []byte(`"dead"`), 1)
+			if bytes.Equal(bad, data) {
+				t.Fatalf("journal %s does not contain the expected state literal", data)
+			}
+			return bad
+		}},
+		// The envelope's inner job bytes alone: a well-formed record with
+		// the right ID, but no checksum to vouch for it.
+		{"bare record", func(t *testing.T, data []byte) []byte {
+			var env journalEnvelope
+			if err := json.Unmarshal(data, &env); err != nil {
+				t.Fatal(err)
+			}
+			return env.Job
+		}},
 	}
-	j, err := submitTuples(m, validated, dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := waitTerminal(t, m, j.ID); got.State != StateDone {
-		t.Fatalf("job ended %s", got.State)
-	}
-	if err := m.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range corruptions {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := Open(faultConfig(dir, eng, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := submitTuples(m, validated, dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := waitTerminal(t, m, j.ID); got.State != StateDone {
+				t.Fatalf("job ended %s", got.State)
+			}
+			if err := m.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 
-	// Flip bytes inside the checksummed payload (still valid JSON, so
-	// only the CRC can catch it).
-	journal := filepath.Join(dir, j.ID, "job.json")
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := bytes.Replace(data, []byte(`"done"`), []byte(`"dead"`), 1)
-	if bytes.Equal(bad, data) {
-		t.Fatalf("journal %s does not contain the expected state literal", data)
-	}
-	if err := os.WriteFile(journal, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			journal := filepath.Join(dir, j.ID, "job.json")
+			data, err := os.ReadFile(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(journal, c.corrupt(t, data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	m2, err := Open(faultConfig(dir, eng, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close(context.Background())
-	if q := m2.Stats().Quarantined; q != 1 {
-		t.Fatalf("quarantined = %d, want 1", q)
-	}
-	if _, err := m2.Get(j.ID); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("corrupt job still listed: %v", err)
-	}
-	qdir := filepath.Join(dir, j.ID+".corrupt")
-	if _, err := os.Stat(filepath.Join(qdir, "job.json")); err != nil {
-		t.Fatalf("quarantine did not preserve the directory: %v", err)
+			m2, err := Open(faultConfig(dir, eng, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close(context.Background())
+			if q := m2.Stats().Quarantined; q != 1 {
+				t.Fatalf("quarantined = %d, want 1", q)
+			}
+			if _, err := m2.Get(j.ID); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("corrupt job still listed: %v", err)
+			}
+			qdir := filepath.Join(dir, j.ID+".corrupt")
+			if _, err := os.Stat(filepath.Join(qdir, "job.json")); err != nil {
+				t.Fatalf("quarantine did not preserve the directory: %v", err)
+			}
+		})
 	}
 }
 

@@ -389,22 +389,21 @@ type journalEnvelope struct {
 	Job json.RawMessage `json:"job"`
 }
 
-// decodeJournal verifies and decodes a job.json. Journals written
-// before the envelope (a bare record) are accepted as-is.
+// decodeJournal verifies and decodes a job.json. Anything but a
+// checksum-valid envelope — a bare record included — is corruption.
 func decodeJournal(data []byte) (Job, error) {
 	var env journalEnvelope
-	if err := json.Unmarshal(data, &env); err == nil && len(env.Job) > 0 {
-		if got := crc32.ChecksumIEEE(env.Job); got != env.CRC {
-			return Job{}, fmt.Errorf("journal checksum mismatch (want %08x, have %08x)", env.CRC, got)
-		}
-		var rec Job
-		if err := json.Unmarshal(env.Job, &rec); err != nil {
-			return Job{}, fmt.Errorf("journal: %w", err)
-		}
-		return rec, nil
+	if err := json.Unmarshal(data, &env); err != nil {
+		return Job{}, fmt.Errorf("journal: %w", err)
+	}
+	if len(env.Job) == 0 {
+		return Job{}, errors.New("journal has no checksum envelope")
+	}
+	if got := crc32.ChecksumIEEE(env.Job); got != env.CRC {
+		return Job{}, fmt.Errorf("journal checksum mismatch (want %08x, have %08x)", env.CRC, got)
 	}
 	var rec Job
-	if err := json.Unmarshal(data, &rec); err != nil {
+	if err := json.Unmarshal(env.Job, &rec); err != nil {
 		return Job{}, fmt.Errorf("journal: %w", err)
 	}
 	return rec, nil

@@ -56,9 +56,9 @@ type Server struct {
 	fixGate *admission.Gate
 	fixTime admission.EWMA
 	// shed counts load-shedding decisions per reason, surfaced by
-	// /api/v1/status. Every status counter — these and the engine's
-	// prefilter totals — is a counter.Monotonic, so they all share one
-	// increment discipline and one bare-number JSON encoding.
+	// /api/v1/status. Every status counter is a counter.Monotonic, so
+	// they all share one increment discipline and one bare-number JSON
+	// encoding.
 	shed struct {
 		rateLimited    counter.Monotonic
 		overloaded     counter.Monotonic
@@ -202,8 +202,7 @@ type statusResponse struct {
 	// columnar-packed rows, snapshot-shared bytes and COW debt, rule
 	// indexes, interning dictionary.
 	Memory *master.MemStats `json:"memory,omitempty"`
-	// Kernels reports the simd kernel build in effect and the chase
-	// prefilter's lifetime effectiveness.
+	// Kernels reports the simd kernel build in effect.
 	Kernels kernelStatus `json:"kernels"`
 	// Persistence reports where the instance was loaded from and the
 	// live durability health (absent for in-memory systems with no
@@ -229,18 +228,9 @@ type persistenceStatus struct {
 }
 
 // kernelStatus reports which simd kernel build runs (simd.Active:
-// "amd64", "arm64", ...) plus the compiled chase's prefilter totals.
+// "amd64", "arm64", ...).
 type kernelStatus struct {
-	Active    string          `json:"active"`
-	Prefilter prefilterStatus `json:"prefilter"`
-}
-
-// prefilterStatus is the premise prefilter's lifetime effectiveness
-// for the current rule set's compiled program (resets on rule edits,
-// which rebuild the program).
-type prefilterStatus struct {
-	RulesSkipped   int64 `json:"rules_skipped"`
-	RulesEvaluated int64 `json:"rules_evaluated"`
+	Active string `json:"active"`
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -284,7 +274,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mem := s.sys.MemStats()
-	skipped, evaluated := s.sys.Engine().PrefilterStats()
 	writeJSON(w, http.StatusOK, statusResponse{
 		InputSchema:  s.sys.InputSchema().String(),
 		MasterSchema: s.sys.MasterSchema().String(),
@@ -296,14 +285,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Guardrails:   gs,
 		Jobs:         qs,
 		Memory:       &mem,
-		Kernels: kernelStatus{
-			Active: simd.Active(),
-			Prefilter: prefilterStatus{
-				RulesSkipped:   skipped,
-				RulesEvaluated: evaluated,
-			},
-		},
-		Persistence: ps,
+		Kernels:      kernelStatus{Active: simd.Active()},
+		Persistence:  ps,
 	})
 }
 

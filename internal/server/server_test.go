@@ -301,13 +301,13 @@ func TestMalformedBodies(t *testing.T) {
 }
 
 // TestStatusCounterJSONKeys is the regression net for the status
-// document's counter shapes: every cumulative counter — admission shed
-// totals and the chase prefilter — marshals through counter.Monotonic,
-// and this pins the snake_case keys and bare-number encoding clients
-// depend on, plus the kernels section sitting next to memory.
+// document's counter shapes: every cumulative counter (the admission
+// shed totals) marshals through counter.Monotonic, and this pins the
+// snake_case keys and bare-number encoding clients depend on, plus the
+// kernels section sitting next to memory.
 func TestStatusCounterJSONKeys(t *testing.T) {
 	ts := demoServer(t)
-	// Run one sync fix so the prefilter counters have moved.
+	// Run one sync fix so the status reflects a served request.
 	var fixOut map[string]any
 	doJSON(t, "POST", ts.URL+"/api/v1/fix", json.RawMessage(fixPayload()), 200, &fixOut)
 
@@ -349,10 +349,8 @@ func TestStatusCounterJSONKeys(t *testing.T) {
 	if a, ok := kernels["active"].(string); !ok || a == "" {
 		t.Fatalf("kernels.active = %v", kernels["active"])
 	}
-	pre := section(kernels, "prefilter")
-	num(pre, "rules_skipped")
-	if num(pre, "rules_evaluated") == 0 {
-		t.Fatal("kernels.prefilter.rules_evaluated still zero after a fix")
+	if _, ok := kernels["prefilter"]; ok {
+		t.Fatalf("kernels.prefilter is back: %v", kernels)
 	}
 	// The memory section the kernels section rides next to must still
 	// be there.

@@ -41,6 +41,8 @@ package cerfix
 // whose checksum fails mid-file means real corruption: replay stops
 // there, preserves the unapplied tail in wal.jsonl.corrupt for
 // inspection, and reports it in LoadInfo rather than failing the load.
+// Every log opens with a version header record; a log without one is
+// corruption too, quarantined whole rather than applied or dropped.
 // Before appending, Save compares the file size against its cursor and
 // truncates any torn tail a previous failed append left behind, so one
 // bad save can never corrupt the next one.
@@ -106,14 +108,13 @@ func schemaFromJSON(j schemaJSON) (*Schema, error) {
 // walFile is the append-only log name inside an instance directory.
 const walFile = "wal.jsonl"
 
-// walVersion is written in the header record of every new WAL; its
-// presence selects checksummed batch replay (v2) over the legacy
-// tolerant line-at-a-time replay.
+// walVersion is written in the header record of every WAL; replay
+// treats a log that does not open with it as corrupt.
 const walVersion = 2
 
 // walRecord is one line of wal.jsonl. Ops:
 //
-//	{"op":"wal","v":2}                      — header, first line of a new log
+//	{"op":"wal","v":2}                      — header, first line of every log
 //	{"op":"dict","defs":[...]}              — dictionary-delta for later rows
 //	{"op":"ins","row":<id>,"cells":[...]}   — one master row, interned ids
 //	{"op":"commit","n":K,"crc":C}           — seals the previous K records;
@@ -318,7 +319,7 @@ func (s *System) saveAppendWAL(dir string) (done bool, err error) {
 	}
 	crc := crc32.ChecksumIEEE(batch.Bytes())
 	buf.Write(batch.Bytes())
-	if err := walWriteJSON(&buf, walCommit{Op: "commit", N: nrec, CRC: crc}); err != nil {
+	if err := walWriteLine(&buf, walCommit{Op: "commit", N: nrec, CRC: crc}); err != nil {
 		return false, fmt.Errorf("cerfix: wal: %w", err)
 	}
 
@@ -372,17 +373,8 @@ func countLines(buf *bytes.Buffer) int {
 	return bytes.Count(buf.Bytes(), []byte{'\n'})
 }
 
-func walWriteLine(buf *bytes.Buffer, rec *walRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	buf.Write(data)
-	buf.WriteByte('\n')
-	return nil
-}
-
-func walWriteJSON(buf *bytes.Buffer, rec any) error {
+// walWriteLine appends rec to buf as one JSON line.
+func walWriteLine(buf *bytes.Buffer, rec any) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -514,9 +506,9 @@ type LoadInfo struct {
 	// WALTornTail is true when replay discarded an uncommitted tail —
 	// the expected residue of a crash mid-append, not corruption.
 	WALTornTail bool `json:"wal_torn_tail,omitempty"`
-	// WALCorrupt is true when a committed batch failed its checksum;
-	// replay stopped there and preserved the unapplied tail at
-	// WALQuarantine for inspection.
+	// WALCorrupt is true when a committed batch failed its checksum or
+	// the log lacked its v2 header; replay stopped there and preserved
+	// the unapplied tail at WALQuarantine for inspection.
 	WALCorrupt    bool   `json:"wal_corrupt,omitempty"`
 	WALQuarantine string `json:"wal_quarantine,omitempty"`
 }
@@ -598,19 +590,15 @@ func loadDir(fsys faultfs.FS, dir string) (*System, error) {
 	return sys, nil
 }
 
-// replayWAL applies wal.jsonl on top of a freshly loaded checkpoint.
-//
-// v2 logs (header record {"op":"wal","v":2}) replay batch-at-a-time:
-// records buffer until their commit record's count and CRC32 validate,
-// then apply atomically. An uncommitted tail (crash mid-append) is
-// discarded whole and flagged WALTornTail; a committed batch that
-// fails its checksum is corruption — replay stops, the unapplied tail
-// is preserved at wal.jsonl.corrupt, and the load succeeds on the
-// verified prefix with WALCorrupt set.
-//
-// Logs without the header predate the batch format and replay with
-// the legacy tolerant rules: records apply eagerly, replay stops at
-// the first undecodable line, and a dangling cell id fails the load.
+// replayWAL applies wal.jsonl on top of a freshly loaded checkpoint,
+// batch-at-a-time. The first non-blank record must be the header
+// {"op":"wal","v":2}; a log without it is corruption and is
+// quarantined whole. Records buffer until their commit record's count
+// and CRC32 validate, then apply atomically. An uncommitted tail
+// (crash mid-append) is discarded whole and flagged WALTornTail; a
+// committed batch that fails its checksum is corruption — replay
+// stops, the unapplied tail is preserved at wal.jsonl.corrupt, and the
+// load succeeds on the verified prefix with WALCorrupt set.
 func (s *System) replayWAL(fsys faultfs.FS, path string, info *LoadInfo) error {
 	data, err := fsys.ReadFile(path)
 	if errors.Is(err, iofs.ErrNotExist) {
@@ -620,23 +608,7 @@ func (s *System) replayWAL(fsys faultfs.FS, path string, info *LoadInfo) error {
 		return fmt.Errorf("cerfix: wal: %w", err)
 	}
 	info.WALBytes = int64(len(data))
-	if walIsV2(data) {
-		return s.replayWALV2(fsys, path, data, info)
-	}
-	return s.replayWALLegacy(path, data, info)
-}
 
-// walIsV2 reports whether the log opens with the v2 header record.
-func walIsV2(data []byte) bool {
-	line := data
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		line = data[:i]
-	}
-	var rec walRecord
-	return json.Unmarshal(bytes.TrimSpace(line), &rec) == nil && rec.Op == "wal"
-}
-
-func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *LoadInfo) error {
 	defs := make(map[value.Sym]value.V)
 	arity := s.store.Schema().Len()
 	vals := make(value.List, arity)
@@ -647,7 +619,12 @@ func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *Lo
 	count := 0
 	batchStart := -1 // byte offset of the current uncommitted batch
 
+	// corrupt quarantines everything unapplied: from the start of the
+	// open batch, or from off when no batch is open.
 	corrupt := func(off int, why string) error {
+		if batchStart >= 0 {
+			off = batchStart
+		}
 		tail := data[off:]
 		q := path + ".corrupt"
 		if werr := fsys.WriteFile(q, tail, 0o644); werr != nil {
@@ -686,15 +663,14 @@ func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *Lo
 				log.Printf("cerfix: wal %s: discarding uncommitted torn tail after %d records", path, info.WALRecords)
 				return nil
 			}
-			at := batchStart
-			if at < 0 {
-				at = lineStart
-			}
-			return corrupt(at, "undecodable record with data after it")
+			return corrupt(lineStart, "undecodable record with data after it")
+		}
+		if !header && (rec.Op != "wal" || rec.V != walVersion) {
+			return corrupt(0, "missing v2 header")
 		}
 		switch rec.Op {
 		case "wal":
-			if header || lineStart != 0 {
+			if header {
 				return corrupt(lineStart, "stray header record")
 			}
 			header = true
@@ -712,11 +688,7 @@ func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *Lo
 			}
 		case "commit":
 			if rec.N != count || rec.CRC != crc {
-				at := batchStart
-				if at < 0 {
-					at = lineStart
-				}
-				return corrupt(at, fmt.Sprintf("batch checksum mismatch (want n=%d crc=%08x, have n=%d crc=%08x)", rec.N, rec.CRC, count, crc))
+				return corrupt(lineStart, fmt.Sprintf("batch checksum mismatch (want n=%d crc=%08x, have n=%d crc=%08x)", rec.N, rec.CRC, count, crc))
 			}
 			for _, d := range pendingDefs {
 				defs[d.ID] = value.V(d.S)
@@ -744,11 +716,7 @@ func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *Lo
 			pendingDefs, pendingRows = nil, nil
 			crc, count, batchStart = 0, 0, -1
 		default:
-			at := batchStart
-			if at < 0 {
-				at = lineStart
-			}
-			return corrupt(at, fmt.Sprintf("unknown op %q", rec.Op))
+			return corrupt(lineStart, fmt.Sprintf("unknown op %q", rec.Op))
 		}
 	}
 	if count > 0 {
@@ -757,61 +725,6 @@ func (s *System) replayWALV2(fsys faultfs.FS, path string, data []byte, info *Lo
 		// this is a torn tail, not loss.
 		info.WALTornTail = true
 		log.Printf("cerfix: wal %s: discarding uncommitted batch of %d record(s) at tail", path, count)
-	}
-	return nil
-}
-
-// replayWALLegacy is the pre-checksum replay, kept for logs written
-// before the batch format: apply eagerly, stop at the first
-// undecodable line, fail on a dangling dictionary id.
-func (s *System) replayWALLegacy(path string, data []byte, info *LoadInfo) error {
-	defs := make(map[value.Sym]value.V)
-	arity := s.store.Schema().Len()
-	vals := make(value.List, arity)
-	for len(data) > 0 {
-		line := data
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			data = nil
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec walRecord
-		if json.Unmarshal(line, &rec) != nil {
-			// Torn tail from a crashed append; everything before it
-			// was fsync'd and applied.
-			info.WALTornTail = true
-			log.Printf("cerfix: wal %s: ignoring torn tail after %d records", path, info.WALRecords)
-			return nil
-		}
-		switch rec.Op {
-		case "dict":
-			for _, d := range rec.Defs {
-				defs[d.ID] = value.V(d.S)
-			}
-		case "ins":
-			if len(rec.Cells) != arity {
-				return fmt.Errorf("cerfix: wal %s: row %d has %d cells, schema wants %d",
-					path, rec.Row, len(rec.Cells), arity)
-			}
-			for i, sym := range rec.Cells {
-				v, ok := defs[sym]
-				if !ok {
-					return fmt.Errorf("cerfix: wal %s: row %d references undefined dictionary id %d",
-						path, rec.Row, sym)
-				}
-				vals[i] = v
-			}
-			if _, err := s.store.InsertValues(vals...); err != nil {
-				return fmt.Errorf("cerfix: wal %s: row %d: %w", path, rec.Row, err)
-			}
-			info.WALRows++
-		default:
-			return fmt.Errorf("cerfix: wal %s: unknown op %q", path, rec.Op)
-		}
-		info.WALRecords++
 	}
 	return nil
 }

@@ -251,6 +251,39 @@ func TestWALCorruptBatchQuarantined(t *testing.T) {
 	}
 }
 
+// A log that does not open with the v2 header is not a WAL this code
+// wrote: replay must neither apply it nor drop it as a torn tail, but
+// report it corrupt and preserve every byte, loading the checkpoint.
+func TestWALMissingHeaderQuarantined(t *testing.T) {
+	sys := demoSystem(t)
+	dir := filepath.Join(t.TempDir(), "instance")
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	baseRows := sys.Master().Len()
+	walPath := filepath.Join(dir, walFile)
+	headerless := []byte(`{"op":"dict","defs":[{"id":1,"s":"Walter"}]}` + "\n" +
+		`{"op":"ins","row":1,"cells":[1,1,1,1,1,1,1,1,1,1]}` + "\n")
+	if err := os.WriteFile(walPath, headerless, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatalf("headerless WAL failed the load instead of quarantining: %v", err)
+	}
+	if loaded.Master().Len() != baseRows {
+		t.Fatalf("headerless WAL applied: %d rows, want %d", loaded.Master().Len(), baseRows)
+	}
+	info := loaded.LoadInfo()
+	if !info.WALCorrupt || info.WALTornTail || info.WALQuarantine == "" || info.WALRecords != 0 {
+		t.Fatalf("headerless WAL misreported: %+v", info)
+	}
+	if q := readFileT(t, info.WALQuarantine); !bytes.Equal(q, headerless) {
+		t.Fatalf("quarantine holds %q, want the whole log", q)
+	}
+}
+
 // Updates, deletes and rule edits are not pure appends: Save must fall
 // back to a full checkpoint that rewrites master.csv and retires the
 // WAL.
