@@ -348,13 +348,78 @@ func craftedEngine(t *testing.T, rows [][]string, rules ...*rule.Rule) (*Engine,
 	return eng, input
 }
 
-// TestCompiledLegacyParityCrafted pins hand-built worlds for the
-// agenda's silent no-fire exits, each against the legacy oracle and a
-// known fixed value: a failing pattern condition, a match-key value no
-// master cell carries (the rule-index probe answers NoMatch on the
-// dictionary miss), and a gate that fails on the seed value but passes
-// once an earlier rule rewrites the gated attribute.
-func TestCompiledLegacyParityCrafted(t *testing.T) {
+// The per-tuple premise prefilter suite. The compiled chase has no
+// per-tuple premise prefilter: a premise-ready rule whose pattern can
+// be satisfied is always evaluated, and a failing condition or a
+// master-dictionary miss rejects it inside the agenda. The worlds below
+// are the cases such a prefilter would reject before evaluation; each
+// pins the result against the legacy oracle and a known fixed value,
+// and pins the counters: only compile-time static skips are counted.
+
+// premiseReadyCounts returns, for a finished chase, how many rules had
+// their premise satisfied (premise ⊆ the final validated set, which
+// only grows) and how many of those the compile flagged as statically
+// unsatisfiable.
+func premiseReadyCounts(e *Engine, res *ChaseResult) (ready, static int) {
+	p := e.prog
+	for i := range p.rules {
+		if !res.Validated.ContainsAll(p.rules[i].premise) {
+			continue
+		}
+		ready++
+		if p.staticSkip[i>>6]&(1<<uint(i&63)) != 0 {
+			static++
+		}
+	}
+	return ready, static
+}
+
+// TestPrefilterOnOffParityRandom sweeps random worlds under every
+// lookup mode comparing a fresh chaser and a pooled one against the
+// legacy oracle. Results must be byte-identical and the counters must
+// reconcile: every premise-ready rule is either evaluated or skipped,
+// and the skipped ones are exactly the statically unsatisfiable ones.
+func TestPrefilterOnOffParityRandom(t *testing.T) {
+	modes := []master.LookupMode{master.ModeRuleIndex, master.ModePlainIndex, master.ModeScan}
+	for trial := uint64(0); trial < 40; trial++ {
+		w := newRandomWorld(t, 5000+trial)
+		w.eng.Master().SetMode(modes[trial%3])
+		fresh := w.eng.NewChaser()
+		pooled := w.eng.AcquireChaser()
+		for i, in := range w.inputs {
+			seed := schema.EmptySet
+			for p := 0; p < w.eng.InputSchema().Len(); p++ {
+				if w.rng.Bool(0.45) {
+					seed = seed.With(p)
+				}
+			}
+			label := fmt.Sprintf("trial %d tuple %d seed %v", trial, i, seed)
+			want := w.eng.ChaseLegacy(in, seed)
+			got := fresh.Chase(in, seed)
+			again := pooled.Chase(in, seed)
+			assertSameResult(t, label+" [fresh chaser]", got, want)
+			assertSameResult(t, label+" [pooled chaser]", again, want)
+			if got.Stats != again.Stats {
+				t.Fatalf("%s: fresh stats %+v != pooled stats %+v", label, got.Stats, again.Stats)
+			}
+			ready, static := premiseReadyCounts(w.eng, got)
+			if got.Stats.RulesSkipped != static {
+				t.Fatalf("%s: %d skips, want the %d static skips only", label, got.Stats.RulesSkipped, static)
+			}
+			if got.Stats.RulesEvaluated+got.Stats.RulesSkipped != ready {
+				t.Fatalf("%s: counters don't reconcile: evaluated %d + skipped %d != %d premise-ready",
+					label, got.Stats.RulesEvaluated, got.Stats.RulesSkipped, ready)
+			}
+		}
+		pooled.Release()
+	}
+}
+
+// TestPrefilterSkips pins the two per-tuple reject paths — a failing
+// pattern condition on a validated attribute, and a match-key value the
+// master dictionary has never seen — as agenda evaluations that fire
+// nothing, not as skips.
+func TestPrefilterSkips(t *testing.T) {
 	// r0 fixes a1 from a0 gated on a0 = "go"; r1 fixes a2 from a0
 	// unconditionally. Master knows the a0 values "go" and "stop" only.
 	eng, input := craftedEngine(t, [][]string{{"go", "x", "y"}, {"stop", "x2", "y2"}},
@@ -371,12 +436,15 @@ func TestCompiledLegacyParityCrafted(t *testing.T) {
 		},
 	)
 	ch := eng.NewChaser()
-	seed := schema.SetOf(0)
+	seed := schema.SetOf(0) // a0 validated
 
 	// a0 = "stop": r0's condition fails, r1 matches and fixes a2.
 	in := &schema.Tuple{Schema: input, Vals: value.List{value.V("stop"), value.V(""), value.V("")}}
 	res := ch.Chase(in, seed)
 	assertSameResult(t, "cond reject", res, eng.ChaseLegacy(in, seed))
+	if res.Stats.RulesSkipped != 0 || res.Stats.RulesEvaluated != 2 {
+		t.Fatalf("cond reject: stats %+v, want 0 skipped / 2 evaluated", res.Stats)
+	}
 	if got := string(res.Tuple.Vals[2]); got != "y2" {
 		t.Fatalf("cond reject: a2 = %q, want fixed to %q", got, "y2")
 	}
@@ -386,14 +454,22 @@ func TestCompiledLegacyParityCrafted(t *testing.T) {
 	in = &schema.Tuple{Schema: input, Vals: value.List{value.V("unknown"), value.V(""), value.V("")}}
 	res = ch.Chase(in, seed)
 	assertSameResult(t, "dict miss", res, eng.ChaseLegacy(in, seed))
+	if res.Stats.RulesSkipped != 0 || res.Stats.RulesEvaluated != 2 {
+		t.Fatalf("dict miss: stats %+v, want 0 skipped / 2 evaluated", res.Stats)
+	}
 	if len(res.Changes) != 0 {
 		t.Fatalf("dict miss: changes %+v, want none", res.Changes)
 	}
+}
 
+// TestPrefilterUnstableAttrNotFiltered pins a gate on an attribute some
+// rule can still write: r1's gate on a1 fails at seed time but passes
+// after r0 rewrites a1, so the chain must still complete.
+func TestPrefilterUnstableAttrNotFiltered(t *testing.T) {
 	// r0 rewrites a1; r1's gate and match key are on a1. The seed value
 	// "WRONG" fails the gate and is absent from the dictionary, but the
-	// value r1 actually sees is r0's "x", so the chain completes.
-	eng, input = craftedEngine(t, [][]string{{"go", "x", "y"}},
+	// value r1 actually sees is r0's "x".
+	eng, input := craftedEngine(t, [][]string{{"go", "x", "y"}},
 		&rule.Rule{
 			ID:    "r0",
 			Match: []rule.Correspondence{{Input: "a0", Master: "m0"}},
@@ -406,11 +482,15 @@ func TestCompiledLegacyParityCrafted(t *testing.T) {
 			When:  pattern.NewPattern(pattern.Eq("a1", value.V("x"))),
 		},
 	)
-	in = &schema.Tuple{Schema: input, Vals: value.List{value.V("go"), value.V("WRONG"), value.V("")}}
-	res = eng.Chase(in, seed)
+	in := &schema.Tuple{Schema: input, Vals: value.List{value.V("go"), value.V("WRONG"), value.V("")}}
+	seed := schema.SetOf(0)
+	res := eng.Chase(in, seed)
 	assertSameResult(t, "unstable chain", res, eng.ChaseLegacy(in, seed))
 	if got := string(res.Tuple.Vals[2]); got != "y" {
 		t.Fatalf("unstable chain: a2 = %q, want %q via the a1 chain", got, "y")
+	}
+	if res.Stats.RulesSkipped != 0 {
+		t.Fatalf("stats %+v: skipped a rule on an unstable attribute", res.Stats)
 	}
 }
 

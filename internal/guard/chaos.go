@@ -68,8 +68,10 @@ func takeStall() bool {
 // ChaosValue applies the seam to one attribute value. Callers gate on
 // ChaosEnabled first; a stall parks on ctx (a nil or non-cancellable
 // ctx never releases it — production paths always pass the run
-// context).
-func ChaosValue(ctx context.Context, v string) {
+// context) and returns ctx's error once released: the stalled tuple
+// never completes, so the caller must abort the run with that error
+// rather than finish the tuple and race the cancellation.
+func ChaosValue(ctx context.Context, v string) error {
 	switch v {
 	case ChaosPanicValue:
 		panic("chaos: injected panic (tuple value " + ChaosPanicValue + ")")
@@ -79,6 +81,8 @@ func ChaosValue(ctx context.Context, v string) {
 				ctx = context.Background()
 			}
 			<-ctx.Done()
+			return ctx.Err()
 		}
 	}
+	return nil
 }

@@ -201,8 +201,9 @@ func TestChaosSeam(t *testing.T) {
 	ArmStalls(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	released := make(chan struct{})
+	var stallErr error
 	go func() {
-		ChaosValue(ctx, ChaosStallValue)
+		stallErr = ChaosValue(ctx, ChaosStallValue)
 		close(released)
 	}()
 	select {
@@ -216,7 +217,13 @@ func TestChaosSeam(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("stall did not release on cancel")
 	}
-	ChaosValue(ctx, ChaosStallValue) // budget exhausted: returns immediately
+	if !errors.Is(stallErr, context.Canceled) {
+		t.Fatalf("released stall returned %v, want the context's error", stallErr)
+	}
+	// Budget exhausted: returns immediately, nothing to abort.
+	if err := ChaosValue(ctx, ChaosStallValue); err != nil {
+		t.Fatalf("unarmed stall returned %v", err)
+	}
 
 	defer func() {
 		if recover() == nil {

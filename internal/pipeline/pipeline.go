@@ -387,7 +387,10 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 					in := &b.in[i]
 					if chaos {
 						for _, v := range in.Vals {
-							guard.ChaosValue(ctx, string(v))
+							if err := guard.ChaosValue(ctx, string(v)); err != nil {
+								fail(err)
+								return
+							}
 						}
 					}
 					res := chaser.ChaseInto(&b.chase[i], in, validated)
