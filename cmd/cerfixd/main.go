@@ -20,7 +20,7 @@
 //	cerfixd -addr :8080 -load ./instance
 //
 // With -jobs-dir the daemon additionally serves the persistent async
-// batch-repair queue (/api/jobs, see internal/jobs): submitted jobs
+// batch-repair queue (/api/v1/jobs, see internal/jobs): submitted jobs
 // are journaled to that directory, run off the request path against
 // O(1) copy-on-write engine snapshots, and are recovered — re-queued
 // and completed — if the daemon restarts mid-queue or mid-run.
@@ -46,13 +46,14 @@
 // gives each job run a wall-clock budget (terminal failure on expiry);
 // -stall-timeout arms the stuck-job watchdog (a run making no tuple
 // progress is cancelled and re-queued with bounded attempts); and
-// -mem-soft/-mem-hard are heap watermarks past which job submissions
-// shed with 429 memory_pressure and 503 memory_degraded respectively,
-// with hysteresis. Runner panics never kill the daemon: they fail the
+// -mem-soft/-mem-hard are heap watermarks, checked against a fresh heap
+// sample at each job submission, past which submissions shed with 429
+// memory_pressure and 503 memory_degraded respectively, with
+// hysteresis. Runner panics never kill the daemon: they fail the
 // job with the goroutine stack journaled to its record.
 //
-// Endpoints are mounted under /api/v1 (canonical) and /api
-// (byte-identical alias): see docs/API.md and internal/server (GET
+// Endpoints are mounted under /api/v1 only (the bare /api prefix
+// answers 404): see docs/API.md and internal/server (GET
 // /api/v1/status, /rules, /regions, /master, /sessions, /audit/...,
 // /fix, /jobs).
 package main
@@ -71,7 +72,6 @@ import (
 	"time"
 
 	"cerfix"
-	"cerfix/internal/admission"
 	"cerfix/internal/dataset"
 	"cerfix/internal/faultfs"
 	"cerfix/internal/guard"
@@ -90,7 +90,7 @@ func main() {
 		rulesPath   = flag.String("rules", "", "editing-rule DSL file")
 		masterPath  = flag.String("master", "", "master data CSV file")
 		drain       = flag.Duration("drain", 30*time.Second, "shutdown drain timeout for in-flight requests and running jobs")
-		jobsDir     = flag.String("jobs-dir", "", "directory for the persistent async batch-repair job queue (empty = /api/jobs disabled)")
+		jobsDir     = flag.String("jobs-dir", "", "directory for the persistent async batch-repair job queue (empty = /api/v1/jobs disabled)")
 		jobsInput   = flag.String("jobs-input-root", "", "directory server-side job input paths may reference (empty = inline tuples only)")
 		jobsWorkers = flag.Int("jobs-workers", 1, "concurrent job runners (fair FIFO admission; each run uses its own O(1) engine snapshot)")
 		probeEvery  = flag.Duration("persist-probe", 3*time.Second, "min interval between persistence health probes while degraded (with -jobs-dir; submissions shed 503 persistence_degraded until a probe succeeds)")
@@ -134,11 +134,11 @@ func main() {
 		log.Printf("cerfixd: guardrails: request-timeout=%s job-timeout=%s stall-timeout=%s max-body=%d",
 			*reqTimeout, *jobTimeout, *stallTO, maxBodyBytes)
 	}
-	// Heap-watermark shedding: the monitor samples the live heap and
-	// drives soft (429) and hard (503 memory_degraded) shedding of job
-	// submissions, with hysteresis so the state cannot flap at sample
-	// rate. Transitions are logged; /api/v1/status shows the state
-	// under guardrails.memory.
+	// Heap-watermark shedding: the server samples the live heap at each
+	// job submission and /api/v1/status read and sheds submissions soft
+	// (429) or hard (503 memory_degraded), with hysteresis so the state
+	// cannot flap poll by poll. The Poll that sees a transition logs it;
+	// /api/v1/status shows the state under guardrails.memory.
 	softBytes, err := guard.ParseBytes(*memSoft)
 	if err != nil {
 		log.Fatal("cerfixd: -mem-soft: ", err)
@@ -149,11 +149,9 @@ func main() {
 	}
 	if softBytes > 0 || hardBytes > 0 {
 		mon := guard.NewMemMonitor(guard.MemConfig{Soft: softBytes, Hard: hardBytes})
-		mon.SetOnChange(func(old, new admission.Pressure, heapBytes uint64) {
+		mon.SetOnChange(func(old, new guard.Pressure, heapBytes uint64) {
 			log.Printf("cerfixd: memory pressure %s -> %s (heap %d bytes)", old, new, heapBytes)
 		})
-		mon.Start()
-		defer mon.Close()
 		srv.SetMemMonitor(mon)
 		log.Printf("cerfixd: memory watermarks: soft=%d hard=%d bytes", softBytes, hardBytes)
 	}

@@ -21,7 +21,7 @@ func TestBuildSystemDemo(t *testing.T) {
 	// And it actually serves.
 	ts := httptest.NewServer(server.New(sys).Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/api/status")
+	resp, err := ts.Client().Get(ts.URL + "/api/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,12 +130,14 @@ func (h *Health) Check() error {
 	return fmt.Errorf("%w: %s", ErrDegraded, reason)
 }
 
-// RetryAfter is the backoff to advertise to shed clients.
+// RetryAfter is the backoff to advertise to shed clients: the probe
+// interval rounded up to whole seconds, minimum one, so a client that
+// honors it never retries before the next probe is due.
 func (h *Health) RetryAfter() time.Duration {
-	if h.probeEvery < time.Second {
+	if h.probeEvery <= time.Second {
 		return time.Second
 	}
-	return h.probeEvery
+	return (h.probeEvery + time.Second - 1).Truncate(time.Second)
 }
 
 // Status snapshots the state for /api/v1/status.
@@ -146,16 +148,9 @@ func (h *Health) Status() HealthStatus {
 	if h.degraded {
 		st.State = "degraded"
 		st.Reason = h.reason
-		st.RetryAfterSeconds = int(h.retryAfterLocked() / time.Second)
+		st.RetryAfterSeconds = int(h.RetryAfter() / time.Second)
 	}
 	return st
-}
-
-func (h *Health) retryAfterLocked() time.Duration {
-	if h.probeEvery < time.Second {
-		return time.Second
-	}
-	return h.probeEvery
 }
 
 // DiskProbe returns a probe that proves dir can take a durable write:

@@ -8,7 +8,7 @@
 //     isolate panics instead of crashing the process;
 //   - Watchdog cancels runs whose progress counter has stalled past a
 //     deadline (watchdog.go);
-//   - MemMonitor samples the heap against soft/hard watermarks with
+//   - MemMonitor checks the heap against soft/hard watermarks with
 //     hysteresis and drives memory-pressure load shedding (mem.go);
 //   - the chaos seam (chaos.go) lets tests and the CI smoke inject
 //     stalls and panics deterministically, faultfs-Injector style.

@@ -3,11 +3,10 @@ package guard
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"cerfix/internal/admission"
 )
 
 // The watchdog fires exactly once for a run whose progress counter
@@ -79,7 +78,7 @@ func TestWatchdogBackgroundSweep(t *testing.T) {
 }
 
 // Watermark hysteresis: states are entered at the mark, left only
-// below RecoverFrac of it, so oscillation around a mark cannot flap.
+// below 90% of it, so oscillation around a mark cannot flap.
 func TestWatermarkHysteresis(t *testing.T) {
 	heap := uint64(0)
 	m := NewMemMonitor(MemConfig{
@@ -87,25 +86,25 @@ func TestWatermarkHysteresis(t *testing.T) {
 		Hard:   2000,
 		Sample: func() uint64 { return heap },
 	})
-	step := func(h uint64, want admission.Pressure) {
+	step := func(h uint64, want Pressure) {
 		t.Helper()
 		heap = h
 		if got := m.Poll(); got != want {
 			t.Fatalf("heap %d: state = %v, want %v", h, got, want)
 		}
 	}
-	step(500, admission.PressureOK)
-	step(1000, admission.PressureSoft)
+	step(500, PressureOK)
+	step(1000, PressureSoft)
 	// Dipping just below soft keeps the state (hysteresis band is
 	// [900, 1000)).
-	step(950, admission.PressureSoft)
-	step(899, admission.PressureOK)
-	step(2500, admission.PressureHard)
+	step(950, PressureSoft)
+	step(899, PressureOK)
+	step(2500, PressureHard)
 	// Below hard but above its recovery point stays hard.
-	step(1900, admission.PressureHard)
+	step(1900, PressureHard)
 	// Recovering from hard lands on soft while still above soft.
-	step(1500, admission.PressureSoft)
-	step(100, admission.PressureOK)
+	step(1500, PressureSoft)
+	step(100, PressureOK)
 
 	st := m.Status()
 	if st.State != "ok" || st.HeapBytes != 100 || st.SoftBytes != 1000 || st.HardBytes != 2000 {
@@ -123,7 +122,7 @@ func TestMemMonitorOnChange(t *testing.T) {
 	heap := uint64(0)
 	m := NewMemMonitor(MemConfig{Soft: 100, Sample: func() uint64 { return heap }})
 	var calls []string
-	m.SetOnChange(func(old, new admission.Pressure, h uint64) {
+	m.SetOnChange(func(old, new Pressure, h uint64) {
 		calls = append(calls, old.String()+"->"+new.String())
 	})
 	heap = 50
@@ -135,6 +134,31 @@ func TestMemMonitorOnChange(t *testing.T) {
 	m.Poll()
 	if len(calls) != 2 || calls[0] != "ok->soft" || calls[1] != "soft->ok" {
 		t.Fatalf("calls = %v", calls)
+	}
+}
+
+// Each job submit and /status read polls, so Poll runs on many
+// goroutines at once: every counted transition reaches the hook
+// exactly once.
+func TestMemMonitorConcurrentPoll(t *testing.T) {
+	var heap atomic.Uint64
+	m := NewMemMonitor(MemConfig{Soft: 100, Sample: heap.Load})
+	var hooks atomic.Int64
+	m.SetOnChange(func(old, new Pressure, h uint64) { hooks.Add(1) })
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				heap.Store(uint64(50 + 100*((g+i)%2)))
+				m.Poll()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := m.Status(); st.Transitions == 0 || st.Transitions != hooks.Load() {
+		t.Fatalf("transitions = %d, hook calls = %d", st.Transitions, hooks.Load())
 	}
 }
 

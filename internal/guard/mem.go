@@ -6,63 +6,118 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
-
-	"cerfix/internal/admission"
 )
 
-// MemMonitor samples the Go heap against soft/hard watermarks and
-// exposes the hysteresis state (admission.Watermarks) for load
-// shedding: soft sheds new job submits with 429 + Retry-After, hard is
-// the memory_degraded state surfaced on /api/v1/status. Admission by
-// queue depth alone cannot see a queue of small jobs over huge rows;
-// this closes that gap with the signal that actually OOMs a process.
+// Pressure is the level a watermarked heap is at.
+type Pressure int
+
+const (
+	// PressureOK: below every watermark — admit everything.
+	PressureOK Pressure = iota
+	// PressureSoft: past the soft watermark — shed deferrable work
+	// (job submits) with 429 + Retry-After.
+	PressureSoft
+	// PressureHard: past the hard watermark — degraded; shed
+	// everything deferrable with 503 and say so on /status.
+	PressureHard
+)
+
+func (p Pressure) String() string {
+	switch p {
+	case PressureSoft:
+		return "soft"
+	case PressureHard:
+		return "hard"
+	default:
+		return "ok"
+	}
+}
+
+// recoverFrac is the fraction of a watermark the heap must fall below
+// to leave its state.
+const recoverFrac = 0.9
+
+// Watermarks is a two-level threshold with hysteresis. A state is
+// entered when the value reaches its watermark but left only when the
+// value falls below recoverFrac of it, so a heap oscillating around a
+// watermark cannot flap the state (and the log) poll by poll. It is a
+// pure function over (current state, observed value), so the policy
+// is testable without a heap.
+type Watermarks struct {
+	// Soft and Hard are the thresholds in bytes; 0 disables that
+	// level.
+	Soft, Hard uint64
+}
+
+func recoverBelow(mark uint64) uint64 { return uint64(float64(mark) * recoverFrac) }
+
+// Next returns the state after observing v from state cur.
+func (wm Watermarks) Next(cur Pressure, v uint64) Pressure {
+	switch cur {
+	case PressureHard:
+		if v >= recoverBelow(wm.Hard) {
+			return PressureHard
+		}
+		if wm.Soft > 0 && v >= wm.Soft {
+			return PressureSoft
+		}
+		return PressureOK
+	case PressureSoft:
+		if wm.Hard > 0 && v >= wm.Hard {
+			return PressureHard
+		}
+		if wm.Soft > 0 && v >= recoverBelow(wm.Soft) {
+			return PressureSoft
+		}
+		return PressureOK
+	default:
+		if wm.Hard > 0 && v >= wm.Hard {
+			return PressureHard
+		}
+		if wm.Soft > 0 && v >= wm.Soft {
+			return PressureSoft
+		}
+		return PressureOK
+	}
+}
+
+// MemMonitor checks the Go heap against soft/hard watermarks and
+// exposes the hysteresis state for load shedding: soft sheds new job
+// submits with 429 + Retry-After, hard is the memory_degraded state
+// surfaced on /api/v1/status. Admission by queue depth alone cannot
+// see a queue of small jobs over huge rows; this closes that gap with
+// the signal that actually OOMs a process. The heap is read only by
+// Poll, where the admission decision is made (each job submit and each
+// /status read), so the monitor owns no goroutine.
 type MemMonitor struct {
-	marks admission.Watermarks
+	marks Watermarks
 	// sample reads the current heap size; replaceable for tests.
-	sample   func() uint64
-	interval time.Duration
+	sample func() uint64
 
 	mu          sync.Mutex
-	state       admission.Pressure
+	state       Pressure
 	heap        uint64
 	transitions int64
-	onChange    func(old, new admission.Pressure, heapBytes uint64)
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+	onChange    func(old, new Pressure, heapBytes uint64)
 }
 
 // MemConfig wires a MemMonitor.
 type MemConfig struct {
 	// Soft and Hard are heap watermarks in bytes (0 disables a level).
 	Soft, Hard uint64
-	// RecoverFrac is the hysteresis recovery fraction (default 0.9).
-	RecoverFrac float64
-	// Interval is the background sampling period (default 1s).
-	Interval time.Duration
 	// Sample overrides heap sampling — tests inject a fake heap. Nil
 	// reads runtime/metrics' live-objects heap size.
 	Sample func() uint64
 }
 
-// NewMemMonitor builds a monitor; call Start for background sampling
-// or Poll directly for deterministic tests.
+// NewMemMonitor builds a monitor in the ok state; Poll samples it.
 func NewMemMonitor(cfg MemConfig) *MemMonitor {
 	m := &MemMonitor{
-		marks:    admission.Watermarks{Soft: cfg.Soft, Hard: cfg.Hard, RecoverFrac: cfg.RecoverFrac},
-		sample:   cfg.Sample,
-		interval: cfg.Interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		marks:  Watermarks{Soft: cfg.Soft, Hard: cfg.Hard},
+		sample: cfg.Sample,
 	}
 	if m.sample == nil {
 		m.sample = heapInUse
-	}
-	if m.interval <= 0 {
-		m.interval = time.Second
 	}
 	return m
 }
@@ -79,43 +134,20 @@ func heapInUse() uint64 {
 	return 0
 }
 
-// SetOnChange installs the transition hook (logging). Call before
-// Start; the hook runs on the sampling goroutine.
-func (m *MemMonitor) SetOnChange(fn func(old, new admission.Pressure, heapBytes uint64)) {
+// SetOnChange installs the transition hook (logging). The hook runs,
+// outside the monitor's lock, on the goroutine whose Poll saw the
+// change.
+func (m *MemMonitor) SetOnChange(fn func(old, new Pressure, heapBytes uint64)) {
 	m.mu.Lock()
 	m.onChange = fn
 	m.mu.Unlock()
 }
 
-// Start launches background sampling at the configured interval.
-func (m *MemMonitor) Start() {
-	m.startOnce.Do(func() {
-		go func() {
-			defer close(m.done)
-			t := time.NewTicker(m.interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					m.Poll()
-				case <-m.stop:
-					return
-				}
-			}
-		}()
-	})
-}
-
-// Close stops background sampling and waits for it to exit.
-func (m *MemMonitor) Close() {
-	m.stopOnce.Do(func() { close(m.stop) })
-	m.startOnce.Do(func() { close(m.done) })
-	<-m.done
-}
-
 // Poll takes one sample and advances the hysteresis state, returning
-// the new state. Exported so tests drive transitions deterministically.
-func (m *MemMonitor) Poll() admission.Pressure {
+// the new state. Callers poll where they decide: the server before
+// admitting a job submit and before answering /status; tests drive
+// transitions deterministically.
+func (m *MemMonitor) Poll() Pressure {
 	heap := m.sample()
 	m.mu.Lock()
 	old := m.state
@@ -131,23 +163,6 @@ func (m *MemMonitor) Poll() admission.Pressure {
 		hook(old, next, heap)
 	}
 	return next
-}
-
-// State returns the pressure level as of the last Poll.
-func (m *MemMonitor) State() admission.Pressure {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.state
-}
-
-// RetryAfter is the back-off hint attached to memory sheds: long
-// enough for at least one sampling cycle (and GC) to observe a
-// recovery, never under a second.
-func (m *MemMonitor) RetryAfter() time.Duration {
-	if r := 2 * m.interval; r > time.Second {
-		return r
-	}
-	return time.Second
 }
 
 // MemStatus is the monitor's wire shape under /api/v1/status.

@@ -422,7 +422,20 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 	ring := make([]*batch, nChunks)
 	pending := 0
 	next := 0
+	// emit refuses, checked once per batch, once the run has failed or
+	// ctx is cancelled. ctx is read directly because its watcher may not
+	// have closed done yet, and every emit releases admission tokens
+	// that would let the reader and workers run on past the one-window
+	// bound.
 	emit := func(b *batch) bool {
+		if ctx != nil && ctx.Err() != nil {
+			fail(ctx.Err())
+		}
+		select {
+		case <-done:
+			return false
+		default:
+		}
 		for i := 0; i < b.n; i++ {
 			r := &b.results[i]
 			stats.Tuples++
@@ -446,15 +459,21 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 		free <- b
 		return true
 	}
-loop:
+	// Once an emit refuses, drain results without emitting: the loop
+	// ends only when the workers have exited and closed results, so Run
+	// never returns with a worker still running.
+	stopped := false
 	for b := range results {
+		if stopped {
+			continue
+		}
 		if b.startSeq != next {
 			ring[(b.startSeq/chunkSize)%nChunks] = b
 			pending++
 			continue
 		}
-		if !emit(b) {
-			break loop
+		if stopped = !emit(b); stopped {
+			continue
 		}
 		for pending > 0 {
 			nb := ring[(next/chunkSize)%nChunks]
@@ -463,8 +482,8 @@ loop:
 			}
 			ring[(next/chunkSize)%nChunks] = nil
 			pending--
-			if !emit(nb) {
-				break loop
+			if stopped = !emit(nb); stopped {
+				break
 			}
 		}
 	}

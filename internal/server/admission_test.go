@@ -23,9 +23,10 @@ import (
 
 // This file exercises the production front door end to end: the sync
 // concurrency gate, per-key rate limiting, backlog shedding over HTTP,
-// panic recovery, the typed error envelope, and byte-parity between
-// the /api and /api/v1 mounts. Run it with -race: the whole point is
-// that admission state stays coherent under concurrent load.
+// panic recovery, the typed error envelope, and the single /api/v1
+// mount (the bare /api prefix answers 404). Run it with -race: the
+// whole point is that admission state stays coherent under concurrent
+// load.
 
 // demoSys builds the standard demo system (schema + rules + master).
 func demoSys(t *testing.T) *cerfix.System {
@@ -136,8 +137,8 @@ func TestSyncFixConcurrencyCap(t *testing.T) {
 	if st.Admission.SyncInFlight != gateCap || st.Admission.MaxSyncFix != gateCap {
 		t.Fatalf("admission status = %+v", st.Admission)
 	}
-	if st.Admission.Shed.Overloaded.Load() != 1 {
-		t.Fatalf("shed.overloaded = %d, want 1", st.Admission.Shed.Overloaded.Load())
+	if st.Admission.Shed[codeOverloaded].Load() != 1 {
+		t.Fatalf("shed.overloaded = %d, want 1", st.Admission.Shed[codeOverloaded].Load())
 	}
 
 	close(block)
@@ -264,8 +265,8 @@ func TestJobsBacklogShedOverHTTP(t *testing.T) {
 	if st.Jobs == nil || st.Jobs.Queued != 1 || st.Jobs.MaxQueued != 1 {
 		t.Fatalf("jobs status = %+v", st.Jobs)
 	}
-	if st.Admission.Shed.BacklogFull.Load() != 1 {
-		t.Fatalf("shed.backlog_full = %d, want 1", st.Admission.Shed.BacklogFull.Load())
+	if st.Admission.Shed[codeBacklogFull].Load() != 1 {
+		t.Fatalf("shed.backlog_full = %d, want 1", st.Admission.Shed[codeBacklogFull].Load())
 	}
 
 	// Draining reopens admission.
@@ -388,43 +389,45 @@ func TestRateLimitPerKey(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Admission.Shed.RateLimited.Load() < 2 {
-		t.Fatalf("shed.rate_limited = %d, want >= 2", st.Admission.Shed.RateLimited.Load())
+	if st.Admission.Shed[codeRateLimited].Load() < 2 {
+		t.Fatalf("shed.rate_limited = %d, want >= 2", st.Admission.Shed[codeRateLimited].Load())
 	}
 	if st.Admission.RatePerKey != 0.001 || st.Admission.Burst != 2 {
 		t.Fatalf("admission config = %+v", st.Admission)
 	}
 }
 
-// The bare /api mount is a byte-identical alias of /api/v1: the same
-// logical request under either prefix (with a pinned request ID)
-// produces the same body and status — success and error paths both.
+// The route table is mounted under /api/v1 only: every request that
+// /api/v1 serves — success and error paths both — answers the 404
+// not_found envelope under the retired bare /api prefix.
 func TestAliasPrefixByteParity(t *testing.T) {
 	ts := jobsServer(t)
 	cases := []struct {
 		method string
 		path   string
 		body   []byte
+		status int // under /api/v1
 	}{
-		{"GET", "/status", nil},
-		{"GET", "/rules", nil},
-		{"GET", "/master", nil},
-		{"GET", "/jobs", nil},
-		{"GET", "/audit/stats", nil},
-		{"POST", "/fix", fixPayload()},
-		{"GET", "/jobs/nope", nil},                  // 404 envelope
-		{"GET", "/sessions/bogus", nil},             // 400 envelope
-		{"POST", "/fix", []byte(`{"validated":[]`)}, // 400 envelope
+		{"GET", "/status", nil, 200},
+		{"GET", "/rules", nil, 200},
+		{"GET", "/master", nil, 200},
+		{"GET", "/jobs", nil, 200},
+		{"GET", "/audit/stats", nil, 200},
+		{"POST", "/fix", fixPayload(), 200},
+		{"GET", "/jobs/nope", nil, 404},
+		{"GET", "/sessions/bogus", nil, 400},
+		{"POST", "/fix", []byte(`{"validated":[]`), 400},
 	}
 	for _, tc := range cases {
-		hdr := map[string]string{"X-Request-Id": "parity-probe"}
-		s1, b1, _ := doRaw(t, tc.method, ts.URL+"/api"+tc.path, tc.body, hdr)
-		s2, b2, _ := doRaw(t, tc.method, ts.URL+"/api/v1"+tc.path, tc.body, hdr)
-		if s1 != s2 {
-			t.Fatalf("%s %s: /api=%d /api/v1=%d", tc.method, tc.path, s1, s2)
+		if s, b, _ := doRaw(t, tc.method, ts.URL+"/api/v1"+tc.path, tc.body, nil); s != tc.status {
+			t.Fatalf("%s /api/v1%s = %d, want %d: %s", tc.method, tc.path, s, tc.status, b)
 		}
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("%s %s bodies differ:\n /api    %s\n /api/v1 %s", tc.method, tc.path, b1, b2)
+		s, b, _ := doRaw(t, tc.method, ts.URL+"/api"+tc.path, tc.body, nil)
+		if s != http.StatusNotFound {
+			t.Fatalf("%s /api%s = %d, want 404: %s", tc.method, tc.path, s, b)
+		}
+		if env := decodeEnvelope(t, b); env.Error.Code != codeNotFound {
+			t.Fatalf("%s /api%s code = %q, want %q", tc.method, tc.path, env.Error.Code, codeNotFound)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"cerfix/internal/schema"
 )
 
-// TestBatchFixResponseBytesUnchanged pins POST /api/fix's exact
+// TestBatchFixResponseBytesUnchanged pins POST /api/v1/fix's exact
 // response bytes across the switch from marshaling a batchResponse to
 // rendering incrementally with jobs.ResultEncoder under the
 // pipeline's recycling contract: the body must equal
@@ -39,7 +39,7 @@ func TestBatchFixResponseBytesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/api/fix", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/api/v1/fix", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 func TestBatchFix(t *testing.T) {
 	ts := demoServer(t)
 	var resp batchResponse
-	doJSON(t, "POST", ts.URL+"/api/fix", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/fix", map[string]any{
 		"validated": []string{"zip", "phn", "type", "item"},
 		"tuples": []map[string]string{
 			dataset.DemoInputFig3().Map(),
@@ -53,19 +53,19 @@ func TestBatchFix(t *testing.T) {
 
 func TestBatchFixErrors(t *testing.T) {
 	ts := demoServer(t)
-	doJSON(t, "POST", ts.URL+"/api/fix", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/fix", map[string]any{
 		"validated": []string{},
 		"tuples":    []map[string]string{{"FN": "x"}},
 	}, 422, nil)
-	doJSON(t, "POST", ts.URL+"/api/fix", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/fix", map[string]any{
 		"validated": []string{"zip"},
 		"tuples":    []map[string]string{},
 	}, 422, nil)
-	doJSON(t, "POST", ts.URL+"/api/fix", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/fix", map[string]any{
 		"validated": []string{"bogus"},
 		"tuples":    []map[string]string{{"FN": "x"}},
 	}, 422, nil)
-	doJSON(t, "POST", ts.URL+"/api/fix", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/fix", map[string]any{
 		"validated": []string{"zip"},
 		"tuples":    []map[string]string{{"bogus": "x"}},
 	}, 422, nil)
@@ -85,23 +85,23 @@ func TestServerConcurrentTraffic(t *testing.T) {
 				switch (g + i) % 4 {
 				case 0:
 					var sess sessionJSON
-					doJSONq(ts.URL+"/api/sessions", map[string]any{
+					doJSONq(ts.URL+"/api/v1/sessions", map[string]any{
 						"tuple": dataset.DemoInputFig3().Map(),
 					}, &sess, errs)
 					if sess.ID != 0 {
-						doJSONq(fmt.Sprintf("%s/api/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
+						doJSONq(fmt.Sprintf("%s/api/v1/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
 							"assertions": map[string]string{"zip": "NW1 6XE", "phn": "075568485", "type": "2", "item": "DVD"},
 						}, nil, errs)
 					}
 				case 1:
-					doJSONq(ts.URL+"/api/fix", map[string]any{
+					doJSONq(ts.URL+"/api/v1/fix", map[string]any{
 						"validated": []string{"zip", "phn", "type", "item"},
 						"tuples":    []map[string]string{dataset.DemoInputFig3().Map()},
 					}, nil, errs)
 				case 2:
-					getq(ts.URL+"/api/audit/stats", errs)
+					getq(ts.URL+"/api/v1/audit/stats", errs)
 				default:
-					getq(ts.URL+"/api/rules", errs)
+					getq(ts.URL+"/api/v1/rules", errs)
 				}
 			}
 		}(g)
@@ -150,7 +150,7 @@ func TestBatchFixParallelDeterministic(t *testing.T) {
 		"tuples":    tuples,
 	}
 	readBody := func() ([]byte, error) {
-		resp, err := postJSON(ts.URL+"/api/fix", req)
+		resp, err := postJSON(ts.URL+"/api/v1/fix", req)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +205,7 @@ func TestBatchFixParallelUnderMutation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				var resp batchResponse
-				doJSONq(ts.URL+"/api/fix", map[string]any{
+				doJSONq(ts.URL+"/api/v1/fix", map[string]any{
 					"validated": []string{"zip", "phn", "type", "item"},
 					"tuples":    tuples,
 				}, &resp, errs)
@@ -226,17 +226,17 @@ func TestBatchFixParallelUnderMutation(t *testing.T) {
 			for j, a := range dataset.PersonSchema().AttrNames() {
 				vals[a] = string(e.Master[j]) + fmt.Sprint(1000+i) // keep keys unique
 			}
-			doJSONq(ts.URL+"/api/master", map[string]any{"values": vals}, nil, errs)
+			doJSONq(ts.URL+"/api/v1/master", map[string]any{"values": vals}, nil, errs)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			id := fmt.Sprintf("stress%d", i)
-			doJSONq(ts.URL+"/api/rules", map[string]any{
+			doJSONq(ts.URL+"/api/v1/rules", map[string]any{
 				"dsl": id + `: match zip~zip set str := str`,
 			}, nil, errs)
-			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/rules/"+id, nil)
+			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/rules/"+id, nil)
 			if err != nil {
 				errs <- err
 				continue
@@ -290,22 +290,22 @@ func getq(url string, errs chan<- error) {
 func TestSessionExplain(t *testing.T) {
 	ts := demoServer(t)
 	var sess sessionJSON
-	doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", map[string]any{
 		"tuple": dataset.DemoInputFig3().Map(),
 	}, 201, &sess)
-	doJSON(t, "POST", fmt.Sprintf("%s/api/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
+	doJSON(t, "POST", fmt.Sprintf("%s/api/v1/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
 		"assertions": map[string]string{"AC": "201", "phn": "075568485", "type": "2", "item": "DVD"},
 	}, 200, nil)
 	var out struct {
 		Suggestion  []string `json:"suggestion"`
 		Explanation string   `json:"explanation"`
 	}
-	doJSON(t, "GET", fmt.Sprintf("%s/api/sessions/%d/explain", ts.URL, sess.ID), nil, 200, &out)
+	doJSON(t, "GET", fmt.Sprintf("%s/api/v1/sessions/%d/explain", ts.URL, sess.ID), nil, 200, &out)
 	if len(out.Suggestion) != 1 || out.Suggestion[0] != "zip" {
 		t.Fatalf("suggestion = %v", out.Suggestion)
 	}
 	if out.Explanation == "" {
 		t.Fatal("empty explanation")
 	}
-	doJSON(t, "GET", ts.URL+"/api/sessions/999/explain", nil, 404, nil)
+	doJSON(t, "GET", ts.URL+"/api/v1/sessions/999/explain", nil, 404, nil)
 }

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"cerfix"
 	"cerfix/internal/dataset"
 	"cerfix/internal/faultfs"
 	"cerfix/internal/jobs"
@@ -40,35 +39,23 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestPersistenceDegradedEndToEnd drives the full degraded-mode story
-// through the HTTP surface: with the jobs directory refusing writes
-// (injected ENOSPC), job submissions shed with the typed 503 and a
-// Retry-After while the synchronous in-memory path keeps serving;
-// /api/status surfaces the degraded health and the access log records
-// the shed; when the fault clears, the health probe readmits
-// submissions with no restart and the queue drains normally.
-func TestPersistenceDegradedEndToEnd(t *testing.T) {
-	sys, err := cerfix.New(dataset.CustSchema(), dataset.PersonSchema(), dataset.DemoRulesDSL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range dataset.DemoMasterRows() {
-		if err := sys.AddMasterRow(row.Strings()...); err != nil {
-			t.Fatal(err)
-		}
-	}
+// degradedServer is a demo server whose jobs directory refuses writes
+// and fsyncs with ENOSPC while the returned flag is set, its health
+// probe due at most once per probeEvery.
+func degradedServer(t *testing.T, probeEvery time.Duration) (*Server, *atomic.Bool) {
+	t.Helper()
+	sys := demoSys(t)
 	srv := New(sys)
-
 	dir := t.TempDir()
 	inj := faultfs.NewInjector(faultfs.OS)
-	var failing atomic.Bool
+	failing := new(atomic.Bool)
 	inj.SetFault(func(op faultfs.Op, path string) error {
 		if failing.Load() && (op == faultfs.OpWrite || op == faultfs.OpSync) {
 			return syscall.ENOSPC
 		}
 		return nil
 	})
-	health := faultfs.NewHealth(faultfs.DiskProbe(inj, dir), 10*time.Millisecond)
+	health := faultfs.NewHealth(faultfs.DiskProbe(inj, dir), probeEvery)
 	mgr, err := jobs.Open(jobs.Config{
 		Dir:          dir,
 		Schema:       sys.InputSchema(),
@@ -83,6 +70,18 @@ func TestPersistenceDegradedEndToEnd(t *testing.T) {
 	t.Cleanup(func() { mgr.Close(context.Background()) })
 	srv.AttachJobs(mgr)
 	srv.SetPersistenceHealth(health)
+	return srv, failing
+}
+
+// TestPersistenceDegradedEndToEnd drives the full degraded-mode story
+// through the HTTP surface: with the jobs directory refusing writes
+// (injected ENOSPC), job submissions shed with the typed 503 and a
+// Retry-After while the synchronous in-memory path keeps serving;
+// /api/v1/status surfaces the degraded health and the access log records
+// the shed; when the fault clears, the health probe readmits
+// submissions with no restart and the queue drains normally.
+func TestPersistenceDegradedEndToEnd(t *testing.T) {
+	srv, failing := degradedServer(t, 10*time.Millisecond)
 	accessLog := &syncBuffer{}
 	srv.SetAccessLog(log.New(accessLog, "", 0))
 	ts := httptest.NewServer(srv.Handler())
@@ -98,7 +97,7 @@ func TestPersistenceDegradedEndToEnd(t *testing.T) {
 	failing.Store(true)
 	submit := func() *http.Response {
 		t.Helper()
-		resp, err := postJSON(ts.URL+"/api/jobs", payload)
+		resp, err := postJSON(ts.URL+"/api/v1/jobs", payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +130,7 @@ func TestPersistenceDegradedEndToEnd(t *testing.T) {
 	var fix struct {
 		Results []json.RawMessage `json:"results"`
 	}
-	doJSON(t, "POST", ts.URL+"/api/fix", payload, 200, &fix)
+	doJSON(t, "POST", ts.URL+"/api/v1/fix", payload, 200, &fix)
 	if len(fix.Results) != 1 {
 		t.Fatalf("sync fix under degraded persistence returned %d results", len(fix.Results))
 	}
@@ -142,7 +141,7 @@ func TestPersistenceDegradedEndToEnd(t *testing.T) {
 			Health *faultfs.HealthStatus `json:"health"`
 		} `json:"persistence"`
 	}
-	doJSON(t, "GET", ts.URL+"/api/status", nil, 200, &status)
+	doJSON(t, "GET", ts.URL+"/api/v1/status", nil, 200, &status)
 	if status.Persistence == nil || status.Persistence.Health == nil ||
 		status.Persistence.Health.State != "degraded" {
 		t.Fatalf("status persistence = %+v", status.Persistence)
@@ -171,7 +170,7 @@ func TestPersistenceDegradedEndToEnd(t *testing.T) {
 		t.Fatalf("post-recovery job ended %s (%s)", got.State, got.Error)
 	}
 
-	doJSON(t, "GET", ts.URL+"/api/status", nil, 200, &status)
+	doJSON(t, "GET", ts.URL+"/api/v1/status", nil, 200, &status)
 	if status.Persistence.Health.State != "ok" || status.Persistence.Health.Degradations != 1 {
 		t.Fatalf("status after recovery = %+v", status.Persistence.Health)
 	}
@@ -179,5 +178,52 @@ func TestPersistenceDegradedEndToEnd(t *testing.T) {
 	// The access log recorded the shed with its machine-readable code.
 	if !strings.Contains(accessLog.String(), "code="+codePersistenceDegraded) {
 		t.Fatalf("access log did not record the degraded shed:\n%s", accessLog.String())
+	}
+}
+
+// A probe interval that is not a whole number of seconds must not be
+// advertised truncated: with a 1500 ms interval, Retry-After: 1 would
+// send an honoring client back before the next probe is due, only to
+// be shed again. The header and /status retry_after_s both round up to
+// 2, and every persistence_degraded 503 is counted under
+// admission.shed.
+func TestPersistenceDegradedRetryAfterRoundsUp(t *testing.T) {
+	srv, failing := degradedServer(t, 1500*time.Millisecond)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	failing.Store(true)
+	body, _ := json.Marshal(map[string]any{
+		"validated": []string{"zip", "phn", "type", "item"},
+		"tuples":    []map[string]string{dataset.DemoInputFig3().Map()},
+	})
+	const submits = 3
+	for i := 0; i < submits; i++ {
+		status, b, hdr := doRaw(t, "POST", ts.URL+"/api/v1/jobs", body, nil)
+		if status != http.StatusServiceUnavailable {
+			t.Fatalf("submit %d = %d %s, want 503", i, status, b)
+		}
+		if env := decodeEnvelope(t, b); env.Error.Code != codePersistenceDegraded {
+			t.Fatalf("submit %d code = %q", i, env.Error.Code)
+		}
+		if ra := hdr.Get("Retry-After"); ra != "2" {
+			t.Fatalf("submit %d Retry-After = %q, want 2", i, ra)
+		}
+	}
+
+	var st struct {
+		Admission struct {
+			Shed map[string]int64 `json:"shed"`
+		} `json:"admission"`
+		Persistence struct {
+			Health faultfs.HealthStatus `json:"health"`
+		} `json:"persistence"`
+	}
+	doJSON(t, "GET", ts.URL+"/api/v1/status", nil, 200, &st)
+	if h := st.Persistence.Health; h.State != "degraded" || h.RetryAfterSeconds != 2 {
+		t.Fatalf("persistence.health = %+v, want degraded with retry_after_s 2", h)
+	}
+	if n := st.Admission.Shed[codePersistenceDegraded]; n != submits {
+		t.Fatalf("shed.persistence_degraded = %d, want %d", n, submits)
 	}
 }

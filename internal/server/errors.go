@@ -36,8 +36,9 @@ import (
 //	503 memory_degraded    heap past the hard watermark
 //	504 deadline_exceeded  request ran past -request-timeout
 //
-// Every 429 — and the persistence_degraded and memory_degraded 503s —
-// carries a computed Retry-After (seconds).
+// Every 429 and the persistence_degraded and memory_degraded 503s are
+// sheds: Server.shed writes them all, counting each under its code and
+// setting Retry-After (whole seconds, rounded up, minimum 1).
 
 // The stable error codes.
 const (

@@ -147,10 +147,10 @@ func TestClientDisconnectReleasesGate(t *testing.T) {
 }
 
 // Heap-watermark shedding over HTTP: soft pressure sheds job submits
-// with 429 memory_pressure + Retry-After, hard pressure answers 503
+// with 429 memory_pressure + Retry-After: 2, hard pressure answers 503
 // memory_degraded and shows on /status, and hysteresis recovery
-// restores normal admission — all driven by a fake heap sampler and
-// deterministic Poll calls.
+// restores normal admission — all driven by a fake heap sampler that
+// each submit and /status read polls.
 func TestMemoryPressureShedsJobSubmits(t *testing.T) {
 	sys := demoSys(t)
 	srv := New(sys)
@@ -168,7 +168,6 @@ func TestMemoryPressureShedsJobSubmits(t *testing.T) {
 		Hard:   2000,
 		Sample: heap.Load,
 	})
-	mon.Poll()
 	srv.SetMemMonitor(mon)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -188,7 +187,6 @@ func TestMemoryPressureShedsJobSubmits(t *testing.T) {
 
 	// Past soft: 429 memory_pressure with a Retry-After.
 	heap.Store(1500)
-	mon.Poll()
 	status, body, hdr := submit()
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("soft-state submit = %d %s, want 429", status, body)
@@ -196,13 +194,12 @@ func TestMemoryPressureShedsJobSubmits(t *testing.T) {
 	if env := decodeEnvelope(t, body); env.Error.Code != codeMemoryPressure {
 		t.Fatalf("soft code = %q", env.Error.Code)
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("soft shed has no Retry-After")
+	if ra := hdr.Get("Retry-After"); ra != "2" {
+		t.Fatalf("soft shed Retry-After = %q, want 2", ra)
 	}
 
 	// Past hard: 503 memory_degraded, and /status reports the state.
 	heap.Store(2500)
-	mon.Poll()
 	status, body, hdr = submit()
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("hard-state submit = %d %s, want 503", status, body)
@@ -210,8 +207,8 @@ func TestMemoryPressureShedsJobSubmits(t *testing.T) {
 	if env := decodeEnvelope(t, body); env.Error.Code != codeMemoryDegraded {
 		t.Fatalf("hard code = %q", env.Error.Code)
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("hard shed has no Retry-After")
+	if ra := hdr.Get("Retry-After"); ra != "2" {
+		t.Fatalf("hard shed Retry-After = %q, want 2", ra)
 	}
 	var st struct {
 		Admission struct {
@@ -229,10 +226,13 @@ func TestMemoryPressureShedsJobSubmits(t *testing.T) {
 		t.Fatalf("shed counters = %v", st.Admission.Shed)
 	}
 
-	// Hysteresis recovery: the heap falls, pressure clears, submits
-	// flow again.
+	// Hysteresis recovery: the heap falls, the next /status read sees
+	// pressure clear, and submits flow again.
 	heap.Store(100)
-	mon.Poll()
+	doJSON(t, "GET", ts.URL+"/api/v1/status", nil, 200, &st)
+	if st.Guardrails.Memory.State != "ok" {
+		t.Fatalf("status guardrails.memory = %+v after recovery, want ok", st.Guardrails.Memory)
+	}
 	if status, body, _ := submit(); status != http.StatusAccepted {
 		t.Fatalf("recovered submit = %d %s, want 202", status, body)
 	}

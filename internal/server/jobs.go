@@ -5,32 +5,32 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
 	"time"
 
 	"cerfix/internal/admission"
 	"cerfix/internal/core"
 	"cerfix/internal/faultfs"
+	"cerfix/internal/guard"
 	"cerfix/internal/jobs"
 	"cerfix/internal/pipeline"
 )
 
 // This file exposes the async batch-repair job subsystem
-// (internal/jobs) over HTTP. Where POST /api/fix holds the connection
-// open for the whole repair, /api/jobs submits work to a persistent
-// queue that survives daemon restarts:
+// (internal/jobs) over HTTP. Where POST /api/v1/fix holds the
+// connection open for the whole repair, /api/v1/jobs submits work to a
+// persistent queue that survives daemon restarts:
 //
-//	POST   /api/jobs              submit (inline tuples or server-side file)
-//	GET    /api/jobs              list all jobs, oldest first
-//	GET    /api/jobs/{id}         one job's lifecycle record
-//	GET    /api/jobs/{id}/results stream the JSONL results artifact
-//	DELETE /api/jobs/{id}         cancel a queued/running job; purge a
-//	                              terminal one (record + artifacts)
+//	POST   /api/v1/jobs              submit (inline tuples or server-side file)
+//	GET    /api/v1/jobs              list all jobs, oldest first
+//	GET    /api/v1/jobs/{id}         one job's lifecycle record
+//	GET    /api/v1/jobs/{id}/results stream the JSONL results artifact
+//	DELETE /api/v1/jobs/{id}         cancel a queued/running job; purge a
+//	                                 terminal one (record + artifacts)
 //
-// The endpoints answer 503 when the daemon runs without a jobs
-// directory (cerfixd -jobs-dir).
+// Without a jobs manager (cerfixd run without -jobs-dir) Handler mounts
+// jobsDisabled on every one of these routes instead.
 
-// AttachJobs enables the /api/jobs endpoints. Call before Handler.
+// AttachJobs enables the /api/v1/jobs endpoints. Call before Handler.
 func (s *Server) AttachJobs(m *jobs.Manager) { s.jobs = m }
 
 // SnapshotEngine freezes a consistent engine view under the server
@@ -84,18 +84,14 @@ func toJobJSON(j jobs.Job) jobJSON {
 	return out
 }
 
-// jobsEnabled answers 503 jobs_disabled when the subsystem is not
-// configured.
-func (s *Server) jobsEnabled(w http.ResponseWriter, r *http.Request) bool {
-	if s.jobs == nil {
-		writeErr(w, r, http.StatusServiceUnavailable, codeJobsDisabled,
-			fmt.Errorf("jobs disabled (start the daemon with -jobs-dir)"))
-		return false
-	}
-	return true
+// jobsDisabled answers every job route of a server with no jobs
+// manager attached.
+func jobsDisabled(w http.ResponseWriter, r *http.Request) {
+	writeErr(w, r, http.StatusServiceUnavailable, codeJobsDisabled,
+		fmt.Errorf("jobs disabled (start the daemon with -jobs-dir)"))
 }
 
-// jobSubmitRequest is the POST /api/jobs payload: validated plus
+// jobSubmitRequest is the POST /api/v1/jobs payload: validated plus
 // exactly one of tuples (inline) or input_path (server-side file,
 // format required; accepted only under the daemon's configured jobs
 // input root).
@@ -107,26 +103,21 @@ type jobSubmitRequest struct {
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsEnabled(w, r) {
-		return
-	}
-	// Memory-pressure shedding, checked before the body is even
-	// decoded: a submission is deferrable work, and admitting it under
-	// heap pressure only digs the hole deeper. Soft pressure sheds with
-	// 429 (come back shortly); hard pressure is the degraded 503.
+	// Memory-pressure shedding, decided on a fresh heap sample before
+	// the body is even decoded: a submission is deferrable work, and
+	// admitting it under heap pressure only digs the hole deeper. Soft
+	// pressure sheds with 429 (come back shortly); hard pressure is the
+	// degraded 503.
 	if s.memMon != nil {
-		switch s.memMon.State() {
-		case admission.PressureHard:
-			s.shed.memoryDegraded.Inc()
+		switch s.memMon.Poll() {
+		case guard.PressureHard:
 			ms := s.memMon.Status()
-			w.Header().Set("Retry-After", strconv.Itoa(int(s.memMon.RetryAfter()/time.Second)))
-			writeErr(w, r, http.StatusServiceUnavailable, codeMemoryDegraded,
+			s.shed(w, r, codeMemoryDegraded, memRetryAfter,
 				fmt.Errorf("heap (%d bytes) past the hard watermark (%d); job submissions suspended", ms.HeapBytes, ms.HardBytes))
 			return
-		case admission.PressureSoft:
-			s.shed.memoryPressure.Inc()
+		case guard.PressureSoft:
 			ms := s.memMon.Status()
-			writeShed(w, r, codeMemoryPressure, s.memMon.RetryAfter(),
+			s.shed(w, r, codeMemoryPressure, memRetryAfter,
 				fmt.Errorf("heap (%d bytes) past the soft watermark (%d); new jobs shed until pressure recedes", ms.HeapBytes, ms.SoftBytes))
 			return
 		}
@@ -165,21 +156,18 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		// else is a genuine server fault.
 		switch {
 		case errors.Is(err, jobs.ErrBacklogFull):
-			s.shed.backlogFull.Inc()
 			st := s.jobs.Stats()
-			retry := admission.RetryAfter(st.Queued+st.Running, st.Workers, st.AvgService())
-			writeShed(w, r, codeBacklogFull, retry, err)
+			s.shed(w, r, codeBacklogFull, admission.RetryAfter(st.Queued+st.Running, st.Workers, st.AvgService()), err)
 		case errors.Is(err, jobs.ErrInvalid):
 			writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, err)
 		case errors.Is(err, jobs.ErrClosed):
 			writeErr(w, r, http.StatusServiceUnavailable, codeShuttingDown, err)
 		case errors.Is(err, jobs.ErrDegraded), faultfs.Transient(err):
-			retry := 5 * time.Second
+			var retry time.Duration // no health tracker: the 1 s minimum
 			if s.persistHealth != nil {
 				retry = s.persistHealth.RetryAfter()
 			}
-			w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)))
-			writeErr(w, r, http.StatusServiceUnavailable, codePersistenceDegraded, err)
+			s.shed(w, r, codePersistenceDegraded, retry, err)
 		default:
 			writeErr(w, r, http.StatusInternalServerError, codeInternal, err)
 		}
@@ -189,9 +177,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsEnabled(w, r) {
-		return
-	}
 	limit, offset, err := pageParams(r, defaultPageLimit)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, codeInvalidArgument, err)
@@ -207,9 +192,6 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsEnabled(w, r) {
-		return
-	}
 	job, err := s.jobs.Get(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, r, http.StatusNotFound, codeNotFound, err)
@@ -219,9 +201,6 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsEnabled(w, r) {
-		return
-	}
 	id := r.PathValue("id")
 	path, err := s.jobs.ResultsPath(id)
 	if err != nil {
@@ -265,9 +244,6 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsEnabled(w, r) {
-		return
-	}
 	id := r.PathValue("id")
 	job, err := s.jobs.Cancel(id)
 	if errors.Is(err, jobs.ErrFinished) {

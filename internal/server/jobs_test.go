@@ -51,7 +51,7 @@ func pollJobDone(t *testing.T, base, id string) jobJSON {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var j jobJSON
-		doJSON(t, "GET", base+"/api/jobs/"+id, nil, 200, &j)
+		doJSON(t, "GET", base+"/api/v1/jobs/"+id, nil, 200, &j)
 		if j.State == "done" || j.State == "failed" || j.State == "cancelled" {
 			return j
 		}
@@ -64,7 +64,7 @@ func pollJobDone(t *testing.T, base, id string) jobJSON {
 
 // The async acceptance path at the HTTP layer: a submitted job
 // completes, and its JSONL results artifact is byte-identical, line
-// for line, to the synchronous /api/fix results array for the same
+// for line, to the synchronous /api/v1/fix results array for the same
 // input.
 func TestJobsAPIMatchesSyncFix(t *testing.T) {
 	ts := jobsServer(t)
@@ -80,14 +80,14 @@ func TestJobsAPIMatchesSyncFix(t *testing.T) {
 	var syncResp struct {
 		Results []json.RawMessage `json:"results"`
 	}
-	doJSON(t, "POST", ts.URL+"/api/fix", payload, 200, &syncResp)
+	doJSON(t, "POST", ts.URL+"/api/v1/fix", payload, 200, &syncResp)
 	if len(syncResp.Results) != 2 {
 		t.Fatalf("sync results = %d", len(syncResp.Results))
 	}
 
 	// Async job over the same input.
 	var j jobJSON
-	doJSON(t, "POST", ts.URL+"/api/jobs", payload, http.StatusAccepted, &j)
+	doJSON(t, "POST", ts.URL+"/api/v1/jobs", payload, http.StatusAccepted, &j)
 	if j.State != "queued" && j.State != "running" && j.State != "done" {
 		t.Fatalf("submitted job state = %s", j.State)
 	}
@@ -99,7 +99,7 @@ func TestJobsAPIMatchesSyncFix(t *testing.T) {
 		t.Fatalf("job stats = %+v", j.Stats)
 	}
 
-	resp, err := http.Get(ts.URL + "/api/jobs/" + j.ID + "/results")
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + j.ID + "/results")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestJobsAPILifecycle(t *testing.T) {
 	ts := jobsServer(t)
 
 	// Empty list is an array, not null.
-	resp, err := http.Get(ts.URL + "/api/jobs")
+	resp, err := http.Get(ts.URL + "/api/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,27 +143,27 @@ func TestJobsAPILifecycle(t *testing.T) {
 	}
 
 	// Bad submissions are rejected.
-	doJSON(t, "POST", ts.URL+"/api/jobs", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/jobs", map[string]any{
 		"validated": []string{"zip"},
 	}, http.StatusUnprocessableEntity, nil)
-	doJSON(t, "POST", ts.URL+"/api/jobs", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/jobs", map[string]any{
 		"validated": []string{"bogus"},
 		"tuples":    []map[string]string{dataset.DemoInputFig3().Map()},
 	}, http.StatusUnprocessableEntity, nil)
-	doJSON(t, "POST", ts.URL+"/api/jobs", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/jobs", map[string]any{
 		"validated":  []string{"zip"},
 		"tuples":     []map[string]string{dataset.DemoInputFig3().Map()},
 		"input_path": "/also/a/path.csv",
 	}, http.StatusUnprocessableEntity, nil)
 
 	// Unknown job IDs 404 on every per-job route.
-	doJSON(t, "GET", ts.URL+"/api/jobs/nope", nil, http.StatusNotFound, nil)
-	doJSON(t, "GET", ts.URL+"/api/jobs/nope/results", nil, http.StatusNotFound, nil)
-	doJSON(t, "DELETE", ts.URL+"/api/jobs/nope", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", ts.URL+"/api/v1/jobs/nope", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", ts.URL+"/api/v1/jobs/nope/results", nil, http.StatusNotFound, nil)
+	doJSON(t, "DELETE", ts.URL+"/api/v1/jobs/nope", nil, http.StatusNotFound, nil)
 
 	// A good submission appears in the list and finishes.
 	var j jobJSON
-	doJSON(t, "POST", ts.URL+"/api/jobs", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/jobs", map[string]any{
 		"validated": []string{"zip", "phn", "type", "item"},
 		"tuples":    []map[string]string{dataset.DemoInputFig3().Map()},
 	}, http.StatusAccepted, &j)
@@ -171,7 +171,7 @@ func TestJobsAPILifecycle(t *testing.T) {
 		Items []jobJSON `json:"items"`
 		Total int       `json:"total"`
 	}
-	doJSON(t, "GET", ts.URL+"/api/jobs", nil, 200, &list)
+	doJSON(t, "GET", ts.URL+"/api/v1/jobs", nil, 200, &list)
 	if len(list.Items) != 1 || list.Items[0].ID != j.ID || list.Total != 1 {
 		t.Fatalf("list = %+v", list)
 	}
@@ -183,20 +183,20 @@ func TestJobsAPILifecycle(t *testing.T) {
 	var del struct {
 		Deleted bool `json:"deleted"`
 	}
-	doJSON(t, "DELETE", ts.URL+"/api/jobs/"+j.ID, nil, http.StatusOK, &del)
+	doJSON(t, "DELETE", ts.URL+"/api/v1/jobs/"+j.ID, nil, http.StatusOK, &del)
 	if !del.Deleted {
 		t.Fatalf("purge response = %+v", del)
 	}
-	doJSON(t, "GET", ts.URL+"/api/jobs/"+j.ID, nil, http.StatusNotFound, nil)
-	doJSON(t, "GET", ts.URL+"/api/jobs/"+j.ID+"/results", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+j.ID, nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+j.ID+"/results", nil, http.StatusNotFound, nil)
 }
 
 // Without -jobs-dir the endpoints answer 503, not 404: the routes
 // exist, the subsystem is off.
 func TestJobsAPIDisabled(t *testing.T) {
 	ts := demoServer(t)
-	doJSON(t, "GET", ts.URL+"/api/jobs", nil, http.StatusServiceUnavailable, nil)
-	doJSON(t, "POST", ts.URL+"/api/jobs", map[string]any{
+	doJSON(t, "GET", ts.URL+"/api/v1/jobs", nil, http.StatusServiceUnavailable, nil)
+	doJSON(t, "POST", ts.URL+"/api/v1/jobs", map[string]any{
 		"validated": []string{"zip"},
 		"tuples":    []map[string]string{dataset.DemoInputFig3().Map()},
 	}, http.StatusServiceUnavailable, nil)

@@ -163,8 +163,7 @@ func (s *Server) rateLimitMW(next http.Handler) http.Handler {
 		w.Header().Set("X-RateLimit-Limit", strconv.Itoa(s.limiter.Burst()))
 		w.Header().Set("X-RateLimit-Remaining", strconv.Itoa(remaining))
 		if !ok {
-			s.shed.rateLimited.Inc()
-			writeShed(w, r, codeRateLimited, retry,
+			s.shed(w, r, codeRateLimited, retry,
 				fmt.Errorf("rate limit exceeded (%g req/s per key, burst %d)", s.limiter.Rate(), s.limiter.Burst()))
 			return
 		}
@@ -185,11 +184,32 @@ func clientKey(r *http.Request) string {
 	return "ip:" + host
 }
 
-// writeShed renders a 429 envelope with its Retry-After header — the
-// uniform load-shedding response shape.
-func writeShed(w http.ResponseWriter, r *http.Request, code string, retry time.Duration, err error) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)))
-	writeErr(w, r, http.StatusTooManyRequests, code, err)
+// shedStatus lists every load-shedding reason — the error code the
+// refused request receives — with the status it answers: 429 asks the
+// client to come back shortly, 503 reports a degraded subsystem.
+var shedStatus = map[string]int{
+	codeRateLimited:         http.StatusTooManyRequests,
+	codeOverloaded:          http.StatusTooManyRequests,
+	codeBacklogFull:         http.StatusTooManyRequests,
+	codeMemoryPressure:      http.StatusTooManyRequests,
+	codeMemoryDegraded:      http.StatusServiceUnavailable,
+	codePersistenceDegraded: http.StatusServiceUnavailable,
+}
+
+// memRetryAfter is the back-off memory sheds advertise: time for a GC
+// cycle to return heap before the retry's own submit re-reads it.
+const memRetryAfter = 2 * time.Second
+
+// shed answers one refused request; every shed is written here. It
+// counts the refusal under its code (admission.shed on /status), sets
+// Retry-After to the estimate rounded up to whole seconds, minimum 1
+// (Retry-After: 0 invites an immediate, equally doomed retry), and
+// writes the envelope with the code's status.
+func (s *Server) shed(w http.ResponseWriter, r *http.Request, code string, retry time.Duration, err error) {
+	s.sheds[code].Inc()
+	secs := int64((retry + time.Second - 1) / time.Second)
+	w.Header().Set("Retry-After", strconv.FormatInt(max(secs, 1), 10))
+	writeErr(w, r, shedStatus[code], code, err)
 }
 
 // bodyLimitMW caps every request body at -max-body via
@@ -242,9 +262,7 @@ func (s *Server) withSyncGate(next http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		if !s.fixGate.TryAcquire() {
-			s.shed.overloaded.Inc()
-			retry := admission.RetryAfter(1, s.fixGate.Capacity(), s.fixTime.Value())
-			writeShed(w, r, codeOverloaded, retry,
+			s.shed(w, r, codeOverloaded, admission.RetryAfter(1, s.fixGate.Capacity(), s.fixTime.Value()),
 				fmt.Errorf("synchronous fix capacity (%d) saturated; retry or submit an async job", s.fixGate.Capacity()))
 			return
 		}

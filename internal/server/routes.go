@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strings"
 	"time"
 
 	"cerfix/internal/admission"
 )
 
-// The API surface is one declarative route table mounted twice: the
-// canonical versioned prefix /api/v1 and the original bare /api as a
-// compatibility alias. Both prefixes dispatch to the same wrapped
-// handler, so responses are byte-identical (pinned by regression
-// test); new clients should use /api/v1.
+// The API surface is one declarative route table mounted once, under
+// the versioned prefix /api/v1. Every other path — the retired bare
+// /api prefix included — answers the 404 not_found envelope.
 
 // limitClass names the admission treatment a route gets beyond the
 // global middleware chain (rate limiting applies to every class).
@@ -69,11 +68,16 @@ func (s *Server) routeTable() []route {
 }
 
 // Handler returns the HTTP surface: the route table mounted under
-// /api/v1 and /api, wrapped in the admission middleware chain.
+// /api/v1, wrapped in the admission middleware chain. Route-level
+// decisions are made here, once: without a jobs manager every job
+// route answers jobsDisabled.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routeTable() {
 		h := rt.h
+		if s.jobs == nil && strings.HasPrefix(rt.path, "/jobs") {
+			h = jobsDisabled
+		}
 		if rt.class == classSyncFix {
 			h = s.withSyncGate(h)
 		}
@@ -81,7 +85,6 @@ func (s *Server) Handler() http.Handler {
 			h = s.withDeadline(h)
 		}
 		mux.HandleFunc(rt.method+" /api/v1"+rt.path, h)
-		mux.HandleFunc(rt.method+" /api"+rt.path, h)
 	}
 	// Unknown paths get the envelope too, not net/http's text 404.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

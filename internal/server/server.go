@@ -44,8 +44,9 @@ type Server struct {
 	// /api/v1/status and sizes Retry-After on persistence_degraded
 	// sheds.
 	persistHealth *faultfs.Health
-	// memMon, when set (SetMemMonitor), sheds job submissions under
-	// heap pressure and is surfaced on /api/v1/status guardrails.
+	// memMon, when set (SetMemMonitor), is polled at each job submit
+	// (shedding it under heap pressure) and each /api/v1/status read
+	// (guardrails.memory).
 	memMon *guard.MemMonitor
 
 	// Admission state (SetLimits): per-key limiter, sync-fix gate and
@@ -55,17 +56,10 @@ type Server struct {
 	limiter *admission.Limiter
 	fixGate *admission.Gate
 	fixTime admission.EWMA
-	// shed counts load-shedding decisions per reason, surfaced by
-	// /api/v1/status. Every status counter is a counter.Monotonic, so
-	// they all share one increment discipline and one bare-number JSON
-	// encoding.
-	shed struct {
-		rateLimited    counter.Monotonic
-		overloaded     counter.Monotonic
-		backlogFull    counter.Monotonic
-		memoryPressure counter.Monotonic
-		memoryDegraded counter.Monotonic
-	}
+	// sheds counts refusals per shed code (every key of shedStatus),
+	// bumped only by shed and surfaced as admission.shed on
+	// /api/v1/status; counter.Monotonic marshals as a bare number.
+	sheds map[string]*counter.Monotonic
 
 	// Request-ID assignment: per-process random prefix + counter.
 	idPrefix string
@@ -81,11 +75,16 @@ type Server struct {
 
 // New builds a server for a configured system.
 func New(sys *cerfix.System) *Server {
-	return &Server{
+	s := &Server{
 		sys:      sys,
 		sessions: make(map[int64]*monitor.Session),
+		sheds:    make(map[string]*counter.Monotonic, len(shedStatus)),
 		idPrefix: newIDPrefix(),
 	}
+	for code := range shedStatus {
+		s.sheds[code] = new(counter.Monotonic)
+	}
+	return s
 }
 
 // SetPersistenceHealth wires the persistence health tracker in: its
@@ -93,10 +92,10 @@ func New(sys *cerfix.System) *Server {
 // sheds answer with its Retry-After estimate. Call before Handler.
 func (s *Server) SetPersistenceHealth(h *faultfs.Health) { s.persistHealth = h }
 
-// SetMemMonitor wires the heap-watermark monitor in: past the soft
-// watermark new job submissions shed with 429 memory_pressure, past
-// the hard watermark with 503 memory_degraded, and the live state is
-// surfaced under /api/v1/status guardrails.memory. Call before
+// SetMemMonitor wires the heap-watermark monitor in: each job submit
+// polls it, shedding past the soft watermark with 429 memory_pressure
+// and past the hard watermark with 503 memory_degraded, and each
+// /api/v1/status read polls it for guardrails.memory. Call before
 // Handler.
 func (s *Server) SetMemMonitor(m *guard.MemMonitor) { s.memMon = m }
 
@@ -155,18 +154,6 @@ func tupleFromMap(sch *cerfix.Schema, m map[string]string) (*cerfix.Tuple, error
 
 // --- status ------------------------------------------------------------
 
-// shedCounters reports load-shedding decisions since start, per
-// reason (the error code the shed request received). The fields point
-// at the server's live counters; counter.Monotonic marshals as a bare
-// number, so the wire shape is unchanged from the int64 days.
-type shedCounters struct {
-	RateLimited    *counter.Monotonic `json:"rate_limited"`
-	Overloaded     *counter.Monotonic `json:"overloaded"`
-	BacklogFull    *counter.Monotonic `json:"backlog_full"`
-	MemoryPressure *counter.Monotonic `json:"memory_pressure"`
-	MemoryDegraded *counter.Monotonic `json:"memory_degraded"`
-}
-
 // admissionStatus reports the front-door configuration and live
 // occupancy.
 type admissionStatus struct {
@@ -179,8 +166,9 @@ type admissionStatus struct {
 	SyncInFlight int `json:"sync_fix_in_flight"`
 	// AvgFixMS is the moving average of synchronous batch service
 	// time in milliseconds (feeds Retry-After on overload sheds).
-	AvgFixMS float64      `json:"avg_fix_ms"`
-	Shed     shedCounters `json:"shed"`
+	AvgFixMS float64 `json:"avg_fix_ms"`
+	// Shed counts refusals since start per shed code.
+	Shed map[string]*counter.Monotonic `json:"shed"`
 }
 
 type statusResponse struct {
@@ -239,22 +227,17 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Burst:      s.limits.Burst,
 		MaxSyncFix: s.limits.MaxSyncFix,
 		AvgFixMS:   float64(s.fixTime.Value().Microseconds()) / 1000,
+		Shed:       s.sheds,
 	}
 	if s.fixGate != nil {
 		adm.SyncInFlight = s.fixGate.InFlight()
-	}
-	adm.Shed = shedCounters{
-		RateLimited:    &s.shed.rateLimited,
-		Overloaded:     &s.shed.overloaded,
-		BacklogFull:    &s.shed.backlogFull,
-		MemoryPressure: &s.shed.memoryPressure,
-		MemoryDegraded: &s.shed.memoryDegraded,
 	}
 	gs := guardrailStatus{
 		RequestTimeoutMS: s.limits.RequestTimeout.Milliseconds(),
 		MaxBodyBytes:     s.limits.MaxBody,
 	}
 	if s.memMon != nil {
+		s.memMon.Poll()
 		ms := s.memMon.Status()
 		gs.Memory = &ms
 	}

@@ -61,7 +61,7 @@ func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any)
 func TestStatus(t *testing.T) {
 	ts := demoServer(t)
 	var st statusResponse
-	doJSON(t, "GET", ts.URL+"/api/status", nil, 200, &st)
+	doJSON(t, "GET", ts.URL+"/api/v1/status", nil, 200, &st)
 	if st.MasterTuples != 3 || st.Rules != 9 {
 		t.Fatalf("status = %+v", st)
 	}
@@ -84,23 +84,23 @@ func TestStatus(t *testing.T) {
 func TestRulesCRUD(t *testing.T) {
 	ts := demoServer(t)
 	var rules []ruleJSON
-	doJSON(t, "GET", ts.URL+"/api/rules", nil, 200, &rules)
+	doJSON(t, "GET", ts.URL+"/api/v1/rules", nil, 200, &rules)
 	if len(rules) != 9 || rules[0].ID != "phi1" {
 		t.Fatalf("rules = %+v", rules)
 	}
-	doJSON(t, "POST", ts.URL+"/api/rules",
+	doJSON(t, "POST", ts.URL+"/api/v1/rules",
 		map[string]string{"dsl": `extra: match zip~zip set FN := FN`}, 201, nil)
-	doJSON(t, "GET", ts.URL+"/api/rules", nil, 200, &rules)
+	doJSON(t, "GET", ts.URL+"/api/v1/rules", nil, 200, &rules)
 	if len(rules) != 10 {
 		t.Fatalf("rules after add = %d", len(rules))
 	}
 	// Bad rule rejected.
-	doJSON(t, "POST", ts.URL+"/api/rules",
+	doJSON(t, "POST", ts.URL+"/api/v1/rules",
 		map[string]string{"dsl": `bad: match zip~zip set bogus := FN`}, 422, nil)
 	// Delete.
-	doJSON(t, "DELETE", ts.URL+"/api/rules/extra", nil, 200, nil)
-	doJSON(t, "DELETE", ts.URL+"/api/rules/extra", nil, 404, nil)
-	doJSON(t, "GET", ts.URL+"/api/rules", nil, 200, &rules)
+	doJSON(t, "DELETE", ts.URL+"/api/v1/rules/extra", nil, 200, nil)
+	doJSON(t, "DELETE", ts.URL+"/api/v1/rules/extra", nil, 404, nil)
+	doJSON(t, "GET", ts.URL+"/api/v1/rules", nil, 200, &rules)
 	if len(rules) != 9 {
 		t.Fatalf("rules after delete = %d", len(rules))
 	}
@@ -113,7 +113,7 @@ func TestRulesCheck(t *testing.T) {
 		Issues     []issueJSON `json:"issues"`
 		ProbesRun  int         `json:"probes_run"`
 	}
-	doJSON(t, "POST", ts.URL+"/api/rules/check", nil, 200, &out)
+	doJSON(t, "POST", ts.URL+"/api/v1/rules/check", nil, 200, &out)
 	if !out.Consistent {
 		t.Fatalf("demo rules inconsistent: %+v", out.Issues)
 	}
@@ -131,11 +131,11 @@ func TestRulesCheck(t *testing.T) {
 func TestRegionsEndpoint(t *testing.T) {
 	ts := demoServer(t)
 	var regions []regionJSON
-	doJSON(t, "GET", ts.URL+"/api/regions?k=2", nil, 200, &regions)
+	doJSON(t, "GET", ts.URL+"/api/v1/regions?k=2", nil, 200, &regions)
 	if len(regions) == 0 || regions[0].Size != 4 {
 		t.Fatalf("regions = %+v", regions)
 	}
-	doJSON(t, "GET", ts.URL+"/api/regions?k=bogus", nil, 400, nil)
+	doJSON(t, "GET", ts.URL+"/api/v1/regions?k=bogus", nil, 400, nil)
 }
 
 func TestMasterEndpoints(t *testing.T) {
@@ -144,27 +144,27 @@ func TestMasterEndpoints(t *testing.T) {
 		Total int                 `json:"total"`
 		Items []map[string]string `json:"items"`
 	}
-	doJSON(t, "GET", ts.URL+"/api/master", nil, 200, &list)
+	doJSON(t, "GET", ts.URL+"/api/v1/master", nil, 200, &list)
 	if list.Total != 3 || len(list.Items) != 3 {
 		t.Fatalf("master = %+v", list)
 	}
 	if list.Items[0]["FN"] != "Robert" {
 		t.Fatalf("row 0 = %v", list.Items[0])
 	}
-	doJSON(t, "POST", ts.URL+"/api/master", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/master", map[string]any{
 		"values": map[string]string{"FN": "New", "LN": "Person", "zip": "XX1 1XX"},
 	}, 201, nil)
-	doJSON(t, "GET", ts.URL+"/api/master?limit=2", nil, 200, &list)
+	doJSON(t, "GET", ts.URL+"/api/v1/master?limit=2", nil, 200, &list)
 	if list.Total != 4 || len(list.Items) != 2 {
 		t.Fatalf("after add = %+v", list)
 	}
 	// Offset pages through the remainder.
-	doJSON(t, "GET", ts.URL+"/api/master?limit=2&offset=3", nil, 200, &list)
+	doJSON(t, "GET", ts.URL+"/api/v1/master?limit=2&offset=3", nil, 200, &list)
 	if list.Total != 4 || len(list.Items) != 1 {
 		t.Fatalf("offset page = %+v", list)
 	}
-	doJSON(t, "GET", ts.URL+"/api/master?limit=bogus", nil, 400, nil)
-	doJSON(t, "POST", ts.URL+"/api/master", map[string]any{
+	doJSON(t, "GET", ts.URL+"/api/v1/master?limit=bogus", nil, 400, nil)
+	doJSON(t, "POST", ts.URL+"/api/v1/master", map[string]any{
 		"values": map[string]string{"bogus": "x"},
 	}, 422, nil)
 }
@@ -173,7 +173,7 @@ func TestMasterEndpoints(t *testing.T) {
 func TestSessionWalkthrough(t *testing.T) {
 	ts := demoServer(t)
 	var sess sessionJSON
-	doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", map[string]any{
 		"tuple": dataset.DemoInputFig3().Map(),
 	}, 201, &sess)
 	if sess.Done || len(sess.Suggestion) == 0 {
@@ -183,7 +183,7 @@ func TestSessionWalkthrough(t *testing.T) {
 		Session sessionJSON  `json:"session"`
 		Changes []changeJSON `json:"changes"`
 	}
-	doJSON(t, "POST", fmt.Sprintf("%s/api/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
+	doJSON(t, "POST", fmt.Sprintf("%s/api/v1/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
 		"assertions": map[string]string{"AC": "201", "phn": "075568485", "type": "2", "item": "DVD"},
 	}, 200, &round1)
 	if round1.Session.Tuple["FN"] != "Mark" {
@@ -205,7 +205,7 @@ func TestSessionWalkthrough(t *testing.T) {
 	var round2 struct {
 		Session sessionJSON `json:"session"`
 	}
-	doJSON(t, "POST", fmt.Sprintf("%s/api/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
+	doJSON(t, "POST", fmt.Sprintf("%s/api/v1/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
 		"assertions": map[string]string{"zip": "NW1 6XE"},
 	}, 200, &round2)
 	if !round2.Session.Done || !round2.Session.Certain {
@@ -213,7 +213,7 @@ func TestSessionWalkthrough(t *testing.T) {
 	}
 	// GET mirrors the state.
 	var got sessionJSON
-	doJSON(t, "GET", fmt.Sprintf("%s/api/sessions/%d", ts.URL, sess.ID), nil, 200, &got)
+	doJSON(t, "GET", fmt.Sprintf("%s/api/v1/sessions/%d", ts.URL, sess.ID), nil, 200, &got)
 	if !got.Done || got.Rounds != 2 {
 		t.Fatalf("GET session = %+v", got)
 	}
@@ -221,21 +221,21 @@ func TestSessionWalkthrough(t *testing.T) {
 
 func TestSessionErrors(t *testing.T) {
 	ts := demoServer(t)
-	doJSON(t, "GET", ts.URL+"/api/sessions/99", nil, 404, nil)
-	doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
+	doJSON(t, "GET", ts.URL+"/api/v1/sessions/99", nil, 404, nil)
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", map[string]any{
 		"tuple": map[string]string{"bogus": "x"},
 	}, 422, nil)
 	var sess sessionJSON
-	doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", map[string]any{
 		"tuple": dataset.DemoInputFig3().Map(),
 	}, 201, &sess)
-	doJSON(t, "POST", fmt.Sprintf("%s/api/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
+	doJSON(t, "POST", fmt.Sprintf("%s/api/v1/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
 		"assertions": map[string]string{},
 	}, 422, nil)
-	doJSON(t, "POST", fmt.Sprintf("%s/api/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
+	doJSON(t, "POST", fmt.Sprintf("%s/api/v1/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
 		"assertions": map[string]string{"bogus": "x"},
 	}, 422, nil)
-	doJSON(t, "POST", ts.URL+"/api/sessions/99/validate", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions/99/validate", map[string]any{
 		"assertions": map[string]string{"zip": "x"},
 	}, 404, nil)
 }
@@ -243,10 +243,10 @@ func TestSessionErrors(t *testing.T) {
 func TestAuditEndpoints(t *testing.T) {
 	ts := demoServer(t)
 	var sess sessionJSON
-	doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", map[string]any{
 		"tuple": dataset.DemoInputFig3().Map(),
 	}, 201, &sess)
-	doJSON(t, "POST", fmt.Sprintf("%s/api/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
+	doJSON(t, "POST", fmt.Sprintf("%s/api/v1/sessions/%d/validate", ts.URL, sess.ID), map[string]any{
 		"assertions": map[string]string{"AC": "201", "phn": "075568485", "type": "2", "item": "DVD"},
 	}, 200, nil)
 
@@ -254,7 +254,7 @@ func TestAuditEndpoints(t *testing.T) {
 		PerAttr []attrStatsJSON `json:"per_attr"`
 		Overall attrStatsJSON   `json:"overall"`
 	}
-	doJSON(t, "GET", ts.URL+"/api/audit/stats", nil, 200, &stats)
+	doJSON(t, "GET", ts.URL+"/api/v1/audit/stats", nil, 200, &stats)
 	if stats.Overall.UserValidated != 4 {
 		t.Fatalf("overall = %+v", stats.Overall)
 	}
@@ -263,24 +263,24 @@ func TestAuditEndpoints(t *testing.T) {
 	}
 
 	var hist []auditRecordJSON
-	doJSON(t, "GET", fmt.Sprintf("%s/api/audit/tuples/%d", ts.URL, sess.ID), nil, 200, &hist)
+	doJSON(t, "GET", fmt.Sprintf("%s/api/v1/audit/tuples/%d", ts.URL, sess.ID), nil, 200, &hist)
 	if len(hist) < 5 {
 		t.Fatalf("history = %+v", hist)
 	}
 
 	var cell auditRecordJSON
-	doJSON(t, "GET", fmt.Sprintf("%s/api/audit/cell?tuple=%d&attr=FN", ts.URL, sess.ID), nil, 200, &cell)
+	doJSON(t, "GET", fmt.Sprintf("%s/api/v1/audit/cell?tuple=%d&attr=FN", ts.URL, sess.ID), nil, 200, &cell)
 	if cell.RuleID != "phi4" || cell.New != "Mark" {
 		t.Fatalf("cell = %+v", cell)
 	}
-	doJSON(t, "GET", ts.URL+"/api/audit/cell?tuple=999&attr=FN", nil, 404, nil)
-	doJSON(t, "GET", ts.URL+"/api/audit/cell?tuple=bogus&attr=FN", nil, 400, nil)
-	doJSON(t, "GET", fmt.Sprintf("%s/api/audit/cell?tuple=%d", ts.URL, sess.ID), nil, 400, nil)
+	doJSON(t, "GET", ts.URL+"/api/v1/audit/cell?tuple=999&attr=FN", nil, 404, nil)
+	doJSON(t, "GET", ts.URL+"/api/v1/audit/cell?tuple=bogus&attr=FN", nil, 400, nil)
+	doJSON(t, "GET", fmt.Sprintf("%s/api/v1/audit/cell?tuple=%d", ts.URL, sess.ID), nil, 400, nil)
 }
 
 func TestMalformedBodies(t *testing.T) {
 	ts := demoServer(t)
-	req, _ := http.NewRequest("POST", ts.URL+"/api/rules", strings.NewReader("{nonsense"))
+	req, _ := http.NewRequest("POST", ts.URL+"/api/v1/rules", strings.NewReader("{nonsense"))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestMalformedBodies(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Fatalf("malformed body = %d", resp.StatusCode)
 	}
-	req2, _ := http.NewRequest("POST", ts.URL+"/api/sessions", strings.NewReader(`{"unknown_field": 1}`))
+	req2, _ := http.NewRequest("POST", ts.URL+"/api/v1/sessions", strings.NewReader(`{"unknown_field": 1}`))
 	resp2, err := http.DefaultClient.Do(req2)
 	if err != nil {
 		t.Fatal(err)
@@ -338,11 +338,17 @@ func TestStatusCounterJSONKeys(t *testing.T) {
 		return v
 	}
 
+	// Every shed code has its counter, present at zero before any shed.
 	shed := section(section(doc, "admission"), "shed")
-	for _, key := range []string{"rate_limited", "overloaded", "backlog_full"} {
+	keys := []string{"rate_limited", "overloaded", "backlog_full",
+		"memory_pressure", "memory_degraded", "persistence_degraded"}
+	for _, key := range keys {
 		if n := num(shed, key); n != 0 {
 			t.Fatalf("shed.%s = %v on an unloaded server", key, n)
 		}
+	}
+	if len(shed) != len(keys) {
+		t.Fatalf("shed = %v, want exactly the keys %v", shed, keys)
 	}
 
 	kernels := section(doc, "kernels")

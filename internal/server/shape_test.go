@@ -12,7 +12,7 @@ import (
 	"cerfix/internal/dataset"
 )
 
-// Regression: /api/master must encode items as [] — never null — when
+// Regression: /api/v1/master must encode items as [] — never null — when
 // the store is empty or limit=0.
 func TestMasterListRowsNeverNull(t *testing.T) {
 	// Empty store.
@@ -23,8 +23,8 @@ func TestMasterListRowsNeverNull(t *testing.T) {
 	empty := httptest.NewServer(New(sys).Handler())
 	defer empty.Close()
 	for _, url := range []string{
-		empty.URL + "/api/master",
-		demoServer(t).URL + "/api/master?limit=0",
+		empty.URL + "/api/v1/master",
+		demoServer(t).URL + "/api/v1/master?limit=0",
 	} {
 		resp, err := http.Get(url)
 		if err != nil {
@@ -54,7 +54,7 @@ func TestValidatedOrderAgreesAcrossEndpoints(t *testing.T) {
 
 	// Batch path.
 	var batch batchResponse
-	doJSON(t, "POST", ts.URL+"/api/fix", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/fix", map[string]any{
 		"validated": seed,
 		"tuples":    []map[string]string{tuple},
 	}, 200, &batch)
@@ -66,7 +66,7 @@ func TestValidatedOrderAgreesAcrossEndpoints(t *testing.T) {
 	// Session path: assert the same four attributes at their current
 	// values, which drives the same chase.
 	var sess sessionJSON
-	doJSON(t, "POST", ts.URL+"/api/sessions", map[string]any{"tuple": tuple}, 201, &sess)
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", map[string]any{"tuple": tuple}, 201, &sess)
 	assertions := map[string]string{}
 	for _, a := range seed {
 		assertions[a] = tuple[a]
@@ -74,7 +74,7 @@ func TestValidatedOrderAgreesAcrossEndpoints(t *testing.T) {
 	var validated struct {
 		Session sessionJSON `json:"session"`
 	}
-	doJSON(t, "POST", ts.URL+"/api/sessions/"+strconv.FormatInt(sess.ID, 10)+"/validate",
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+strconv.FormatInt(sess.ID, 10)+"/validate",
 		map[string]any{"assertions": assertions}, 200, &validated)
 	sessOrder := validated.Session.Validated
 

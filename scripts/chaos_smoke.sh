@@ -109,6 +109,7 @@ echo "chaos smoke OK: daemon survived 413, runner panic and watchdog-stalled job
 # A second daemon whose heap is always past -mem-soft: job submissions
 # must shed with 429 memory_pressure + Retry-After while /status keeps
 # answering and reports the pressure state under guardrails.memory.
+# Each submission samples the heap itself, so the first one sheds.
 kill "$DAEMON" 2>/dev/null || true; wait "$DAEMON" 2>/dev/null || true
 "$BIN" -addr "127.0.0.1:$PORT" -demo -jobs-dir "$WORK/jobs2" -mem-soft 1B &
 DAEMON=$!
@@ -116,8 +117,6 @@ for _ in $(seq 1 100); do
   if curl -sf "$BASE/api/v1/status" > /dev/null 2>&1; then break; fi
   sleep 0.1
 done
-# Give the background sampler a tick to observe the heap.
-sleep 1.5
 STATUS=$(curl -s -o "$WORK/shed.json" -w '%{http_code}' -X POST "$BASE/api/v1/jobs" \
   -H 'Content-Type: application/json' \
   -d "{\"validated\":[\"phn\",\"type\",\"item\"],\"tuples\":[$(tuple 'EH7 4AH')]}")
