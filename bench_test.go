@@ -3,10 +3,9 @@
 // unexported state.
 package cerfix_test
 
-// Benchmarks, one (or more) per reproduced table/figure — see the
-// experiment index in DESIGN.md §4 and the recorded results in
-// EXPERIMENTS.md. The heavy lifting lives in internal/experiments so
-// cmd/cerfixbench prints the same numbers as these testing.B targets.
+// Benchmarks, one (or more) per reproduced table/figure. The heavy
+// lifting lives in internal/experiments so cmd/cerfixbench prints the
+// same numbers as these testing.B targets.
 //
 //	go test -bench=. -benchmem ./...
 

@@ -242,6 +242,52 @@ func TestMasterGrowthRefreshesRegions(t *testing.T) {
 	}
 }
 
+// Session IDs never repeat within a system: each write drops the
+// monitor, but the next one keeps counting, so a new session neither
+// reuses an older session's ID nor starts with its audit history.
+func TestSessionIDsSurviveWrites(t *testing.T) {
+	sys := demoSystem(t)
+	writes := []struct {
+		name  string
+		write func() error
+	}{
+		{"AddMasterRow", func() error {
+			return sys.AddMasterRow("Zoe", "New", "117", "5550001", "075550002",
+				"1 New Rd", "Brs", "BS1 1AA", "01/01/90", "F")
+		}},
+		{"LoadMasterCSV", func() error {
+			return sys.LoadMasterCSV(strings.NewReader("FN,LN,AC,Hphn,Mphn,str,city,zip,DOB,gender\n" +
+				"Ann,Old,131,5550003,075550004,2 Old Rd,Edi,EH1 1AA,02/02/80,F\n"))
+		}},
+		{"AddRule", func() error { return sys.AddRule(`phi10: match zip~zip set city := city`) }},
+		{"SetRegionOptions", func() error { sys.SetRegionOptions(&RegionOptions{K: 1}); return nil }},
+	}
+	first, err := sys.NewSession(dataset.DemoInputFig3().Map())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Validate(map[string]string{"zip": "NW1 6XE"}); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int64]string{first.ID: "first"}
+	for _, w := range writes {
+		if err := w.write(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		sess, err := sys.NewSession(dataset.DemoInputFig3().Map())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, dup := seen[sess.ID]; dup {
+			t.Fatalf("after %s: session ID %d repeats the %s session's", w.name, sess.ID, prev)
+		}
+		seen[sess.ID] = "after " + w.name
+		if h := sys.Audit().TupleHistory(sess.ID); len(h) != 0 {
+			t.Fatalf("after %s: new session %d already has %d audit records", w.name, sess.ID, len(h))
+		}
+	}
+}
+
 // The audit log survives a save/load cycle of the *master data* only —
 // the log itself is runtime state and stays with the in-memory system.
 func TestAuditCSVThroughFacade(t *testing.T) {

@@ -1,5 +1,5 @@
 // Command cerfixbench regenerates every table/figure of the CerFix
-// reproduction as aligned text tables. Experiments (see DESIGN.md §4):
+// reproduction as aligned text tables. Experiments:
 //
 //	e1 — Fig. 2: rule-set consistency analysis
 //	e2 — Fig. 3: monitor interaction walkthrough
@@ -103,7 +103,7 @@ func runE1() error {
 	tbl := textutil.NewTextTable("rules", "consistent", "errors", "warnings", "CR probes", "elapsed")
 	tbl.AddRowf(res.Rules, res.Consistent, res.Errors, res.Warnings, res.ProbesRun, res.Elapsed.String())
 	fmt.Print(tbl.String())
-	fmt.Println("(cross-entity warnings are expected: they require contradictory user assertions; see DESIGN.md §5)")
+	fmt.Println("(cross-entity warnings are expected: they require contradictory user assertions)")
 	return nil
 }
 

@@ -55,13 +55,25 @@ func (r Record) String() string {
 
 // Log is a thread-safe audit log.
 type Log struct {
-	mu      sync.RWMutex
-	records []Record
-	nextSeq int
+	mu        sync.RWMutex
+	records   []Record
+	nextSeq   int
+	lastTuple int64
 }
 
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{nextSeq: 1} }
+
+// NewTupleID allocates the ID under which a new tuple's records are
+// kept: 1, 2, 3, ... never repeating within the log. Every monitor
+// sharing the log draws from it, so sessions opened on successive
+// monitors of one system never share an ID or a history.
+func (l *Log) NewTupleID() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lastTuple++
+	return l.lastTuple
+}
 
 // RecordUser logs a user validation of one attribute.
 func (l *Log) RecordUser(tupleID int64, attr string, old, new value.V) {

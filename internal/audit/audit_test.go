@@ -202,6 +202,24 @@ func TestCSVExportRoundTrip(t *testing.T) {
 	}
 }
 
+// An import keeps the records' tuple IDs, so the next allocated ID
+// must come after them or a new tuple would inherit an imported
+// history.
+func TestCSVImportAdvancesTupleIDs(t *testing.T) {
+	l := NewLog()
+	if id := l.NewTupleID(); id != 1 {
+		t.Fatalf("first NewTupleID = %d, want 1", id)
+	}
+	src := "seq,tuple_id,attr,old,new,source,rule_id,master_id,round\n" +
+		"1,5,zip,EH8,EH8 4AH,user,,0,0\n1,3,AC,020,131,rule,phi1,7,1\n"
+	if err := l.ReadCSV(strings.NewReader(src)); err != nil {
+		t.Fatal(err)
+	}
+	if id := l.NewTupleID(); id != 6 {
+		t.Fatalf("NewTupleID after importing tuples 5 and 3 = %d, want 6", id)
+	}
+}
+
 func TestCSVImportErrors(t *testing.T) {
 	l := NewLog()
 	cases := []string{

@@ -48,7 +48,8 @@ func (l *Log) WriteCSV(w io.Writer) error {
 
 // ReadCSV imports records previously written by WriteCSV, appending
 // them with fresh sequence numbers (the log is append-only; original
-// sequence order is preserved by file order).
+// sequence order is preserved by file order). Imported records keep
+// their tuple IDs, so NewTupleID continues past the largest one.
 func (l *Log) ReadCSV(r io.Reader) error {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -95,6 +96,7 @@ func (l *Log) ReadCSV(r io.Reader) error {
 			Round:    round,
 		})
 		l.nextSeq++
+		l.lastTuple = max(l.lastTuple, tupleID)
 		l.mu.Unlock()
 	}
 }

@@ -1,10 +1,9 @@
 // Package experiments implements the reproduction drivers for every
 // table/figure of the paper's demonstration (E1–E3) and the
 // scalability/accuracy experiment families its modules inherit from
-// the companion paper [7] (E4–E7). DESIGN.md carries the experiment
-// index; EXPERIMENTS.md records paper-reported vs measured values.
-// Both cmd/cerfixbench and the root testing.B benchmarks call into
-// this package so the numbers come from one implementation.
+// the companion paper [7] (E4–E7). Both cmd/cerfixbench and the root
+// testing.B benchmarks call into this package so the numbers come from
+// one implementation.
 package experiments
 
 import (
@@ -147,8 +146,7 @@ type E3Result struct {
 	// PerAttr is the Fig. 4 per-attribute user%/auto% table.
 	PerAttr []audit.AttrStats
 	// Overall aggregates all attributes (the paper's "20% user / 80%
-	// auto" claim; see EXPERIMENTS.md for the measured split and the
-	// discussion of the gap).
+	// auto" claim).
 	Overall audit.AttrStats
 	// RewriteShare is the fraction of auto-validated cells whose value
 	// was actually rewritten (vs confirmed).

@@ -33,7 +33,6 @@ type Monitor struct {
 	eng     *core.Engine
 	regions []*region.Region
 	log     *audit.Log
-	nextID  int64
 	greedy  bool
 }
 
@@ -45,7 +44,8 @@ type Options struct {
 	Regions []*region.Region
 	// RegionK bounds region computation when Regions is nil.
 	RegionK int
-	// Log supplies a shared audit log; nil creates a fresh one.
+	// Log supplies a shared audit log, which also allocates session
+	// IDs; nil creates a fresh one.
 	Log *audit.Log
 	// GreedySuggestions switches new-suggestion computation from the
 	// exact minimal extension (exponential worst case, default) to the
@@ -57,7 +57,7 @@ type Options struct {
 
 // New builds a monitor for the engine.
 func New(eng *core.Engine, opts *Options) *Monitor {
-	m := &Monitor{eng: eng, nextID: 1}
+	m := &Monitor{eng: eng}
 	if opts != nil {
 		m.greedy = opts.GreedySuggestions
 	}
@@ -90,7 +90,9 @@ func (m *Monitor) Log() *audit.Log { return m.log }
 // Session is one tuple's interactive fixing session.
 type Session struct {
 	m *Monitor
-	// ID identifies the session (and the tuple in the audit log).
+	// ID identifies the session (and the tuple in the audit log). The
+	// log allocates it, so it never repeats among the sessions of
+	// monitors that share a log.
 	ID int64
 	// Original is the tuple as entered.
 	Original *schema.Tuple
@@ -110,14 +112,12 @@ func (m *Monitor) NewSession(t *schema.Tuple) (*Session, error) {
 		return nil, fmt.Errorf("monitor: tuple schema %s does not match input schema %s",
 			t.Schema.Name(), m.eng.InputSchema().Name())
 	}
-	s := &Session{
+	return &Session{
 		m:        m,
-		ID:       m.nextID,
+		ID:       m.log.NewTupleID(),
 		Original: t.Clone(),
 		Tuple:    t.Clone(),
-	}
-	m.nextID++
-	return s, nil
+	}, nil
 }
 
 // Done reports whether every attribute is validated.

@@ -254,61 +254,3 @@ func negateCondition(c Condition) ([]Condition, bool) {
 		return nil, false
 	}
 }
-
-// Tableau is an ordered set of pattern tuples over a shared attribute
-// list Z — the Tc component of a certain region. A tuple "matches the
-// tableau" when it matches at least one row (disjunction of rows).
-type Tableau struct {
-	// Z lists the attributes the tableau speaks about, in a canonical
-	// (sorted) order.
-	Z []string
-	// Rows are the pattern tuples; each row's conditions mention only
-	// attributes in Z.
-	Rows []Pattern
-}
-
-// NewTableau builds a tableau over attrs (copied, sorted).
-func NewTableau(attrs []string) *Tableau {
-	z := append([]string(nil), attrs...)
-	sort.Strings(z)
-	return &Tableau{Z: z}
-}
-
-// AddRow appends a row after checking its scope is within Z. Duplicate
-// rows (same string form) are dropped.
-func (tb *Tableau) AddRow(p Pattern) bool {
-	for _, a := range p.Attrs() {
-		if !contains(tb.Z, a) {
-			return false
-		}
-	}
-	key := p.String()
-	for _, r := range tb.Rows {
-		if r.String() == key {
-			return true
-		}
-	}
-	tb.Rows = append(tb.Rows, p)
-	return true
-}
-
-// Matches reports whether t matches at least one row. An empty tableau
-// matches nothing (no guarantee rows — no coverage); a tableau
-// containing an empty pattern row matches everything.
-func (tb *Tableau) Matches(t *schema.Tuple) bool {
-	for _, r := range tb.Rows {
-		if r.Matches(t) {
-			return true
-		}
-	}
-	return false
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}

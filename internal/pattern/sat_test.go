@@ -164,7 +164,7 @@ func TestNegateLtGt(t *testing.T) {
 
 func TestTableau(t *testing.T) {
 	sch := satSchema(t)
-	tb := NewTableau([]string{"b", "a"})
+	tb := NewTableau(sch, []string{"b", "a"})
 	if tb.Z[0] != "a" || tb.Z[1] != "b" {
 		t.Fatalf("Z not sorted: %v", tb.Z)
 	}
@@ -187,7 +187,7 @@ func TestTableau(t *testing.T) {
 	if tb.Matches(tu2) {
 		t.Error("non-matching tuple matched")
 	}
-	empty := NewTableau([]string{"a"})
+	empty := NewTableau(sch, []string{"a"})
 	if empty.Matches(tu) {
 		t.Error("empty tableau must match nothing")
 	}

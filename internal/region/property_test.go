@@ -1,6 +1,7 @@
 package region
 
 import (
+	"strings"
 	"testing"
 
 	"cerfix/internal/core"
@@ -29,7 +30,6 @@ func TestRegionGuaranteeAtScale(t *testing.T) {
 	if len(regions) == 0 {
 		t.Fatal("no regions at scale")
 	}
-	input := eng.InputSchema()
 	checked := 0
 	for _, reg := range regions {
 		rows := reg.Tableau.Rows
@@ -37,27 +37,39 @@ func TestRegionGuaranteeAtScale(t *testing.T) {
 			rows = rows[:10] // sample
 		}
 		for _, row := range rows {
-			tu, ok := tupleForRow(input, row)
-			if !ok {
-				continue
+			if checkRowGuarantee(t, eng, reg, row) {
+				checked++
 			}
-			if !reg.Covers(tu) {
-				t.Fatalf("region %v: canonical tuple does not match its own row", reg)
-			}
-			res := eng.Chase(tu, reg.Z)
-			if !res.AllValidated() {
-				t.Fatalf("region %v row %v: incomplete chase (missing %v)",
-					reg, row, schema.FullSet(input).Minus(res.Validated).Format(input))
-			}
-			if len(res.Conflicts) != 0 {
-				t.Fatalf("region %v row %v: conflicts %v", reg, row, res.Conflicts)
-			}
-			checked++
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no rows verified")
 	}
+}
+
+// checkRowGuarantee chases the canonical tuple of row with Z asserted:
+// the tuple must be covered by its own region, and the chase must
+// validate every attribute without conflicts. It reports false when
+// the row has no equality/inequality canonical tuple.
+func checkRowGuarantee(t *testing.T, eng *core.Engine, reg *Region, row pattern.Pattern) bool {
+	t.Helper()
+	input := eng.InputSchema()
+	tu, ok := tupleForRow(input, row)
+	if !ok {
+		return false
+	}
+	if !reg.Covers(tu) {
+		t.Fatalf("region %v: canonical tuple does not match its own row", reg)
+	}
+	res := eng.Chase(tu, reg.Z)
+	if !res.AllValidated() {
+		t.Fatalf("region %v row %v: incomplete chase (missing %v)",
+			reg, row, schema.FullSet(input).Minus(res.Validated).Format(input))
+	}
+	if len(res.Conflicts) != 0 {
+		t.Fatalf("region %v row %v: conflicts %v", reg, row, res.Conflicts)
+	}
+	return true
 }
 
 // tupleForRow builds a tuple satisfying an equality/inequality row,
@@ -98,26 +110,27 @@ func TestFinderDeterministic(t *testing.T) {
 	}
 }
 
-// MaxTableauRows caps rows without breaking soundness (rows present
-// still verify).
+// Tableaux have no row cap: at 3,500 entities the region
+// {FN, LN, item, phn, type, zip} holds two rows per entity, and every
+// row past the old 4,096-row cap keeps the region's guarantee.
 func TestMaxTableauRowsCap(t *testing.T) {
-	g := dataset.NewCustomerGen(78)
-	entities := g.GenerateEntities(30)
-	st, err := dataset.MasterStore(entities)
-	if err != nil {
-		t.Fatal(err)
+	eng, _, _ := custEngine(t, 1, 3500)
+	const oldCap = 4096
+	var reg *Region
+	for _, r := range NewFinder(eng).TopK(nil) {
+		if strings.Join(r.AttrNames(), ",") == "FN,LN,item,phn,type,zip" {
+			reg = r
+		}
 	}
-	eng, err := core.NewEngine(dataset.CustSchema(), dataset.DemoRules(), st)
-	if err != nil {
-		t.Fatal(err)
+	if reg == nil {
+		t.Fatal("region {FN, LN, item, phn, type, zip} not found")
 	}
-	regions := NewFinder(eng).TopK(&Options{MaxTableauRows: 5})
-	if len(regions) == 0 {
-		t.Fatal("no regions")
+	if len(reg.Tableau.Rows) <= oldCap {
+		t.Fatalf("region %v: %d rows, want more than %d", reg, len(reg.Tableau.Rows), oldCap)
 	}
-	for _, reg := range regions {
-		if len(reg.Tableau.Rows) > 5 {
-			t.Fatalf("cap violated: %d rows", len(reg.Tableau.Rows))
+	for _, row := range reg.Tableau.Rows[oldCap:] {
+		if !checkRowGuarantee(t, eng, reg, row) {
+			t.Fatalf("region %v row %v: no canonical tuple", reg, row)
 		}
 	}
 }

@@ -23,8 +23,11 @@
 //
 // Minimal-Z search is exact (subset enumeration by ascending size,
 // inclusion-minimality check) for small schemas and greedy for wide
-// ones. Finding minimum regions is intractable in general [7]; the cap
-// knobs in Options keep the search bounded and documented.
+// ones. Finding minimum regions is intractable in general [7]; the
+// search caps in Options keep the Z search bounded. Tableaux are not
+// capped: each holds one row per verified master tuple and cell, keyed
+// on the values the row pins (pattern.Tableau), so building one is
+// linear in master size and Covers costs one probe per row group.
 package region
 
 import (
@@ -60,7 +63,8 @@ func (r *Region) AttrNames() []string { return r.Z.SortedNames(r.input) }
 
 // Covers reports whether t is covered: t[Z] must match a tableau row.
 // (Correctness of t[Z] is the user's assertion and cannot be checked
-// here.)
+// here.) It is exact at any master size and costs one probe per row
+// group of the tableau.
 func (r *Region) Covers(t *schema.Tuple) bool { return r.Tableau.Matches(t) }
 
 // String renders "({a, b}, 3 rows)".
@@ -68,7 +72,8 @@ func (r *Region) String() string {
 	return fmt.Sprintf("({%s}, %d rows)", strings.Join(r.AttrNames(), ", "), len(r.Tableau.Rows))
 }
 
-// Options tunes the finder.
+// Options tunes the finder. Its caps bound the search for Z sets;
+// tableaux keep every verified row.
 type Options struct {
 	// K is the number of regions to return (top-k by ascending |Z|);
 	// 0 means all found.
@@ -85,16 +90,10 @@ type Options struct {
 	// MaxExactSubsetSize caps the subset size the exact search will
 	// enumerate (0 = default: all sizes).
 	MaxExactSubsetSize int
-	// MaxTableauRows caps rows per region (0 = default 4096). With
-	// large master relations the tableau is a sample: coverage checks
-	// stay sound (a row only exists if verified) but Covers may return
-	// false negatives beyond the cap; the monitor then falls back to
-	// suggestion computation, which is always available.
-	MaxTableauRows int
 }
 
 func (o *Options) withDefaults() Options {
-	out := Options{MaxRegionsPerCell: 8, MaxCells: 64, MaxTableauRows: 4096}
+	out := Options{MaxRegionsPerCell: 8, MaxCells: 64}
 	if o == nil {
 		return out
 	}
@@ -105,9 +104,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if o.MaxCells > 0 {
 		out.MaxCells = o.MaxCells
-	}
-	if o.MaxTableauRows > 0 {
-		out.MaxTableauRows = o.MaxTableauRows
 	}
 	out.MaxExactSubsetSize = o.MaxExactSubsetSize
 	return out
@@ -158,12 +154,12 @@ func (f *Finder) TopK(opts *Options) []*Region {
 			if !ok {
 				reg = &Region{
 					Z:       z,
-					Tableau: pattern.NewTableau(z.SortedNames(input)),
+					Tableau: pattern.NewTableau(input, z.SortedNames(input)),
 					input:   input,
 				}
 				byZ[z] = reg
 			}
-			added := f.instantiateRows(reg, z, c, admit, rules, o.MaxTableauRows)
+			added := f.instantiateRows(reg, z, c, admit, rules)
 			if added > 0 {
 				reg.Cells = append(reg.Cells, c.name)
 			}
@@ -357,7 +353,7 @@ func forEachSubset(candidates []int, k int, fn func(schema.AttrSet) bool) {
 // instantiateRows adds one tableau row per master tuple whose
 // row-canonical tuple chases to a full validation. Returns the number
 // of rows added.
-func (f *Finder) instantiateRows(reg *Region, z schema.AttrSet, c cell, admit core.RuleFilter, rules []*rule.Rule, maxRows int) int {
+func (f *Finder) instantiateRows(reg *Region, z schema.AttrSet, c cell, admit core.RuleFilter, rules []*rule.Rule) int {
 	input := f.eng.InputSchema()
 	added := 0
 	// Attributes of Z bound by active-rule match correspondences: the
@@ -386,9 +382,6 @@ func (f *Finder) instantiateRows(reg *Region, z schema.AttrSet, c cell, admit co
 		}
 	}
 	for _, s := range f.eng.Master().All() {
-		if maxRows > 0 && len(reg.Tableau.Rows) >= maxRows {
-			break
-		}
 		conds := append([]pattern.Condition{}, rowConds...)
 		ok := true
 		for _, b := range bindings {

@@ -219,6 +219,35 @@ func TestSessionWalkthrough(t *testing.T) {
 	}
 }
 
+// A master insert drops the server's monitor, but session IDs keep
+// counting: the session opened before the insert stays readable under
+// its own ID instead of being replaced by the next one.
+func TestSessionIDsSurviveMasterInsert(t *testing.T) {
+	ts := demoServer(t)
+	open := func(fn string) sessionJSON {
+		tu := dataset.DemoInputFig3().Map()
+		tu["FN"] = fn
+		var sess sessionJSON
+		doJSON(t, "POST", ts.URL+"/api/v1/sessions", map[string]any{"tuple": tu}, 201, &sess)
+		return sess
+	}
+	alice := open("Alice")
+	doJSON(t, "POST", ts.URL+"/api/v1/master", map[string]any{
+		"values": map[string]string{"FN": "New", "LN": "Person", "zip": "XX1 1XX"},
+	}, 201, nil)
+	bob := open("Bob")
+	if bob.ID == alice.ID {
+		t.Fatalf("Bob's session reuses Alice's ID %d", alice.ID)
+	}
+	for _, want := range []sessionJSON{alice, bob} {
+		var got sessionJSON
+		doJSON(t, "GET", fmt.Sprintf("%s/api/v1/sessions/%d", ts.URL, want.ID), nil, 200, &got)
+		if got.Tuple["FN"] != want.Tuple["FN"] {
+			t.Fatalf("GET session %d: FN = %q, want %q", want.ID, got.Tuple["FN"], want.Tuple["FN"])
+		}
+	}
+}
+
 func TestSessionErrors(t *testing.T) {
 	ts := demoServer(t)
 	doJSON(t, "GET", ts.URL+"/api/v1/sessions/99", nil, 404, nil)

@@ -8,7 +8,7 @@ import (
 // TextTable accumulates rows and renders them as an aligned plain-text
 // table. The benchmark harness uses it to print the same row/series
 // layout the paper's figures report, so "paper shape vs measured shape"
-// can be eyeballed from terminal output and pasted into EXPERIMENTS.md.
+// can be eyeballed from terminal output.
 type TextTable struct {
 	header []string
 	rows   [][]string
