@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -76,7 +77,8 @@ func assertArtifact(t *testing.T, path string, want [][]byte, ctx string) {
 // the run's journals and results streaming, the done journal — and for
 // each prefix and each unsynced-loss variant asserts the recovery
 // invariants: the directory always reopens cleanly, crash residue is
-// never mistaken for corruption, and an acknowledged job is either
+// never mistaken for corruption, a torn submit leaves nothing behind,
+// and an acknowledged job is either
 // cleanly re-queued (and re-runnable to the byte-exact artifact) or
 // already done with a complete artifact. Never lost, never half-done.
 func TestCrashSweepJobLifecycle(t *testing.T) {
@@ -151,6 +153,17 @@ func TestCrashSweepJobLifecycle(t *testing.T) {
 			if q := m2.Stats().Quarantined; q != 0 {
 				t.Fatalf("crash at op %d keep=%v: crash residue quarantined as corruption (%d)", k, keep, q)
 			}
+			// A torn submit is removed, not left behind: every entry is
+			// a recovered job or a quarantine.
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if _, gerr := m2.Get(e.Name()); gerr != nil && !strings.HasSuffix(e.Name(), ".corrupt") {
+					t.Fatalf("crash at op %d keep=%v: %s is neither a recovered job nor a quarantine", k, keep, e.Name())
+				}
+			}
 			if ackedID != "" {
 				// The acknowledged job survived: re-queued or done. Drive
 				// it to completion and demand the byte-exact artifact.
@@ -168,6 +181,112 @@ func TestCrashSweepJobLifecycle(t *testing.T) {
 				t.Fatalf("crash at op %d keep=%v: close: %v", k, keep, err)
 			}
 		}
+	}
+}
+
+// TestRecoverLeavesForeignDirectories pins what restart recovery may
+// delete. A directory named as a job ID with no journal is a torn
+// submit and goes; the jobs directory need not be dedicated, so every
+// other entry — input files, an instance directory, a .git, names
+// that only look like an ID — survives Open with its contents. A torn
+// submit that cannot be removed is left in place and does not fail
+// Open.
+func TestRecoverLeavesForeignDirectories(t *testing.T) {
+	eng, _, _ := testWorkload(t, 5, 5)
+	dir := t.TempDir()
+	write := func(rel string) {
+		p := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(rel), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	foreign := []string{
+		"inputs/dirty.csv",
+		"instance/master.csv",
+		".git/HEAD",
+		"jobs/notes.txt",
+		"j12/notes.txt",      // not zero-padded
+		"j000003x/notes.txt", // an ID plus a suffix
+		"j+00004/notes.txt",  // a sign
+		"j000000/notes.txt",  // sequence 0 is never allocated
+	}
+	for _, rel := range foreign {
+		write(rel)
+	}
+	write("j000002/input.jsonl") // torn submit
+	write("j000005/input.jsonl") // torn submit whose removal fails
+
+	inj := faultfs.NewInjector(faultfs.OS)
+	inj.FailNth(faultfs.OpRemoveAll, "j000005", 1, syscall.EIO)
+	m, err := Open(faultConfig(dir, eng, inj))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer m.Close(context.Background())
+	for _, rel := range foreign {
+		if data, err := os.ReadFile(filepath.Join(dir, rel)); err != nil || string(data) != rel {
+			t.Errorf("%s did not survive Open: %q, %v", rel, data, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "j000002")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("torn submit j000002 not removed: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "j000005", "input.jsonl")); err != nil {
+		t.Errorf("torn submit whose removal failed: %v", err)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Errorf("recovered %d jobs from foreign and torn directories", len(jobs))
+	}
+}
+
+// TestJobSyncLedger pins the fsyncs one inline job makes, in order —
+// the ledger in ARCHITECTURE.md's failure model, which gives each its
+// reason: the input before the queued journal acknowledges the job,
+// each journal's temp file and then its directory entry, and the
+// results before the done journal.
+func TestJobSyncLedger(t *testing.T) {
+	eng, dirty, validated := testWorkload(t, 20, 10)
+	dir := t.TempDir()
+	inj := faultfs.NewInjector(faultfs.OS)
+	m, err := Open(faultConfig(dir, eng, inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := submitTuples(m, validated, dirty[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, m, j.ID); got.State != StateDone {
+		t.Fatalf("job ended %s (%s)", got.State, got.Error)
+	}
+	if err := m.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, st := range inj.Trace() {
+		if st.Op == faultfs.OpSync || st.Op == faultfs.OpSyncDir {
+			rel, err := filepath.Rel(dir, st.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, string(st.Op)+" "+filepath.ToSlash(rel))
+		}
+	}
+	want := []string{
+		"sync j000001/input.jsonl",
+		"sync j000001/.job.json.tmp", // queued
+		"syncdir j000001",
+		"sync j000001/.job.json.tmp", // running
+		"syncdir j000001",
+		"sync j000001/results.jsonl",
+		"sync j000001/.job.json.tmp", // done
+		"syncdir j000001",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("sync sequence:\n got %q\nwant %q", got, want)
 	}
 }
 

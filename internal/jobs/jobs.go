@@ -35,19 +35,34 @@
 //	    job.json       — the journal record: spec, state, timestamps,
 //	                     final stats; rewritten atomically (temp file
 //	                     + rename) on every transition
-//	    input.jsonl    — inline tuples materialized at submit time
-//	                     (absent for server-side file inputs)
+//	    input.jsonl    — inline tuples, one canonical JSONL line each,
+//	                     written as the submission streams in (absent
+//	                     for server-side file inputs)
 //	    results.jsonl  — the results artifact, one TupleResult object
 //	                     per input tuple in input order
 //
 // job.json is the source of truth at recovery: on Open, every job
 // found queued or running is re-queued (its partial results artifact
-// is discarded), and terminal jobs are retained for listing.
+// is discarded), and terminal jobs are retained for listing. A
+// directory named as a job ID with no job.json is a torn submit, never
+// acknowledged, and is removed; no other entry of Config.Dir is, so
+// the directory need not be dedicated to jobs.
 //
 // The results artifact uses the same per-tuple JSON shape as the
 // synchronous POST /api/fix results array, so an async job's output
 // is byte-identical, line for line, to the sync path for the same
 // input.
+//
+// # Inline submission
+//
+// Inline tuples are streamed, not materialized after the fact:
+// BeginInline reserves a backlog slot and opens input.jsonl, Add
+// appends each tuple as it is decoded, and Commit fsyncs the file and
+// journals the job queued (Abort removes it all). The HTTP handler
+// feeds it straight from the request body, so no decoded copy of the
+// submission ever exists; SubmitInline wraps the same calls for
+// callers that already hold the tuples. Admit is the cheap check a
+// submitter makes before reading any input.
 package jobs
 
 import (

@@ -402,7 +402,8 @@ func TestJobRemoveLiveRefused(t *testing.T) {
 
 func TestJobSubmitValidation(t *testing.T) {
 	eng, dirty, validated := testWorkload(t, 5, 5)
-	m, err := Open(Config{Dir: t.TempDir(), Schema: dataset.CustSchema(), Snapshot: eng.Snapshot})
+	dir := t.TempDir()
+	m, err := Open(Config{Dir: dir, Schema: dataset.CustSchema(), Snapshot: eng.Snapshot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,6 +420,17 @@ func TestJobSubmitValidation(t *testing.T) {
 	}
 	if _, err := m.SubmitInline(validated, []map[string]string{{"bogus": "x"}}); err == nil {
 		t.Fatal("tuple with unknown attribute accepted")
+	}
+	// A refused inline submission leaves no directory and no backlog
+	// reservation behind.
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("refused submissions left %d entries (%v)", len(entries), err)
+	}
+	m.mu.Lock()
+	reserved := m.reserved
+	m.mu.Unlock()
+	if reserved != 0 {
+		t.Fatalf("refused submissions left %d reservations", reserved)
 	}
 	// No InputRoot configured: every server-side path is refused.
 	if _, err := m.SubmitFile(validated, "/definitely/not/there.csv", FormatCSV); err == nil {

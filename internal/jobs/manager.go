@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
@@ -177,9 +178,10 @@ type Manager struct {
 	// quarantined counts job directories set aside at recovery because
 	// their journal failed its checksum (surfaced in QueueStats).
 	quarantined int
-	// reserved counts submissions between backlog admission and
-	// appearing in jobs — in-flight enqueues hold a reservation so
-	// concurrent submitters cannot jointly overshoot MaxQueued.
+	// reserved counts submissions between their backlog reservation
+	// (allocate) and appearing in jobs, a streaming inline upload for
+	// its whole length, so concurrent submitters cannot jointly
+	// overshoot MaxQueued.
 	reserved int
 	// closed stops the worker from starting new jobs; Close waits for
 	// the in-flight one.
@@ -319,7 +321,8 @@ func Open(cfg Config) (*Manager, error) {
 }
 
 // recover scans the directory and rebuilds the in-memory table from
-// the job.json journals. A journal that exists but fails its
+// the job.json journals, removing torn submits (directories named as a
+// job ID with no journal). A journal that exists but fails its
 // integrity check (bad JSON, checksum mismatch, wrong ID) is real
 // corruption, not a torn submit: the whole job directory is set aside
 // as <id>.corrupt for inspection — never run, never silently dropped
@@ -333,12 +336,28 @@ func (m *Manager) recover() error {
 		if !e.IsDir() || strings.HasSuffix(e.Name(), ".corrupt") {
 			continue
 		}
+		seq, isJob := jobSeq(e.Name())
 		dir := filepath.Join(m.cfg.Dir, e.Name())
 		data, err := m.fs.ReadFile(filepath.Join(dir, "job.json"))
+		if errors.Is(err, fs.ErrNotExist) {
+			// No journal. Under a job ID this is a torn submit,
+			// interrupted before its journal rename, so never
+			// acknowledged: nothing will ever run or list it, and a
+			// later submit reuses its ID only if no later job was
+			// recovered, so remove it now. Any other name is not the
+			// manager's (the jobs directory need not be dedicated) and
+			// is left alone.
+			if isJob {
+				if err := m.fs.RemoveAll(dir); err != nil {
+					log.Printf("jobs: %s: removing torn submit failed: %v", dir, err)
+				}
+			}
+			continue
+		}
 		if err != nil {
-			// A directory without a readable journal is a torn submit
-			// (the crash hit before the journal rename); nothing was
-			// acknowledged, so skip it rather than refuse to start.
+			// Unreadable for another reason: it may hide an
+			// acknowledged job, so leave it on disk and skip it rather
+			// than refuse to start.
 			continue
 		}
 		rec, derr := decodeJournal(data)
@@ -361,8 +380,8 @@ func (m *Manager) recover() error {
 			}
 		}
 		m.jobs[rec.ID] = j
-		if n, err := strconv.Atoi(e.Name()[1:]); err == nil && n > m.seq {
-			m.seq = n
+		if isJob && seq > m.seq {
+			m.seq = seq
 		}
 	}
 	return nil
@@ -477,54 +496,6 @@ func (m *Manager) validateAttrs(validated []string) error {
 	return nil
 }
 
-// SubmitInline queues a job over tuples given directly; they are
-// materialized to the job's input.jsonl so the job survives restarts.
-func (m *Manager) SubmitInline(validated []string, tuples []map[string]string) (Job, error) {
-	// Shed before the O(tuples) parse below — under overload the
-	// rejection itself must stay cheap. enqueue re-checks
-	// authoritatively under its reservation.
-	if err := m.backlogRoom(); err != nil {
-		return Job{}, err
-	}
-	if err := m.healthGate(); err != nil {
-		return Job{}, err
-	}
-	if err := m.validateAttrs(validated); err != nil {
-		return Job{}, err
-	}
-	if len(tuples) == 0 {
-		return Job{}, invalid(errors.New("jobs: no tuples"))
-	}
-	// Parse now so submission fails fast on malformed input.
-	for i, tm := range tuples {
-		if _, err := schema.TupleFromMap(m.cfg.Schema, tm); err != nil {
-			return Job{}, invalid(fmt.Errorf("jobs: tuple %d: %w", i, err))
-		}
-	}
-	return m.enqueue(validated, "input.jsonl", FormatJSONL, func(dir string) error {
-		// The materialized input must be durable before the journal
-		// acknowledges the job: on restart the job is re-run from this
-		// file, so an unsynced copy could vanish with the crash that
-		// made the re-run necessary.
-		f, err := faultfs.Create(m.fs, filepath.Join(dir, "input.jsonl"))
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		for _, tm := range tuples {
-			if err := enc.Encode(tm); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	})
-}
-
 // SubmitFile queues a job over a server-side CSV or JSONL file. The
 // path must resolve inside Config.InputRoot (the daemon must not
 // become an arbitrary-file reader for any HTTP client) and stay
@@ -547,7 +518,11 @@ func (m *Manager) SubmitFile(validated []string, path, format string) (Job, erro
 	if _, err := os.Stat(abs); err != nil {
 		return Job{}, invalid(fmt.Errorf("jobs: input: %w", err))
 	}
-	return m.enqueue(validated, abs, format, nil)
+	id, dir, err := m.allocate()
+	if err != nil {
+		return Job{}, err
+	}
+	return m.enqueue(id, dir, validated, abs, format)
 }
 
 // confineInput resolves path and rejects anything outside InputRoot,
@@ -575,46 +550,72 @@ func (m *Manager) confineInput(path string) (string, error) {
 	return resolved, nil
 }
 
-// enqueue allocates the job directory, runs the optional materializer
-// inside it, journals the queued record and wakes the worker. The
-// backlog bound is enforced here, under the lock, BEFORE any disk
-// work: a shed submission leaves no trace, and the reservation held
-// until the job lands in the table keeps concurrent submitters from
-// jointly overshooting MaxQueued.
-func (m *Manager) enqueue(validated []string, input, format string, materialize func(dir string) error) (Job, error) {
+// Admit is the advisory admission check a submitter makes before it
+// reads any input: ErrClosed while the manager shuts down,
+// ErrBacklogFull while MaxQueued jobs wait (uploads in progress
+// included), and ErrDegraded while persistence is unhealthy. It does
+// no job-directory work, so a shed submission costs nothing (while
+// degraded, the health gate may run its rate-limited probe).
+// BeginInline and SubmitFile re-check authoritatively.
+func (m *Manager) Admit() error {
 	m.mu.Lock()
+	err := m.admitLocked()
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return m.healthGate()
+}
+
+// admitLocked checks shutdown and the backlog bound. Callers hold m.mu.
+func (m *Manager) admitLocked() error {
 	if m.closed {
-		m.mu.Unlock()
-		return Job{}, ErrClosed
+		return ErrClosed
 	}
 	if m.cfg.MaxQueued > 0 && m.queuedLocked() >= m.cfg.MaxQueued {
+		return ErrBacklogFull
+	}
+	return nil
+}
+
+// allocate is the authoritative admission: under the lock, BEFORE any
+// disk work, it checks shutdown and the backlog bound, takes a backlog
+// reservation and allocates the job ID; then it creates the job
+// directory. A shed submission leaves no trace, and the reservation —
+// held until enqueue puts the job in the table or the submission is
+// abandoned (release) — keeps concurrent submitters from jointly
+// overshooting MaxQueued.
+func (m *Manager) allocate() (id, dir string, err error) {
+	m.mu.Lock()
+	if err := m.admitLocked(); err != nil {
 		m.mu.Unlock()
-		return Job{}, ErrBacklogFull
+		return "", "", err
 	}
 	m.reserved++
 	m.seq++
-	id := fmt.Sprintf("j%06d", m.seq)
+	id = jobID(m.seq)
 	m.mu.Unlock()
-	release := func() {
-		m.mu.Lock()
-		m.reserved--
-		m.mu.Unlock()
-	}
 
-	dir := filepath.Join(m.cfg.Dir, id)
+	dir = filepath.Join(m.cfg.Dir, id)
 	if err := m.fs.MkdirAll(dir, 0o755); err != nil {
-		release()
+		m.release()
 		m.reportHealth(err)
-		return Job{}, fmt.Errorf("jobs: %w", err)
+		return "", "", fmt.Errorf("jobs: %w", err)
 	}
-	if materialize != nil {
-		if err := materialize(dir); err != nil {
-			_ = m.fs.RemoveAll(dir)
-			release()
-			m.reportHealth(err)
-			return Job{}, fmt.Errorf("jobs: %w", err)
-		}
-	}
+	return id, dir, nil
+}
+
+// release returns a backlog reservation taken by allocate.
+func (m *Manager) release() {
+	m.mu.Lock()
+	m.reserved--
+	m.mu.Unlock()
+}
+
+// enqueue journals the queued record of an allocated job, moves its
+// reservation into the table and wakes a runner. On failure the job
+// directory is removed and the reservation released.
+func (m *Manager) enqueue(id, dir string, validated []string, input, format string) (Job, error) {
 	j := &job{
 		rec: Job{
 			ID:        id,
@@ -628,7 +629,7 @@ func (m *Manager) enqueue(validated []string, input, format string, materialize 
 	}
 	if err := m.persist(j); err != nil {
 		_ = m.fs.RemoveAll(dir)
-		release()
+		m.release()
 		return Job{}, err
 	}
 	m.mu.Lock()
@@ -640,20 +641,8 @@ func (m *Manager) enqueue(validated []string, input, format string, materialize 
 	return rec, nil
 }
 
-// backlogRoom is the advisory fast-path backlog check: it sheds
-// without disk or parse work when the queue is already full. The
-// authoritative check lives in enqueue.
-func (m *Manager) backlogRoom() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cfg.MaxQueued > 0 && m.queuedLocked() >= m.cfg.MaxQueued {
-		return ErrBacklogFull
-	}
-	return nil
-}
-
-// queuedLocked counts jobs waiting to run plus in-flight enqueue
-// reservations. Callers hold m.mu.
+// queuedLocked counts jobs waiting to run plus the reservations of
+// submissions in flight. Callers hold m.mu.
 func (m *Manager) queuedLocked() int {
 	n := m.reserved
 	for _, j := range m.jobs {
@@ -667,6 +656,22 @@ func (m *Manager) queuedLocked() int {
 // Workers returns the effective number of concurrent runners the
 // manager started (Config.Workers after normalization).
 func (m *Manager) Workers() int { return m.cfg.Workers }
+
+// jobID formats the ID of the n-th job the manager allocates.
+func jobID(n int) string { return fmt.Sprintf("j%06d", n) }
+
+// jobSeq reports whether name is an ID the manager allocates and, if
+// so, its sequence number: "j" + digits that format back to name.
+func jobSeq(name string) (int, bool) {
+	if !strings.HasPrefix(name, "j") {
+		return 0, false
+	}
+	n, err := strconv.Atoi(name[1:])
+	if err != nil || n <= 0 || jobID(n) != name {
+		return 0, false
+	}
+	return n, true
+}
 
 // jobIDLess orders job IDs by submission: IDs are "j" + a zero-padded
 // sequence number, so shorter strings sort first and equal lengths

@@ -305,54 +305,25 @@ func (s *CSVSink) Flush() error {
 // JSONLSource streams tuples from JSON Lines input: one
 // attribute→value object per line (blank lines are skipped). Unknown
 // attributes are an error; absent ones become null, as in the HTTP
-// batch endpoint.
+// batch endpoint. Lines are sliced out of the input by the simd
+// IndexByte kernel and each one is decoded by a TupleDecoder, the same
+// flat-object decoder POST /jobs feeds its tuples through.
 //
-// Next reuses one tuple per the Source contract. A fast path parses
-// the common shape — a flat object of plain string values — straight
-// out of the line window with one allocation per line (the immutable
-// backing string of the decoded values, the same economy encoding/csv
-// uses). Lines are sliced out of the input and value bytes classified
-// in 8-byte-or-wider steps by the simd kernels (IndexByte for
-// newlines, ScanJSON for quote/escape/control/non-ASCII bytes), so
-// clean runs copy in bulk instead of byte at a time. Anything beyond
-// the plain shape — escape sequences, non-string values, invalid
-// UTF-8, malformed lines, unknown attributes — falls back to
-// encoding/json so behavior and error text match the original decoder
-// exactly.
+// Next reuses one tuple per the Source contract.
 type JSONLSource struct {
-	sch  *schema.Schema
 	lr   *lineReader
 	line int
-	// idx mirrors the schema's name→position map locally: indexing a
-	// map with string(bytes) compiles to an allocation-free lookup
-	// only as a direct map access expression.
-	idx    map[string]int
-	tuple  schema.Tuple // reused; valid until the next Next
-	valBuf []byte       // raw decoded values; one backing string per line
-	spans  []valSpan    // per attribute position, offsets into valBuf
-	m      map[string]string
+	dec  *TupleDecoder
 }
-
-// valSpan locates one decoded value inside valBuf; start < 0 means the
-// attribute was absent from the line.
-type valSpan struct{ start, end int }
 
 // NewJSONLSource wraps a JSONL stream under sch.
 func NewJSONLSource(sch *schema.Schema, r io.Reader) *JSONLSource {
-	s := &JSONLSource{
-		sch: sch,
+	return &JSONLSource{
 		// 1 MiB line cap, matching the bufio.Scanner limit the decoder
 		// had before (over-long lines are bufio.ErrTooLong).
-		lr:    newLineReader(r, 1<<20),
-		idx:   make(map[string]int, sch.Len()),
-		spans: make([]valSpan, sch.Len()),
-		m:     make(map[string]string, sch.Len()),
+		lr:  newLineReader(r, 1<<20),
+		dec: NewTupleDecoder(sch),
 	}
-	for i, name := range sch.AttrNames() {
-		s.idx[name] = i
-	}
-	s.tuple = schema.Tuple{Schema: sch, Vals: make(value.List, sch.Len())}
-	return s
 }
 
 // Next implements Source. The returned tuple is reused on the next
@@ -373,17 +344,7 @@ func (s *JSONLSource) Next() (*schema.Tuple, error) {
 		if len(line) == 0 {
 			continue
 		}
-		if s.parseFast(line) {
-			return &s.tuple, nil
-		}
-		// Slow path: exact legacy behavior and error text. The scratch
-		// map is cleared and reused; the resulting tuple is fresh,
-		// which trivially satisfies the reuse contract.
-		clear(s.m)
-		if err := json.Unmarshal(line, &s.m); err != nil {
-			return nil, fmt.Errorf("jsonl line %d: %w", s.line, err)
-		}
-		tu, err := schema.TupleFromMap(s.sch, s.m)
+		tu, err := s.dec.Decode(line)
 		if err != nil {
 			return nil, fmt.Errorf("jsonl line %d: %w", s.line, err)
 		}
@@ -391,18 +352,83 @@ func (s *JSONLSource) Next() (*schema.Tuple, error) {
 	}
 }
 
-// parseFast decodes a flat {"attr":"value",...} object into the reused
-// tuple, reporting false — deciding nothing — whenever the line strays
-// from the plain shape, so the encoding/json fallback keeps semantics
-// (duplicate keys last-wins, null handling, error text) authoritative.
-func (s *JSONLSource) parseFast(line []byte) bool {
-	for i := range s.spans {
-		s.spans[i] = valSpan{-1, -1}
+// TupleDecoder decodes flat JSON objects — one attribute→value object,
+// the shape of a JSONL line and of an element of a POST /jobs tuples
+// array — into tuples under a schema. Unknown attributes are an error;
+// absent ones become null.
+//
+// A fast path parses the common shape — a flat object of plain string
+// values — with one allocation per object (the immutable backing
+// string of the decoded values, the same economy encoding/csv uses),
+// classifying value bytes in 8-byte-or-wider steps with simd.ScanJSON
+// so clean runs copy in bulk instead of byte at a time. Anything
+// beyond the plain shape — escape sequences, non-string values,
+// invalid UTF-8, malformed objects, unknown attributes — falls back to
+// encoding/json plus schema.TupleFromMap, so behavior and error text
+// are theirs exactly.
+type TupleDecoder struct {
+	sch *schema.Schema
+	// idx mirrors the schema's name→position map locally: indexing a
+	// map with string(bytes) compiles to an allocation-free lookup
+	// only as a direct map access expression.
+	idx    map[string]int
+	tuple  schema.Tuple // reused; valid until the next Decode
+	valBuf []byte       // raw decoded values; one backing string per object
+	spans  []valSpan    // per attribute position, offsets into valBuf
+	m      map[string]string
+}
+
+// valSpan locates one decoded value inside valBuf; start < 0 means the
+// attribute was absent from the object.
+type valSpan struct{ start, end int }
+
+// NewTupleDecoder returns a decoder for objects of sch.
+func NewTupleDecoder(sch *schema.Schema) *TupleDecoder {
+	d := &TupleDecoder{
+		sch:   sch,
+		idx:   make(map[string]int, sch.Len()),
+		spans: make([]valSpan, sch.Len()),
+		m:     make(map[string]string, sch.Len()),
 	}
-	s.valBuf = s.valBuf[:0]
-	p, n := 0, len(line)
+	for i, name := range sch.AttrNames() {
+		d.idx[name] = i
+	}
+	d.tuple = schema.Tuple{Schema: sch, Vals: make(value.List, sch.Len())}
+	return d
+}
+
+// Decode decodes one object. The returned tuple may be reused by the
+// next call, but its values stay valid. A JSON-level failure is
+// encoding/json's error, bare (*json.SyntaxError,
+// *json.UnmarshalTypeError); any other error is the schema's verdict
+// on a well-formed object (an unknown attribute).
+func (d *TupleDecoder) Decode(obj []byte) (*schema.Tuple, error) {
+	if d.parseFast(obj) {
+		return &d.tuple, nil
+	}
+	// Slow path: exact legacy behavior and error text. The scratch map
+	// is cleared and reused; the resulting tuple is fresh, which
+	// trivially satisfies the reuse contract.
+	clear(d.m)
+	if err := json.Unmarshal(obj, &d.m); err != nil {
+		return nil, err
+	}
+	return schema.TupleFromMap(d.sch, d.m)
+}
+
+// parseFast decodes a flat {"attr":"value",...} object into the reused
+// tuple, reporting false — deciding nothing — whenever the object
+// strays from the plain shape, so the encoding/json fallback keeps
+// semantics (duplicate keys last-wins, null handling, error text)
+// authoritative.
+func (d *TupleDecoder) parseFast(obj []byte) bool {
+	for i := range d.spans {
+		d.spans[i] = valSpan{-1, -1}
+	}
+	d.valBuf = d.valBuf[:0]
+	p, n := 0, len(obj)
 	ws := func() {
-		for p < n && (line[p] == ' ' || line[p] == '\t' || line[p] == '\n' || line[p] == '\r') {
+		for p < n && (obj[p] == ' ' || obj[p] == '\t' || obj[p] == '\n' || obj[p] == '\r') {
 			p++
 		}
 	}
@@ -411,30 +437,30 @@ func (s *JSONLSource) parseFast(line []byte) bool {
 		if p != n {
 			return false // trailing bytes: the fallback rejects them
 		}
-		backing := string(s.valBuf)
-		for i := range s.tuple.Vals {
-			sp := s.spans[i]
+		backing := string(d.valBuf)
+		for i := range d.tuple.Vals {
+			sp := d.spans[i]
 			if sp.start < 0 {
-				s.tuple.Vals[i] = value.Null
+				d.tuple.Vals[i] = value.Null
 			} else {
-				s.tuple.Vals[i] = value.V(backing[sp.start:sp.end])
+				d.tuple.Vals[i] = value.V(backing[sp.start:sp.end])
 			}
 		}
 		return true
 	}
 	ws()
-	if p >= n || line[p] != '{' {
+	if p >= n || obj[p] != '{' {
 		return false
 	}
 	p++
 	ws()
-	if p < n && line[p] == '}' {
+	if p < n && obj[p] == '}' {
 		p++
 		return finish()
 	}
 	for {
 		ws()
-		if p >= n || line[p] != '"' {
+		if p >= n || obj[p] != '"' {
 			return false
 		}
 		p++
@@ -442,64 +468,64 @@ func (s *JSONLSource) parseFast(line []byte) bool {
 		// One classifier scan covers the whole key: the first special
 		// byte must be the closing quote; a backslash, control byte or
 		// non-ASCII byte means an escaped/exotic key — slow path.
-		rel := simd.ScanJSON(line[p:])
+		rel := simd.ScanJSON(obj[p:])
 		if rel < 0 {
 			return false
 		}
 		p += rel
-		if line[p] != '"' {
+		if obj[p] != '"' {
 			return false
 		}
-		ai, known := s.idx[string(line[keyStart:p])]
+		ai, known := d.idx[string(obj[keyStart:p])]
 		if !known {
 			return false // unknown attribute: slow path reports it
 		}
 		p++
 		ws()
-		if p >= n || line[p] != ':' {
+		if p >= n || obj[p] != ':' {
 			return false
 		}
 		p++
 		ws()
-		if p >= n || line[p] != '"' {
+		if p >= n || obj[p] != '"' {
 			return false // non-string value: slow path decides
 		}
 		p++
-		start := len(s.valBuf)
+		start := len(d.valBuf)
 		// The value loop advances a classifier scan at a time: the
 		// clean ASCII run before each special byte is appended in bulk,
 		// then the special byte decides — closing quote ends the value,
 		// a valid multi-byte rune is copied whole and scanning resumes
 		// after it, everything else (escapes, control bytes, invalid
-		// UTF-8, an unterminated line) rejects to the slow path.
+		// UTF-8, an unterminated value) rejects to the slow path.
 		for {
-			rel := simd.ScanJSON(line[p:])
+			rel := simd.ScanJSON(obj[p:])
 			if rel < 0 {
-				return false // no closing quote on this line
+				return false // unterminated value
 			}
-			s.valBuf = append(s.valBuf, line[p:p+rel]...)
+			d.valBuf = append(d.valBuf, obj[p:p+rel]...)
 			p += rel
-			c := line[p]
+			c := obj[p]
 			if c == '"' {
 				break
 			}
 			if c == '\\' || c < 0x20 {
 				return false // escapes & control chars: slow path
 			}
-			r, size := utf8.DecodeRune(line[p:])
+			r, size := utf8.DecodeRune(obj[p:])
 			if r == utf8.RuneError && size == 1 {
 				return false // invalid UTF-8: slow path coerces to U+FFFD
 			}
-			s.valBuf = append(s.valBuf, line[p:p+size]...)
+			d.valBuf = append(d.valBuf, obj[p:p+size]...)
 			p += size
 		}
 		p++                                         // closing quote
-		s.spans[ai] = valSpan{start, len(s.valBuf)} // duplicate keys: last wins
+		d.spans[ai] = valSpan{start, len(d.valBuf)} // duplicate keys: last wins
 		ws()
 		if p >= n {
 			return false
 		}
-		switch line[p] {
+		switch obj[p] {
 		case ',':
 			p++
 		case '}':

@@ -39,10 +39,10 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// degradedServer is a demo server whose jobs directory refuses writes
-// and fsyncs with ENOSPC while the returned flag is set, its health
-// probe due at most once per probeEvery.
-func degradedServer(t *testing.T, probeEvery time.Duration) (*Server, *atomic.Bool) {
+// degradedServer is a demo server whose jobs directory (the returned
+// path) refuses writes and fsyncs with ENOSPC while the returned flag
+// is set, its health probe due at most once per probeEvery.
+func degradedServer(t *testing.T, probeEvery time.Duration) (*Server, *atomic.Bool, string) {
 	t.Helper()
 	sys := demoSys(t)
 	srv := New(sys)
@@ -70,7 +70,7 @@ func degradedServer(t *testing.T, probeEvery time.Duration) (*Server, *atomic.Bo
 	t.Cleanup(func() { mgr.Close(context.Background()) })
 	srv.AttachJobs(mgr)
 	srv.SetPersistenceHealth(health)
-	return srv, failing
+	return srv, failing, dir
 }
 
 // TestPersistenceDegradedEndToEnd drives the full degraded-mode story
@@ -81,7 +81,7 @@ func degradedServer(t *testing.T, probeEvery time.Duration) (*Server, *atomic.Bo
 // the shed; when the fault clears, the health probe readmits
 // submissions with no restart and the queue drains normally.
 func TestPersistenceDegradedEndToEnd(t *testing.T) {
-	srv, failing := degradedServer(t, 10*time.Millisecond)
+	srv, failing, _ := degradedServer(t, 10*time.Millisecond)
 	accessLog := &syncBuffer{}
 	srv.SetAccessLog(log.New(accessLog, "", 0))
 	ts := httptest.NewServer(srv.Handler())
@@ -188,7 +188,7 @@ func TestPersistenceDegradedEndToEnd(t *testing.T) {
 // 2, and every persistence_degraded 503 is counted under
 // admission.shed.
 func TestPersistenceDegradedRetryAfterRoundsUp(t *testing.T) {
-	srv, failing := degradedServer(t, 1500*time.Millisecond)
+	srv, failing, _ := degradedServer(t, 1500*time.Millisecond)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -55,6 +56,38 @@ func TestBodyCapReturns413(t *testing.T) {
 	status, _, _ := doRaw(t, "POST", ts.URL+"/api/v1/fix", fixPayload(), nil)
 	if status != http.StatusOK {
 		t.Fatalf("in-cap fix status = %d, want 200", status)
+	}
+
+	// POST /jobs streams its tuples to disk, so its body crosses the
+	// cap after the job directory exists. The 413 must leave the
+	// directory empty and release the backlog reservation: under
+	// MaxQueued 1, the next in-cap submit is accepted.
+	srv := New(demoSys(t))
+	srv.SetLimits(Limits{MaxBody: 1024})
+	dir := t.TempDir()
+	mgr, err := jobs.Open(jobs.Config{Dir: dir, Schema: dataset.CustSchema(), Snapshot: srv.SnapshotEngine, MaxQueued: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close(context.Background()) })
+	srv.AttachJobs(mgr)
+	jts := httptest.NewServer(srv.Handler())
+	t.Cleanup(jts.Close)
+	tuple, _ := json.Marshal(dataset.DemoInputFig3().Map())
+	overCap := []byte(`{"validated":["zip","phn","type","item"],"tuples":[` +
+		strings.Repeat(string(tuple)+",", 10) + string(tuple) + `]}`)
+	status, body, _ := doRaw(t, "POST", jts.URL+"/api/v1/jobs", overCap, nil)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("/api/v1/jobs: status = %d (%s), want 413", status, body)
+	}
+	if env := decodeEnvelope(t, body); env.Error.Code != codeBodyTooLarge {
+		t.Fatalf("/api/v1/jobs: code = %q, want %q", env.Error.Code, codeBodyTooLarge)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("jobs directory after 413 = %v (%v), want empty", entries, err)
+	}
+	if status, body, _ := doRaw(t, "POST", jts.URL+"/api/v1/jobs", fixPayload(), nil); status != http.StatusAccepted {
+		t.Fatalf("in-cap submit after 413 = %d (%s), want 202", status, body)
 	}
 }
 
