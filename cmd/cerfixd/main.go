@@ -77,7 +77,6 @@ import (
 	"cerfix/internal/guard"
 	"cerfix/internal/jobs"
 	"cerfix/internal/server"
-	"cerfix/internal/simd"
 )
 
 func main() {
@@ -197,7 +196,6 @@ func main() {
 		}
 		srv.AttachJobs(mgr)
 		srv.SetPersistenceHealth(health)
-		sys.SetPersistenceHealth(health)
 		recovered := 0
 		for _, j := range mgr.List() {
 			if j.State == jobs.StateQueued {
@@ -232,7 +230,6 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	log.Printf("cerfixd: simd kernels: %s", simd.Active())
 	log.Printf("cerfixd: serving on %s (input %s, master %s, %d rules, %d master tuples)",
 		*addr, sys.InputSchema().Name(), sys.MasterSchema().Name(),
 		sys.RuleSet().Len(), sys.Master().Len())

@@ -138,20 +138,6 @@ func (l *Log) TupleHistory(tupleID int64) []Record {
 	return out
 }
 
-// AttrHistory returns the records touching one attribute — the
-// per-column inspection view of Fig. 4.
-func (l *Log) AttrHistory(attr string) []Record {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []Record
-	for _, r := range l.records {
-		if r.Attr == attr {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // CellProvenance returns the latest record for (tupleID, attr): which
 // action is responsible for the cell's final value.
 func (l *Log) CellProvenance(tupleID int64, attr string) (Record, bool) {

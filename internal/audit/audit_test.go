@@ -40,10 +40,6 @@ func TestHistories(t *testing.T) {
 	if len(th) != 2 || th[0].Attr != "zip" || th[1].Attr != "AC" {
 		t.Fatalf("TupleHistory = %+v", th)
 	}
-	ah := l.AttrHistory("zip")
-	if len(ah) != 2 || ah[1].TupleID != 2 {
-		t.Fatalf("AttrHistory = %+v", ah)
-	}
 	if h := l.TupleHistory(99); len(h) != 0 {
 		t.Fatalf("phantom history: %+v", h)
 	}

@@ -57,12 +57,12 @@ func MutMap[K comparable, V any](m *map[K]V, shared *bool) map[K]V {
 }
 
 // FNV routes a string key to one of fanout shards (fanout must be a
-// power of two) by FNV-1a hash. Both forms delegate to the simd
-// kernel's wide FNV-1a body, which is bit-identical to the scalar
-// definition (cowmap_test pins it): equal bytes hash equally whether
-// presented as a string or a []byte, so a scratch-encoded probe key
-// lands on the shard its string form was stored in — routing
-// divergence would silently read the wrong shard.
+// power of two) by FNV-1a hash. Both forms run the one FNV-1a loop,
+// simd.Hash/HashBytes (cowmap_test pins it to the scalar definition):
+// equal bytes hash equally whether presented as a string or a []byte,
+// so a scratch-encoded probe key lands on the shard its string form
+// was stored in — routing divergence would silently read the wrong
+// shard.
 func FNV(k string, fanout int) int { return int(simd.Hash(k) & uint32(fanout-1)) }
 
 // FNVBytes is FNV for a byte-slice key — same bytes, same shard,

@@ -47,12 +47,12 @@ func (s LookupStatus) String() string {
 	}
 }
 
-// Store is the master data manager. A store built by New or FromTable
-// is live and thread-safe: its own mutex serializes mutators with
-// Snapshot, so a snapshot is always an atomic view of table plus rule
-// indexes — no caller-side locking required. A store returned by
-// Snapshot is a frozen read-only view that any number of goroutines
-// read without synchronization.
+// Store is the master data manager. A store built by New is live and
+// thread-safe: its own mutex serializes mutators with Snapshot, so a
+// snapshot is always an atomic view of table plus rule indexes — no
+// caller-side locking required. A store returned by Snapshot is a
+// frozen read-only view that any number of goroutines read without
+// synchronization.
 type Store struct {
 	// mu serializes mutators (Insert, PrepareForRules) with Snapshot
 	// on the live store and guards live rule-index lookups against
@@ -61,7 +61,7 @@ type Store struct {
 	frozen bool
 	table  *storage.Table
 	// mode selects the lookup access path; see LookupMode. It is an
-	// atomic so mode flips (the E5 ablation knob, SetUseIndexes) are
+	// atomic so mode flips (the E5 ablation knob, SetMode) are
 	// race-free against concurrent lookups, on live stores and
 	// snapshots alike — the mode is a per-view knob, not data.
 	mode atomic.Int32
@@ -84,13 +84,6 @@ type Store struct {
 // New wraps an empty master relation under sch.
 func New(sch *schema.Schema) *Store {
 	m := &Store{table: storage.NewTable(sch), ruleIdx: newRuleIndexes()}
-	m.mode.Store(int32(ModeRuleIndex))
-	return m
-}
-
-// FromTable wraps an existing table (e.g. loaded from CSV).
-func FromTable(t *storage.Table) *Store {
-	m := &Store{table: t, ruleIdx: newRuleIndexes()}
 	m.mode.Store(int32(ModeRuleIndex))
 	return m
 }
@@ -174,17 +167,6 @@ func (m *Store) Table() *storage.Table { return m.table }
 
 // Len returns the number of master tuples.
 func (m *Store) Len() int { return m.table.Len() }
-
-// SetUseIndexes toggles between hash-indexed lookups and full scans —
-// kept for the E5 ablation; SetMode is the general knob. on=true maps
-// to ModeRuleIndex, false to ModeScan.
-func (m *Store) SetUseIndexes(on bool) {
-	if on {
-		m.SetMode(ModeRuleIndex)
-	} else {
-		m.SetMode(ModeScan)
-	}
-}
 
 // SetMode selects the lookup access path. Safe to call concurrently
 // with lookups; on a snapshot it retargets only that view.

@@ -60,7 +60,7 @@ func TestLookupScanPathMatchesIndexed(t *testing.T) {
 		t.Fatal(err)
 	}
 	indexed := m.Lookup([]string{"zip"}, value.List{"EH8 4AH"})
-	m.SetUseIndexes(false)
+	m.SetMode(ModeScan)
 	scanned := m.Lookup([]string{"zip"}, value.List{"EH8 4AH"})
 	if len(indexed) != len(scanned) {
 		t.Fatalf("indexed %d vs scanned %d", len(indexed), len(scanned))

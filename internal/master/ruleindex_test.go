@@ -23,14 +23,6 @@ func TestSetModeAndUseIndexes(t *testing.T) {
 	if m.Mode() != ModeRuleIndex {
 		t.Fatalf("default mode = %v", m.Mode())
 	}
-	m.SetUseIndexes(false)
-	if m.Mode() != ModeScan {
-		t.Fatal("SetUseIndexes(false) != scan")
-	}
-	m.SetUseIndexes(true)
-	if m.Mode() != ModeRuleIndex {
-		t.Fatal("SetUseIndexes(true) != rule-index")
-	}
 	m.SetMode(ModePlainIndex)
 	if m.Mode() != ModePlainIndex {
 		t.Fatal("SetMode lost")

@@ -94,7 +94,7 @@ func TestSnapshotAtomicHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestModeFlipsRaceFree: SetMode/SetUseIndexes/Mode are safe against
+// TestModeFlipsRaceFree: SetMode/Mode are safe against
 // concurrent lookups and inserts (the mode is an atomic per-view
 // knob). Under -race this is the regression test for the previously
 // unsynchronized m.mode field.
@@ -116,7 +116,11 @@ func TestModeFlipsRaceFree(t *testing.T) {
 			default:
 			}
 			m.SetMode(LookupMode(i % 3))
-			m.SetUseIndexes(i%2 == 0)
+			if i%2 == 0 {
+				m.SetMode(ModeRuleIndex)
+			} else {
+				m.SetMode(ModeScan)
+			}
 		}
 	}()
 	for r := 0; r < 3; r++ {

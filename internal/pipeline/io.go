@@ -12,7 +12,6 @@ import (
 
 	"cerfix/internal/jsonenc"
 	"cerfix/internal/schema"
-	"cerfix/internal/simd"
 	"cerfix/internal/value"
 )
 
@@ -73,7 +72,7 @@ func (s *SliceSink) Write(r *Result) error {
 // mapped by name, matching storage.Table.ReadCSV's contract.
 //
 // Decoding no longer walks bytes through encoding/csv's rune machinery
-// row by row: lines come out of a buffered window via simd.IndexByte
+// row by row: lines come out of a buffered window via bytes.IndexByte
 // and a quote-free line — the common shape — is sliced into fields on
 // its commas with one allocation, the immutable backing string of the
 // row (the same economy encoding/csv's recordBuffer gives, minus its
@@ -162,7 +161,7 @@ func (s *CSVSource) fastLine() (line []byte, tookOver bool, err error) {
 			return nil, false, err
 		}
 		s.physLine++
-		if simd.IndexByte(raw, '"') >= 0 {
+		if bytes.IndexByte(raw, '"') >= 0 {
 			s.takeover(raw)
 			return nil, true, nil
 		}
@@ -240,7 +239,7 @@ func (s *CSVSource) Next() (*schema.Tuple, error) {
 }
 
 // parseRecord slices a quote-free line into the reused tuple: one
-// backing-string allocation, commas found with simd.IndexByte. A
+// backing-string allocation, commas found with bytes.IndexByte. A
 // field-count violation builds the same csv.ParseError the
 // encoding/csv path reports, down to the line numbers.
 func (s *CSVSource) parseRecord(line []byte) (*schema.Tuple, error) {
@@ -249,7 +248,7 @@ func (s *CSVSource) parseRecord(line []byte) (*schema.Tuple, error) {
 	col, off := 0, 0
 	for {
 		end := len(backing)
-		rel := simd.IndexByte(line[off:], ',')
+		rel := bytes.IndexByte(line[off:], ',')
 		if rel >= 0 {
 			end = off + rel
 		}
@@ -305,8 +304,8 @@ func (s *CSVSink) Flush() error {
 // JSONLSource streams tuples from JSON Lines input: one
 // attribute→value object per line (blank lines are skipped). Unknown
 // attributes are an error; absent ones become null, as in the HTTP
-// batch endpoint. Lines are sliced out of the input by the simd
-// IndexByte kernel and each one is decoded by a TupleDecoder, the same
+// batch endpoint. Lines are sliced out of the input with
+// bytes.IndexByte and each one is decoded by a TupleDecoder, the same
 // flat-object decoder POST /jobs feeds its tuples through.
 //
 // Next reuses one tuple per the Source contract.
@@ -359,13 +358,12 @@ func (s *JSONLSource) Next() (*schema.Tuple, error) {
 //
 // A fast path parses the common shape — a flat object of plain string
 // values — with one allocation per object (the immutable backing
-// string of the decoded values, the same economy encoding/csv uses),
-// classifying value bytes in 8-byte-or-wider steps with simd.ScanJSON
-// so clean runs copy in bulk instead of byte at a time. Anything
-// beyond the plain shape — escape sequences, non-string values,
-// invalid UTF-8, malformed objects, unknown attributes — falls back to
-// encoding/json plus schema.TupleFromMap, so behavior and error text
-// are theirs exactly.
+// string of the decoded values, the same economy encoding/csv uses):
+// scanJSON finds the next byte that needs a decision, and the clean
+// run before it is copied in bulk. Anything beyond the plain shape —
+// escape sequences, non-string values, invalid UTF-8, malformed
+// objects, unknown attributes — falls back to encoding/json plus
+// schema.TupleFromMap, so behavior and error text are theirs exactly.
 type TupleDecoder struct {
 	sch *schema.Schema
 	// idx mirrors the schema's name→position map locally: indexing a
@@ -468,7 +466,7 @@ func (d *TupleDecoder) parseFast(obj []byte) bool {
 		// One classifier scan covers the whole key: the first special
 		// byte must be the closing quote; a backslash, control byte or
 		// non-ASCII byte means an escaped/exotic key — slow path.
-		rel := simd.ScanJSON(obj[p:])
+		rel := scanJSON(obj[p:])
 		if rel < 0 {
 			return false
 		}
@@ -499,7 +497,7 @@ func (d *TupleDecoder) parseFast(obj []byte) bool {
 		// after it, everything else (escapes, control bytes, invalid
 		// UTF-8, an unterminated value) rejects to the slow path.
 		for {
-			rel := simd.ScanJSON(obj[p:])
+			rel := scanJSON(obj[p:])
 			if rel < 0 {
 				return false // unterminated value
 			}
@@ -535,6 +533,21 @@ func (d *TupleDecoder) parseFast(obj []byte) bool {
 			return false
 		}
 	}
+}
+
+// scanJSON returns the index of the first byte of b that the fast path
+// cannot copy verbatim: a double quote, a backslash, a control byte
+// (< 0x20) or a non-ASCII byte (>= 0x80); -1 when there is none. The
+// caller decides on the reported byte: a quote ends the string, a high
+// byte starts a UTF-8 rune to validate, anything else falls back to
+// encoding/json.
+func scanJSON(b []byte) int {
+	for i, c := range b {
+		if c == '"' || c == '\\' || c < 0x20 || c >= 0x80 {
+			return i
+		}
+	}
+	return -1
 }
 
 // jsonlRecord is JSONLSink's per-result output shape. Retained as the

@@ -2,18 +2,17 @@ package pipeline
 
 import (
 	"bufio"
+	"bytes"
 	"io"
-
-	"cerfix/internal/simd"
 )
 
 // lineReader is the scanning core the streaming sources share: a
 // growable window over the input in which newlines are found with
-// simd.IndexByte instead of a byte loop, and lines are returned as
-// zero-copy slices of the window. It reproduces bufio.Scanner's
-// ScanLines contract exactly where JSONLSource relies on it — the
-// differential suite in io_scan_test.go pins both sources against
-// their encoding/json- and encoding/csv-based references:
+// bytes.IndexByte, and lines are returned as zero-copy slices of the
+// window. It reproduces bufio.Scanner's ScanLines contract exactly
+// where JSONLSource relies on it — the differential suite in
+// io_scan_test.go pins both sources against their encoding/json- and
+// encoding/csv-based references:
 //
 //   - a returned line excludes its '\n' terminator (hadNL reports
 //     whether one was consumed; callers own any '\r' trimming);
@@ -51,7 +50,7 @@ func newLineReader(r io.Reader, max int) *lineReader {
 // valid only until the following next call.
 func (lr *lineReader) next() ([]byte, error) {
 	for {
-		if i := simd.IndexByte(lr.buf[lr.start:lr.end], '\n'); i >= 0 {
+		if i := bytes.IndexByte(lr.buf[lr.start:lr.end], '\n'); i >= 0 {
 			line := lr.buf[lr.start : lr.start+i]
 			lr.start += i + 1
 			lr.hadNL = true

@@ -1,0 +1,45 @@
+//go:build !race
+
+package server
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"cerfix"
+	"cerfix/internal/dataset"
+)
+
+// TestMasterListPageCost: a page of GET /master costs what the page
+// holds, not what the master holds. The handler walks the shared rows
+// and stops after offset+limit of them, so the same page allocates the
+// same at 100 and at 5,000 entities. Excluded under the race detector,
+// whose instrumentation allocates.
+func TestMasterListPageCost(t *testing.T) {
+	pageAllocs := func(entities int) float64 {
+		t.Helper()
+		sys, err := cerfix.New(dataset.CustSchema(), dataset.PersonSchema(), dataset.DemoRulesDSL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range dataset.NewCustomerGen(11).GenerateEntities(entities) {
+			if err := sys.AddMasterRow(e.Master.Strings()...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := New(sys).Handler()
+		return testing.AllocsPerRun(20, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/master?limit=1&offset=10", nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET /master = %d: %s", rec.Code, rec.Body)
+			}
+		})
+	}
+	small, large := pageAllocs(100), pageAllocs(5000)
+	t.Logf("allocs per page: %.0f at 100 entities, %.0f at 5,000", small, large)
+	if large > small+8 {
+		t.Fatalf("a one-row page allocates %.0f at 5,000 entities vs %.0f at 100: the cost follows the master size", large, small)
+	}
+}

@@ -29,7 +29,7 @@ import (
 	"cerfix/internal/jobs"
 	"cerfix/internal/master"
 	"cerfix/internal/monitor"
-	"cerfix/internal/simd"
+	"cerfix/internal/schema"
 )
 
 // Server wraps a cerfix.System with HTTP session state and the
@@ -190,8 +190,6 @@ type statusResponse struct {
 	// columnar-packed rows, snapshot-shared bytes and COW debt, rule
 	// indexes, interning dictionary.
 	Memory *master.MemStats `json:"memory,omitempty"`
-	// Kernels reports the simd kernel build in effect.
-	Kernels kernelStatus `json:"kernels"`
 	// Persistence reports where the instance was loaded from and the
 	// live durability health (absent for in-memory systems with no
 	// health tracking).
@@ -213,12 +211,6 @@ type guardrailStatus struct {
 type persistenceStatus struct {
 	*cerfix.LoadInfo
 	Health *faultfs.HealthStatus `json:"health,omitempty"`
-}
-
-// kernelStatus reports which simd kernel build runs (simd.Active:
-// "amd64", "arm64", ...).
-type kernelStatus struct {
-	Active string `json:"active"`
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -268,7 +260,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Guardrails:   gs,
 		Jobs:         qs,
 		Memory:       &mem,
-		Kernels:      kernelStatus{Active: simd.Active()},
 		Persistence:  ps,
 	})
 }
@@ -390,20 +381,22 @@ func (s *Server) handleMasterList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Always an array in JSON, never null — an empty store, a high
-	// offset or limit=0 must not change the response shape.
+	// offset or limit=0 must not change the response shape. The scan
+	// reads the stored rows without copying them and stops after
+	// offset+limit, so a page costs what it holds.
 	rows := []map[string]string{}
-	skip := offset
-	for _, tu := range s.sys.Master().All() {
-		if skip > 0 {
-			skip--
-			continue
-		}
-		if len(rows) >= limit {
-			break
-		}
-		m := tu.Map()
-		m["_id"] = strconv.FormatInt(tu.ID, 10)
-		rows = append(rows, m)
+	if limit > 0 {
+		skip := offset
+		s.sys.Master().Table().ScanShared(func(tu *schema.Tuple) bool {
+			if skip > 0 {
+				skip--
+				return true
+			}
+			m := tu.Map()
+			m["_id"] = strconv.FormatInt(tu.ID, 10)
+			rows = append(rows, m)
+			return len(rows) < limit
+		})
 	}
 	writeJSON(w, http.StatusOK, listPage{
 		Items:  rows,

@@ -333,7 +333,7 @@ func TestMalformedBodies(t *testing.T) {
 // document's counter shapes: every cumulative counter (the admission
 // shed totals) marshals through counter.Monotonic, and this pins the
 // snake_case keys and bare-number encoding clients depend on, plus the
-// kernels section sitting next to memory.
+// memory section and the absence of the retired kernels section.
 func TestStatusCounterJSONKeys(t *testing.T) {
 	ts := demoServer(t)
 	// Run one sync fix so the status reflects a served request.
@@ -380,14 +380,10 @@ func TestStatusCounterJSONKeys(t *testing.T) {
 		t.Fatalf("shed = %v, want exactly the keys %v", shed, keys)
 	}
 
-	kernels := section(doc, "kernels")
-	if a, ok := kernels["active"].(string); !ok || a == "" {
-		t.Fatalf("kernels.active = %v", kernels["active"])
+	// There is no kernel choice left to report: the kernels section
+	// must not come back.
+	if k, ok := doc["kernels"]; ok {
+		t.Fatalf("status has a kernels section: %v", k)
 	}
-	if _, ok := kernels["prefilter"]; ok {
-		t.Fatalf("kernels.prefilter is back: %v", kernels)
-	}
-	// The memory section the kernels section rides next to must still
-	// be there.
 	section(doc, "memory")
 }

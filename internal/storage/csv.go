@@ -100,48 +100,3 @@ func (t *Table) LoadCSVFile(path string) error {
 	defer f.Close()
 	return t.ReadCSV(f)
 }
-
-// Catalog is a named registry of tables, the storage-level analogue of
-// the demo's configured "instance" (input relation + master relation).
-type Catalog struct {
-	tables map[string]*Table
-}
-
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
-	return &Catalog{tables: make(map[string]*Table)}
-}
-
-// Create registers a new empty table for sch, keyed by the schema name.
-func (c *Catalog) Create(sch *schema.Schema) (*Table, error) {
-	if _, dup := c.tables[sch.Name()]; dup {
-		return nil, fmt.Errorf("storage: table %q already exists", sch.Name())
-	}
-	t := NewTable(sch)
-	c.tables[sch.Name()] = t
-	return t, nil
-}
-
-// Get returns the table registered under name.
-func (c *Catalog) Get(name string) (*Table, bool) {
-	t, ok := c.tables[name]
-	return t, ok
-}
-
-// Drop removes the named table, reporting whether it existed.
-func (c *Catalog) Drop(name string) bool {
-	if _, ok := c.tables[name]; !ok {
-		return false
-	}
-	delete(c.tables, name)
-	return true
-}
-
-// Names lists registered table names (unsorted callers should sort).
-func (c *Catalog) Names() []string {
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		out = append(out, n)
-	}
-	return out
-}

@@ -3,11 +3,8 @@ package storage
 import (
 	"bytes"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
-
-	"cerfix/internal/schema"
 )
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -99,33 +96,5 @@ func TestCSVFileRoundTrip(t *testing.T) {
 	}
 	if err := tb2.LoadCSVFile(filepath.Join(t.TempDir(), "missing.csv")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestCatalog(t *testing.T) {
-	c := NewCatalog()
-	sch := personSchema(t)
-	tb, err := c.Create(sch)
-	if err != nil || tb == nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Create(sch); err == nil {
-		t.Fatal("duplicate table accepted")
-	}
-	got, ok := c.Get("PERSON")
-	if !ok || got != tb {
-		t.Fatal("Get failed")
-	}
-	other := schema.MustNew("OTHER", schema.Str("x"))
-	if _, err := c.Create(other); err != nil {
-		t.Fatal(err)
-	}
-	names := c.Names()
-	sort.Strings(names)
-	if len(names) != 2 || names[0] != "OTHER" || names[1] != "PERSON" {
-		t.Fatalf("Names = %v", names)
-	}
-	if !c.Drop("OTHER") || c.Drop("OTHER") {
-		t.Fatal("Drop semantics wrong")
 	}
 }

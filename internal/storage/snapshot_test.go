@@ -37,9 +37,6 @@ func TestSnapshotReadOnly(t *testing.T) {
 	if err := snap.Update(row); !errors.Is(err, ErrFrozen) {
 		t.Fatalf("Update on snapshot: %v, want ErrFrozen", err)
 	}
-	if _, err := snap.ApplyBatch([]Op{Delete(id)}); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("ApplyBatch on snapshot: %v, want ErrFrozen", err)
-	}
 	// A new index cannot be built on a frozen view; an existing one
 	// is answered idempotently.
 	if err := snap.CreateIndex([]string{"FN"}); !errors.Is(err, ErrFrozen) {

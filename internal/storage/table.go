@@ -288,12 +288,6 @@ func (t *Table) Insert(tu *schema.Tuple) (int64, error) {
 	cp := tu.Clone()
 	cp.ID = t.nextID
 	t.nextID++
-	t.insertLocked(cp)
-	return cp.ID, nil
-}
-
-// insertLocked registers an already-cloned tuple with an assigned ID.
-func (t *Table) insertLocked(cp *schema.Tuple) {
 	t.gen++
 	sh := t.rowShardMut(cp.ID)
 	sh.m[cp.ID] = cp
@@ -301,6 +295,7 @@ func (t *Table) insertLocked(cp *schema.Tuple) {
 	t.order = append(t.order, cp.ID)
 	t.count++
 	t.indexAddLocked(cp)
+	return cp.ID, nil
 }
 
 // InsertValues is a convenience wrapper building the tuple in place.
@@ -329,13 +324,10 @@ func (t *Table) Update(tu *schema.Tuple) error {
 	if t.frozen {
 		return ErrFrozen
 	}
-	return t.updateLocked(tu.Clone())
-}
-
-func (t *Table) updateLocked(cp *schema.Tuple) error {
-	if !t.rowHas(cp.ID) {
-		return fmt.Errorf("storage: row %d not found", cp.ID)
+	if !t.rowHas(tu.ID) {
+		return fmt.Errorf("storage: row %d not found", tu.ID)
 	}
+	cp := tu.Clone()
 	t.gen++
 	sh := t.rowShardMut(cp.ID)
 	old := sh.m[cp.ID]
@@ -355,14 +347,7 @@ func (t *Table) updateLocked(cp *schema.Tuple) error {
 func (t *Table) Delete(id int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.frozen {
-		return false
-	}
-	return t.deleteLocked(id)
-}
-
-func (t *Table) deleteLocked(id int64) bool {
-	if !t.rowHas(id) {
+	if t.frozen || !t.rowHas(id) {
 		return false
 	}
 	t.gen++

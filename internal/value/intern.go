@@ -271,8 +271,7 @@ func AppendSym(dst []byte, s Sym) []byte {
 	return append(dst, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
 }
 
-// fnvString is FNV-1a over the string bytes via the simd kernel's
-// wide body — bit-identical to the scalar definition and to
-// cowmap.FNVBytes, so callers can hash either representation
-// consistently.
+// fnvString is FNV-1a over the string bytes via simd.Hash, the same
+// loop cowmap.FNV/FNVBytes route with, so callers can hash either
+// representation consistently.
 func fnvString(s string) uint32 { return simd.Hash(s) }
