@@ -41,6 +41,10 @@ type chaseProgram struct {
 	deps [][]int32
 	// words is the rule-bitset width in uint64 words (≥ 1).
 	words int
+	// groups counts the probe groups: rules that share both their X
+	// positions and their Xm share one probe per chase (see
+	// Chaser.lookup).
+	groups int
 	// staticSkip flags rules whose pattern is unsatisfiable over the
 	// input schema: matches() is false for every tuple, so the agenda
 	// would evaluate them to no-fire on every chase. A flagged rule
@@ -111,6 +115,9 @@ type compiledRule struct {
 	// every time a pooled chaser moves to a new engine view — skips the
 	// per-handle string build.
 	handleKey string
+	// group is the rule's probe group: rules with the same X positions
+	// and the same Xm probe the same key on the same index.
+	group int
 }
 
 // compiledCond is one pattern condition with its attribute resolved.
@@ -145,6 +152,7 @@ func compileProgram(input *schema.Schema, rules []*rule.Rule) *chaseProgram {
 		p.words = 1
 	}
 	p.staticSkip = make([]uint64, p.words)
+	groupOf := make(map[string]int)
 	for i, r := range rules {
 		cr := &p.rules[i]
 		cr.src = r
@@ -159,6 +167,16 @@ func compileProgram(input *schema.Schema, rules []*rule.Rule) *chaseProgram {
 		for j, a := range cr.matchInputAttrs {
 			cr.matchInputPos[j] = input.MustIndex(a)
 		}
+		gk := []byte(master.HandleKey(cr.matchMasterAttrs, nil))
+		for _, pos := range cr.matchInputPos {
+			gk = append(gk, byte(pos))
+		}
+		g, ok := groupOf[string(gk)]
+		if !ok {
+			g = len(groupOf)
+			groupOf[string(gk)] = g
+		}
+		cr.group = g
 		cr.targetInputPos = make([]int, len(r.Set))
 		for j, c := range r.Set {
 			cr.targetInputPos[j] = input.MustIndex(c.Input)
@@ -175,12 +193,14 @@ func compileProgram(input *schema.Schema, rules []*rule.Rule) *chaseProgram {
 			p.staticSkip[i>>6] |= 1 << uint(i&63)
 		}
 	}
+	p.groups = len(groupOf)
 	return p
 }
 
 // Chaser executes the compiled chase program against one engine view,
 // reusing all scratch state (ready bitsets, missing-premise counters,
-// the key-encode buffer and — via ChaseScratch — the result itself)
+// the key-encode buffer, the per-chase probe memos and — via
+// ChaseScratch — the result itself)
 // across calls, so tight fixing loops run
 // allocation-free per tuple in steady state. A Chaser is NOT safe for
 // concurrent use — create one per goroutine; the batch pipeline gives
@@ -214,6 +234,19 @@ type Chaser struct {
 	keyBuf []byte
 	dict   *value.Dict
 
+	// Per-chase memos, sized once here and cleared by run. syms[p] is
+	// input position p's dictionary sym, valid where symKnown has bit
+	// p and symAbsent does not (symAbsent: the value is not in the
+	// dictionary). entries[g] is probe group g's index entry, valid
+	// where probed[g] is set. Both are exact on every view: the agenda
+	// evaluates a rule only once its premise X ∪ Xp is validated, a
+	// validated cell never changes within a chase, and the Engine
+	// contract forbids mutating a view during one.
+	syms                []value.Sym
+	symKnown, symAbsent uint64
+	entries             []master.Entry
+	probed              []bool
+
 	// ChaseScratch's reusable result (tuple values, change/conflict
 	// slices keep their capacity across calls).
 	scratchRes   ChaseResult
@@ -233,6 +266,9 @@ func (e *Engine) NewChaser() *Chaser {
 		missing: make([]int32, len(p.rules)),
 		cur:     make([]uint64, p.words),
 		next:    make([]uint64, p.words),
+		syms:    make([]value.Sym, p.input.Len()),
+		entries: make([]master.Entry, p.groups),
+		probed:  make([]bool, p.groups),
 	}
 	c.rebind(e)
 	return c
@@ -265,6 +301,7 @@ func (c *Chaser) Release() {
 	for i := range c.handles {
 		c.handles[i] = master.RuleHandle{}
 	}
+	clear(c.entries)
 	c.prog.pool.put(c)
 }
 
@@ -353,6 +390,8 @@ func (c *Chaser) run(res *ChaseResult) {
 		c.cur[i], c.next[i] = 0, 0
 	}
 	c.skipped, c.evaluated = 0, 0
+	c.symKnown, c.symAbsent = 0, 0
+	clear(c.probed)
 	// Seed: per-rule missing-premise counts under the initial
 	// validated set; rules already satisfied form round 1's agenda —
 	// unless statically unsatisfiable, in which case they never enter it.
@@ -404,8 +443,8 @@ func (c *Chaser) evaluate(ri, round int, res *ChaseResult) bool {
 	if !cr.matches(res.Tuple) {
 		return false
 	}
-	rhs, witness, status := c.lookup(ri, cr, res.Tuple)
-	switch status {
+	ans := c.lookup(ri, cr, res.Tuple)
+	switch ans.Status {
 	case master.NoMatch:
 		return false
 	case master.Conflict:
@@ -425,7 +464,7 @@ func (c *Chaser) evaluate(ri, round int, res *ChaseResult) bool {
 	}
 	progressed := false
 	for i, bi := range cr.targetInputPos {
-		want := rhs[i]
+		want := ans.RHS(i)
 		have := res.Tuple.Vals[bi]
 		if res.Validated.Has(bi) {
 			if have != want {
@@ -435,7 +474,7 @@ func (c *Chaser) evaluate(ri, round int, res *ChaseResult) bool {
 					Attr:     cr.src.Set[i].Input,
 					Have:     have,
 					Want:     want,
-					MasterID: witness,
+					MasterID: ans.Witness,
 				})
 			}
 			continue
@@ -448,7 +487,7 @@ func (c *Chaser) evaluate(ri, round int, res *ChaseResult) bool {
 			New:      want,
 			Source:   SourceRule,
 			RuleID:   cr.id,
-			MasterID: witness,
+			MasterID: ans.Witness,
 			Round:    round,
 		})
 		progressed = true
@@ -475,20 +514,56 @@ func (c *Chaser) evaluate(ri, round int, res *ChaseResult) bool {
 }
 
 // lookup performs the rule's unique-RHS probe. On the rule-index
-// access path the key sym-encodes into the Chaser's scratch buffer —
-// one lock-free dictionary hit per match attribute — and the
-// pre-resolved handle answers in O(1) with no allocation. A probe
-// value the dictionary has never seen short-circuits to NoMatch for
-// registered pairs (no master tuple carries it); other modes and
-// unregistered ad-hoc pairs take the store's general path,
-// byte-identical to the legacy engine's.
-func (c *Chaser) lookup(ri int, cr *compiledRule, t *schema.Tuple) (value.List, int64, master.LookupStatus) {
+// access path each probe group's key is probed at most once per chase:
+// the first rule of a group to evaluate sym-encodes t[X] into the
+// Chaser's scratch buffer and probes its pre-resolved handle, and
+// every later rule of the group reads its own Bm off the remembered
+// entry. No step allocates. A probe value the dictionary has never
+// seen answers NoMatch for registered pairs (no master tuple carries
+// it); other modes and unregistered ad-hoc pairs take the store's
+// general path, byte-identical to the legacy engine's.
+func (c *Chaser) lookup(ri int, cr *compiledRule, t *schema.Tuple) master.Answer {
 	if c.eng.store.Mode() == master.ModeRuleIndex {
-		var encoded bool
-		c.keyBuf, encoded = master.AppendProbeKey(c.dict, c.keyBuf[:0], t, cr.matchInputPos)
-		if rhs, witness, status, ok := c.handles[ri].Lookup(c.keyBuf, encoded); ok {
-			return rhs, witness, status
+		h, g := &c.handles[ri], cr.group
+		var ans master.Answer
+		var ok bool
+		if c.probed[g] {
+			ans, ok = h.Read(c.entries[g])
+		} else {
+			var e master.Entry
+			key, encoded := c.encodeKey(t, cr.matchInputPos)
+			if e, ans, ok = h.Probe(key, encoded); ok {
+				c.entries[g], c.probed[g] = e, true
+			}
+		}
+		if ok {
+			return ans
 		}
 	}
-	return c.eng.store.UniqueRHS(cr.matchMasterAttrs, t.ProjectAt(cr.matchInputPos), cr.rhsMasterAttrs)
+	return master.ListAnswer(c.eng.store.UniqueRHS(cr.matchMasterAttrs, t.ProjectAt(cr.matchInputPos), cr.rhsMasterAttrs))
+}
+
+// encodeKey sym-encodes t's projection on positions into the key
+// scratch, looking each position's value up in the dictionary at most
+// once per chase. encoded=false means some value is absent from the
+// dictionary, so no master tuple carries the key.
+func (c *Chaser) encodeKey(t *schema.Tuple, positions []int) (key []byte, encoded bool) {
+	kb := c.keyBuf[:0]
+	for _, p := range positions {
+		bit := uint64(1) << uint(p)
+		if c.symKnown&bit == 0 {
+			c.symKnown |= bit
+			if sym, found := c.dict.LookupV(t.Vals[p]); found {
+				c.syms[p] = sym
+			} else {
+				c.symAbsent |= bit
+			}
+		}
+		if c.symAbsent&bit != 0 {
+			return kb, false
+		}
+		kb = value.AppendSym(kb, c.syms[p])
+	}
+	c.keyBuf = kb // keep any growth for the next chase
+	return kb, true
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cerfix/internal/dataset"
@@ -60,6 +61,21 @@ type randomWorld struct {
 
 func newRandomWorld(t *testing.T, seed uint64) *randomWorld {
 	t.Helper()
+	return buildRandomWorld(t, seed, false)
+}
+
+// newSharedXmWorld is newRandomWorld with every rule's master match
+// list Xm drawn from a pool of one or two, so several rules share an
+// Xm (and so a grouped rule index). Half the rules match the pool
+// list on its own input positions, half on other ones: same Xm with
+// the same X shares a probe, same Xm with a different X must not.
+func newSharedXmWorld(t *testing.T, seed uint64) *randomWorld {
+	t.Helper()
+	return buildRandomWorld(t, seed, true)
+}
+
+func buildRandomWorld(t *testing.T, seed uint64, sharedXm bool) *randomWorld {
+	t.Helper()
 	rng := textutil.NewRNG(seed)
 	width := 4 + rng.Intn(6) // 4..9 attributes
 	inAttrs := make([]schema.Attribute, width)
@@ -91,21 +107,43 @@ func newRandomWorld(t *testing.T, seed uint64) *randomWorld {
 		return perm[:n]
 	}
 	nRules := 1 + rng.Intn(12)
+	var pool [][]int // shared master match lists (sharedXm only)
+	if sharedXm {
+		for n := 1 + rng.Intn(2); len(pool) < n; {
+			pool = append(pool, pickDistinct(1+rng.Intn(2)))
+		}
+	}
 	var rules []*rule.Rule
 	for ri := 0; ri < nRules; ri++ {
 		nMatch := 1 + rng.Intn(2)
 		nSet := 1 + rng.Intn(2)
-		pos := pickDistinct(min(nMatch+nSet, width))
-		if len(pos) < 2 {
-			continue // need at least one match and one set attribute
-		}
-		nMatch = min(nMatch, len(pos)-1)
 		r := &rule.Rule{ID: fmt.Sprintf("r%d", ri)}
-		for _, p := range pos[:nMatch] {
-			r.Match = append(r.Match, rule.Correspondence{Input: fmt.Sprintf("a%d", p), Master: fmt.Sprintf("m%d", p)})
-		}
-		for _, p := range pos[nMatch:] {
-			r.Set = append(r.Set, rule.Correspondence{Input: fmt.Sprintf("a%d", p), Master: fmt.Sprintf("m%d", p)})
+		if sharedXm {
+			xm := pool[rng.Intn(len(pool))]
+			x := xm
+			if rng.Bool(0.5) {
+				x = pickDistinct(len(xm))
+			}
+			for j, p := range xm {
+				r.Match = append(r.Match, rule.Correspondence{Input: fmt.Sprintf("a%d", x[j]), Master: fmt.Sprintf("m%d", p)})
+			}
+			for _, p := range rng.Perm(width) {
+				if len(r.Set) < nSet && !slices.Contains(x, p) {
+					r.Set = append(r.Set, rule.Correspondence{Input: fmt.Sprintf("a%d", p), Master: fmt.Sprintf("m%d", p)})
+				}
+			}
+		} else {
+			pos := pickDistinct(min(nMatch+nSet, width))
+			if len(pos) < 2 {
+				continue // need at least one match and one set attribute
+			}
+			nMatch = min(nMatch, len(pos)-1)
+			for _, p := range pos[:nMatch] {
+				r.Match = append(r.Match, rule.Correspondence{Input: fmt.Sprintf("a%d", p), Master: fmt.Sprintf("m%d", p)})
+			}
+			for _, p := range pos[nMatch:] {
+				r.Set = append(r.Set, rule.Correspondence{Input: fmt.Sprintf("a%d", p), Master: fmt.Sprintf("m%d", p)})
+			}
 		}
 		if rng.Bool(0.4) {
 			attr := fmt.Sprintf("a%d", rng.Intn(width))
@@ -521,4 +559,213 @@ func TestCompiledLegacyParityStaticSkip(t *testing.T) {
 	if got := string(res.Tuple.Vals[2]); got != "x2" {
 		t.Fatalf("a2 = %q, want the satisfiable rule to fix it to %q", got, "x2")
 	}
+}
+
+// scanView returns a frozen view of e's current data that answers
+// every master lookup by scanning the relation: it never reads a rule
+// index.
+func scanView(e *Engine) *Engine {
+	s := e.Snapshot()
+	s.Master().SetMode(master.ModeScan)
+	return s
+}
+
+// assertMatchesScan chases every input from every seed on eng, on the
+// rule-index access path, through a pooled chaser and Engine.Chase,
+// and holds both to ChaseLegacy on scan, a scan view of the same data.
+func assertMatchesScan(t *testing.T, label string, eng, scan *Engine, inputs []*schema.Tuple, seeds []schema.AttrSet) {
+	t.Helper()
+	if eng.Master().Mode() != master.ModeRuleIndex {
+		t.Fatalf("%s: engine on %v, want the rule index", label, eng.Master().Mode())
+	}
+	ch := eng.AcquireChaser()
+	defer ch.Release()
+	for i, in := range inputs {
+		for _, seed := range seeds {
+			l := fmt.Sprintf("%s tuple %d seed %v", label, i, seed)
+			want := scan.ChaseLegacy(in, seed)
+			assertSameResult(t, l+" [chaser]", ch.Chase(in, seed), want)
+			assertSameResult(t, l+" [Engine.Chase]", eng.Chase(in, seed), want)
+		}
+	}
+}
+
+// assertViewsMatchScan runs assertMatchesScan on the live engine and a
+// snapshot, inserts row into the live master, then runs it again on
+// the live engine, a fresh snapshot and the old snapshot.
+func assertViewsMatchScan(t *testing.T, label string, eng *Engine, row value.List, inputs []*schema.Tuple, seeds []schema.AttrSet) {
+	t.Helper()
+	snap, snapScan := eng.Snapshot(), scanView(eng)
+	assertMatchesScan(t, label+" live", eng, scanView(eng), inputs, seeds)
+	assertMatchesScan(t, label+" snapshot", snap, snapScan, inputs, seeds)
+	if _, err := eng.Master().InsertValues(row...); err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesScan(t, label+" live after insert", eng, scanView(eng), inputs, seeds)
+	assertMatchesScan(t, label+" snapshot after insert", eng.Snapshot(), scanView(eng), inputs, seeds)
+	assertMatchesScan(t, label+" old snapshot after insert", snap, snapScan, inputs, seeds)
+}
+
+// hasConflict reports whether res records a conflict of kind from rule id.
+func hasConflict(res *ChaseResult, kind ConflictKind, id string) bool {
+	for _, c := range res.Conflicts {
+		if c.Kind == kind && c.RuleID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGroupedIndexMatchesScan holds the grouped rule index — one index
+// per master match list Xm, shared by every rule with that Xm — and
+// the compiled chase's per-chase probe memos to the scan path: the
+// compiled chase on ModeRuleIndex must equal ChaseLegacy on a ModeScan
+// view of the same data, which never reads a rule index. The other
+// parity tests compare the two executors on one access path, where a
+// wrong grouped index would make both agree on a wrong answer.
+func TestGroupedIndexMatchesScan(t *testing.T) {
+	cust := dataset.CustSchema()
+	demoInputs := func(extra ...*schema.Tuple) []*schema.Tuple {
+		return append([]*schema.Tuple{dataset.DemoInputExample1(), dataset.DemoInputFig3()}, extra...)
+	}
+	demoSeeds := []schema.AttrSet{
+		schema.EmptySet,
+		schema.SetOfNames(cust, "zip"),
+		schema.SetOfNames(cust, "zip", "phn", "type", "item"),
+		schema.SetOfNames(cust, "AC", "phn", "type", "item"),
+		schema.SetOfNames(cust, "zip", "phn", "type", "item", "str", "city"),
+		schema.FullSet(cust),
+	}
+
+	// φ1–φ3 share the zip index. Two EH8 4AH tuples agree on AC and
+	// str but not on city, so φ1 and φ2 are Unique and φ3 is a
+	// Conflict read off the same entry. The insert then splits AC.
+	t.Run("one zip, AC agrees, city conflicts", func(t *testing.T) {
+		e := demoEngine(t)
+		if _, err := e.Master().InsertValues("Rob", "Brady", "131", "6884563", "079172485",
+			"501 Elm St", "Edinburgh", "EH8 4AH", "11/11/55", "M"); err != nil {
+			t.Fatal(err)
+		}
+		res := e.Chase(dataset.DemoInputExample1(), schema.SetOfNames(cust, "zip"))
+		if res.Tuple.Get("AC") != "131" || !hasConflict(res, MasterAmbiguous, "phi3") {
+			t.Fatalf("world lost its shape: AC %q, conflicts %+v", res.Tuple.Get("AC"), res.Conflicts)
+		}
+		assertViewsMatchScan(t, "zip", e, value.List{"Bob", "Brady", "999", "6884563", "079172485",
+			"501 Elm St", "Edi", "EH8 4AH", "11/11/55", "M"}, demoInputs(), demoSeeds)
+	})
+
+	// rA and rB match the same Xm (m0) on different input attributes:
+	// they share an index but not a probe key, so they must not share
+	// a memo entry.
+	t.Run("same Xm, different X", func(t *testing.T) {
+		in := schema.MustNew("IN", schema.Str("a0"), schema.Str("a1"), schema.Str("a2"), schema.Str("a3"))
+		msch := schema.MustNew("MD", schema.Str("m0"), schema.Str("m1"), schema.Str("m2"), schema.Str("m3"))
+		st := master.New(msch)
+		for _, row := range []value.List{{"x", "p", "q", "u"}, {"y", "r", "s", "v"}} {
+			if _, err := st.InsertValues(row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rs := rule.MustSet(
+			&rule.Rule{ID: "rA", Match: []rule.Correspondence{{Input: "a0", Master: "m0"}},
+				Set: []rule.Correspondence{{Input: "a2", Master: "m2"}}},
+			&rule.Rule{ID: "rB", Match: []rule.Correspondence{{Input: "a1", Master: "m0"}},
+				Set: []rule.Correspondence{{Input: "a3", Master: "m1"}}},
+		)
+		e, err := NewEngine(in, rs, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if regs := st.RegisteredRuleIndexes(); len(regs) != 1 {
+			t.Fatalf("indexes %v, want one shared by rA and rB", regs)
+		}
+		tuple := func(vals ...value.V) *schema.Tuple { return &schema.Tuple{Schema: in, Vals: vals} }
+		inputs := []*schema.Tuple{tuple("x", "y", "", ""), tuple("y", "x", "", ""), tuple("x", "x", "", ""), tuple("x", "zz", "", "")}
+		res := e.Chase(inputs[0], schema.SetOf(0, 1))
+		if res.Tuple.Get("a2") != "q" || res.Tuple.Get("a3") != "r" {
+			t.Fatalf("a2 %q a3 %q, want q and r", res.Tuple.Get("a2"), res.Tuple.Get("a3"))
+		}
+		seeds := []schema.AttrSet{schema.SetOf(0), schema.SetOf(1), schema.SetOf(0, 1), schema.SetOf(0, 1, 3)}
+		assertViewsMatchScan(t, "same Xm", e, value.List{"y", "r2", "s", "w"}, inputs, seeds)
+	})
+
+	// φ1 fixes AC from zip; φ6–φ9 then probe with the fixed AC in the
+	// same chase. The validated wrong str and city make φ6–φ9 report
+	// contradictions, which a probe with the stale AC would miss.
+	t.Run("AC fixed, then a key", func(t *testing.T) {
+		e := demoEngine(t)
+		home := schema.MustTuple(cust, "Bob", "Brady", "020", "6884563", "1", "Wrong St", "Wrong", "EH8 4AH", "CD")
+		seed := schema.SetOfNames(cust, "zip", "phn", "type", "item", "str", "city")
+		res := e.Chase(home, seed)
+		if res.Tuple.Get("AC") != "131" || !hasConflict(res, ValidatedContradiction, "phi6") ||
+			!hasConflict(res, ValidatedContradiction, "phi9") {
+			t.Fatalf("world lost its shape: AC %q, conflicts %+v", res.Tuple.Get("AC"), res.Conflicts)
+		}
+		assertViewsMatchScan(t, "AC chain", e, value.List{"Rob", "Brady", "131", "6884563", "079172485",
+			"9 Elm St", "Edi", "EH8 4AH", "11/11/55", "M"}, demoInputs(home), demoSeeds)
+	})
+
+	// System.AddRule builds a new engine over the same store. φ10 adds
+	// LN to the zip index's U after a snapshot: the old snapshot keeps
+	// its index and answers, the new engine serves the new pair.
+	t.Run("AddRule grows U after a snapshot", func(t *testing.T) {
+		e := demoEngine(t)
+		old, oldScan := e.Snapshot(), scanView(e)
+		rs := e.Rules().Clone()
+		if err := rs.Add(mustParse(t, `phi10: match zip~zip set LN := LN`)); err != nil {
+			t.Fatal(err)
+		}
+		e2, err := NewEngine(cust, rs, e.Master())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// φ1–φ9 match on 4 master lists: zip, Mphn, (AC, Hphn) and AC.
+		oldRegs, newRegs := old.Master().RegisteredRuleIndexes(), e2.Master().RegisteredRuleIndexes()
+		if len(oldRegs) != 4 || len(newRegs) != 4 ||
+			!slices.Contains(oldRegs, "zip->AC,str,city") || !slices.Contains(newRegs, "zip->AC,str,city,LN") {
+			t.Fatalf("registered: old snapshot %v, live %v", oldRegs, newRegs)
+		}
+		misnamed := schema.MustTuple(cust, "Bob", "Bardy", "020", "079172485", "2", "501 Elm St", "Edi", "EH8 4AH", "CD")
+		if got := e2.Chase(misnamed, schema.SetOfNames(cust, "zip")); got.Tuple.Get("LN") != "Brady" {
+			t.Fatalf("new pair not served: LN %q", got.Tuple.Get("LN"))
+		}
+		assertMatchesScan(t, "old snapshot", old, oldScan, demoInputs(misnamed), demoSeeds)
+		assertMatchesScan(t, "old engine", e, scanView(e), demoInputs(misnamed), demoSeeds)
+		assertViewsMatchScan(t, "new engine", e2, value.List{"Bob", "Bradley", "131", "6884563", "079172485",
+			"501 Elm St", "Edi", "EH8 4AH", "11/11/55", "M"}, demoInputs(misnamed), demoSeeds)
+		assertMatchesScan(t, "old snapshot after insert", old, oldScan, demoInputs(misnamed), demoSeeds)
+	})
+
+	// Random worlds whose rules share master match lists.
+	t.Run("random shared-Xm worlds", func(t *testing.T) {
+		var sameX, otherX int
+		for trial := uint64(0); trial < 30; trial++ {
+			w := newSharedXmWorld(t, 7000+trial)
+			rules := w.eng.prog.rules
+			for i := range rules {
+				for j := i + 1; j < len(rules); j++ {
+					if slices.Equal(rules[i].matchMasterAttrs, rules[j].matchMasterAttrs) {
+						if slices.Equal(rules[i].matchInputPos, rules[j].matchInputPos) {
+							sameX++
+						} else {
+							otherX++
+						}
+					}
+				}
+			}
+			width := w.eng.InputSchema().Len()
+			seeds := make([]schema.AttrSet, 3)
+			for i := range seeds {
+				seeds[i] = randomSeedSet(w.rng, w.eng.InputSchema())
+			}
+			row := make(value.List, width)
+			for i := range row {
+				row[i] = value.V(fmt.Sprintf("c%d", w.rng.Intn(2)))
+			}
+			assertViewsMatchScan(t, fmt.Sprintf("trial %d", trial), w.eng, row, w.inputs, seeds)
+		}
+		if sameX == 0 || otherX == 0 {
+			t.Fatalf("sweep drew %d same-X and %d other-X rule pairs on a shared Xm; want both", sameX, otherX)
+		}
+	})
 }

@@ -5,7 +5,11 @@
 // lists (Xm) of every editing rule — the access path rule application
 // probes — and exposes the unique-right-hand-side lookup that the
 // certain-fix semantics requires: a fix is only certain if every master
-// tuple matching the key agrees on the source values.
+// tuple matching the key agrees on the source values. That lookup is
+// precomputed per key in one unique-RHS index per master match list
+// Xm, shared by every rule with that Xm (ruleindex.go): each rule reads
+// its own Bm off the shared entry, so the chase probes a key once for
+// all rules that match it the same way.
 package master
 
 import (
@@ -321,9 +325,10 @@ func (m *Store) PackColumnar(maxShards int) int {
 // indexes.
 type MemStats struct {
 	Table storage.TableMem `json:"table"`
-	// RuleIndexKeys counts entries across all rule indexes;
-	// RuleIndexBytes estimates their footprint (sym-encoded keys, map
-	// entries, and the RHS value headers each entry retains).
+	// RuleIndexKeys counts entries across all rule indexes (one per
+	// key per master match list); RuleIndexBytes estimates their
+	// footprint (sym-encoded keys, map entries, and the value headers
+	// each entry retains on its index's U).
 	RuleIndexKeys  int   `json:"rule_index_keys"`
 	RuleIndexBytes int64 `json:"rule_index_bytes"`
 }
@@ -338,7 +343,7 @@ func (m *Store) MemStats() MemStats {
 	out := MemStats{Table: m.table.MemStats()}
 	for _, ix := range m.ruleIdx.indexes {
 		keyBytes := int64(4*len(ix.matchAttrs)) + 16 // sym key + string header
-		entryBytes := keyBytes + 48 + 40 + int64(16*len(ix.rhsAttrs))
+		entryBytes := keyBytes + 48 + 40 + int64(16*len(ix.unionAttrs))
 		for _, sh := range &ix.shards {
 			n := len(sh.M)
 			out.RuleIndexKeys += n

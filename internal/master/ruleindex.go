@@ -1,6 +1,7 @@
 package master
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,12 +20,24 @@ import (
 // city) groups grow linearly with master size and dominate fix
 // latency (benchmark E5's plain-index column shows this).
 //
-// The rule index precomputes the answer per key: a map from k to
-// either the agreed RHS values plus a witness tuple ID, or a conflict
-// marker. Lookups become O(1) regardless of group size. The index is
-// maintained incrementally on Store inserts (master data is
-// append-mostly); bulk loads that bypass the Store rebuild it via
-// PrepareForRules.
+// The rule index precomputes the answer per key, once per master
+// match list Xm rather than once per rule. Every rule registered with
+// the same Xm shares one index over U, the union of their Bm lists. An
+// index maps k to an entry built from the first master tuple with
+// that key (the witness, in table order): the witness's values on U,
+// its ID, and one conflict bit per attribute of U, set once a later
+// tuple disagrees with the witness on that attribute. A pair
+// (Xm, Bm) reads its answer off the entry: no entry is NoMatch, any
+// of Bm's bits set is Conflict, otherwise Unique with the witness's
+// values at Bm's positions in U. Tuples agree on a projection iff
+// they agree on each of its attributes, so this is exactly the
+// per-pair answer. φ1–φ9 match on 4 lists, so 4 indexes serve 9
+// rules. U only grows — registering a new Bm attribute appends it —
+// so a position a handle has resolved never moves; a schema has at
+// most schema.MaxAttrs = 64 attributes, so U's bits fit a uint64.
+// Lookups are O(1) regardless of group size. The index is maintained
+// incrementally on Store inserts (master data is append-mostly); bulk
+// loads that bypass the Store rebuild it via PrepareForRules.
 //
 // Like the storage layer, the registry is versioned copy-on-write:
 // Store.Snapshot marks the registry, every index header and every
@@ -66,13 +79,14 @@ func (m LookupMode) String() string {
 	}
 }
 
-// rhsEntry is the per-key precomputed answer. Entries are immutable
-// after publication: snapshots share them, so a state change replaces
-// the entry instead of flipping fields in place.
+// rhsEntry is one probe key's precomputed answer for every pair of an
+// index. Entries are immutable after publication: snapshots share
+// them, so a state change replaces the entry instead of flipping
+// fields in place.
 type rhsEntry struct {
-	rhs      value.List
+	vals     value.List // the witness's values on the index's U
 	witness  int64
-	conflict bool
+	conflict uint64 // bit i: a later tuple disagrees with the witness on U[i]
 }
 
 // entryShardCount sizes the copy-on-write granularity of one rule
@@ -83,18 +97,14 @@ const entryShardCount = 64
 // for the shared/copy-on-write discipline).
 type entryShard = cowmap.Shard[string, *rhsEntry]
 
-// entryShardOf routes a probe key to its shard. entryShardOfBytes is
-// its byte-slice sibling and MUST agree with it byte for byte:
-// indexes are built with string keys and probed with scratch-encoded
-// []byte keys, so divergent routing would silently read the wrong
-// shard (NoMatch for a present key).
-func entryShardOf(k string) int { return cowmap.FNV(k, entryShardCount) }
+// entryShardOf routes a sym-encoded key to its shard. Build and probe
+// both route the key bytes, so they always agree on the shard.
+func entryShardOf(k []byte) int { return cowmap.FNVBytes(k, entryShardCount) }
 
-func entryShardOfBytes(k []byte) int { return cowmap.FNVBytes(k, entryShardCount) }
-
-// ruleIndex holds one (Xm, Bm) unique-RHS map. The header follows the
-// shared/copy-on-write discipline: once a snapshot references it, the
-// live store copies the header before replacing any shard pointer.
+// ruleIndex holds the unique-RHS map of one master match list Xm. The
+// header follows the shared/copy-on-write discipline: once a snapshot
+// references it, the live store copies the header before replacing
+// any shard pointer.
 //
 // Entry keys are sym-encoded: the fixed-width dictionary ids of the
 // projected match values (value.AppendSym), 4 bytes per attribute
@@ -104,103 +114,153 @@ func entryShardOfBytes(k []byte) int { return cowmap.FNVBytes(k, entryShardCount
 // in the index interned its values at add time, so a probe value the
 // dictionary has never seen cannot match any key (a certain NoMatch).
 type ruleIndex struct {
-	matchAttrs []string
-	rhsAttrs   []string
-	matchPos   []int // schema positions of matchAttrs
+	matchAttrs []string // Xm
+	unionAttrs []string // U, in registration order
+	matchPos   []int    // schema positions of matchAttrs
+	unionPos   []int    // schema positions of unionAttrs
 	shared     bool
 	shards     [entryShardCount]*entryShard
 }
 
-func newRuleIndex(sch *schema.Schema, matchAttrs, rhsAttrs []string) *ruleIndex {
-	ix := &ruleIndex{
-		matchAttrs: append([]string(nil), matchAttrs...),
-		rhsAttrs:   append([]string(nil), rhsAttrs...),
-		matchPos:   make([]int, len(matchAttrs)),
-	}
-	for i, a := range matchAttrs {
+// build fills a fresh index from rows, in table order.
+func (ix *ruleIndex) build(sch *schema.Schema, rows []*schema.Tuple, dict *value.Dict) {
+	ix.matchPos = make([]int, len(ix.matchAttrs))
+	for i, a := range ix.matchAttrs {
 		ix.matchPos[i] = sch.MustIndex(a)
+	}
+	ix.unionPos = make([]int, len(ix.unionAttrs))
+	for i, a := range ix.unionAttrs {
+		ix.unionPos[i] = sch.MustIndex(a)
 	}
 	for i := range ix.shards {
 		ix.shards[i] = cowmap.New[string, *rhsEntry]()
 	}
-	return ix
-}
-
-// shardMut returns a privately-owned entry shard for key k.
-func (ix *ruleIndex) shardMut(k string) *entryShard {
-	return cowmap.Mut(&ix.shards[entryShardOf(k)])
+	var buf []byte
+	for _, s := range rows {
+		buf = ix.add(s, dict, buf)
+	}
 }
 
 // add folds one master tuple into the index, interning its match
-// values into dict.
-func (ix *ruleIndex) add(s *schema.Tuple, dict *value.Dict) {
-	kb := make([]byte, 0, 4*len(ix.matchPos))
+// values into dict. buf is key scratch, returned for reuse.
+func (ix *ruleIndex) add(s *schema.Tuple, dict *value.Dict, buf []byte) []byte {
+	kb := buf[:0]
 	for _, p := range ix.matchPos {
 		kb = value.AppendSym(kb, dict.InternV(s.Vals[p]))
 	}
-	k := string(kb)
-	sh := ix.shardMut(k)
-	e, ok := sh.M[k]
+	sh := cowmap.Mut(&ix.shards[entryShardOf(kb)])
+	e, ok := sh.M[string(kb)]
 	if !ok {
-		sh.M[k] = &rhsEntry{rhs: s.Project(ix.rhsAttrs), witness: s.ID}
-		return
+		sh.M[string(kb)] = &rhsEntry{vals: s.ProjectAt(ix.unionPos), witness: s.ID}
+		return kb
 	}
-	if !e.conflict && !e.rhs.Equal(s.Project(ix.rhsAttrs)) {
+	conflict := e.conflict
+	for i, p := range ix.unionPos {
+		if s.Vals[p] != e.vals[i] {
+			conflict |= 1 << uint(i)
+		}
+	}
+	if conflict != e.conflict {
 		// Replace, never mutate: snapshots may share the old entry.
-		sh.M[k] = &rhsEntry{rhs: e.rhs, witness: e.witness, conflict: true}
+		sh.M[string(kb)] = &rhsEntry{vals: e.vals, witness: e.witness, conflict: conflict}
 	}
+	return kb
 }
 
-// getBytes is get for a scratch-encoded key. The string conversion in
-// the map index expression does not allocate (compiler-recognized
-// pattern), so a probe against a reused []byte buffer is
-// allocation-free.
-func (ix *ruleIndex) getBytes(k []byte) *rhsEntry {
-	return ix.shards[entryShardOfBytes(k)].M[string(k)]
+// get probes a sym-encoded key. The string conversion in the map
+// index expression does not allocate (compiler-recognized pattern),
+// so a probe against a reused []byte buffer is allocation-free.
+func (ix *ruleIndex) get(k []byte) *rhsEntry {
+	return ix.shards[entryShardOf(k)].M[string(k)]
 }
 
-// ruleIndexKey canonicalizes the (Xm, Bm) pair.
-func ruleIndexKey(matchAttrs, rhsAttrs []string) string {
-	var b strings.Builder
-	for _, a := range matchAttrs {
-		b.WriteByte(byte(len(a)))
-		b.WriteString(a)
+// rulePair resolves one registered (Xm, Bm) pair: the slot of its
+// index in the registry and Bm's positions in that index's U, with
+// their bitmask. Immutable once registered: slots and U positions
+// never move.
+type rulePair struct {
+	slot int
+	pos  []int
+	mask uint64
+}
+
+// answer reads the pair's result off a probed entry (nil: no match).
+func (p *rulePair) answer(e *rhsEntry) Answer {
+	if e == nil {
+		return Answer{Status: NoMatch}
 	}
-	b.WriteByte(0xff)
-	for _, a := range rhsAttrs {
-		b.WriteByte(byte(len(a)))
-		b.WriteString(a)
+	if e.conflict&p.mask != 0 {
+		return Answer{Status: Conflict}
 	}
-	return b.String()
+	return Answer{Status: Unique, Witness: e.witness, vals: e.vals, pos: p.pos}
 }
 
 // ruleIndexes is the Store's registry (separate struct to keep the
 // main file focused). All access is synchronized by Store.mu or by
 // snapshot immutability.
 type ruleIndexes struct {
-	indexes map[string]*ruleIndex
-	// shared marks the registry map itself as referenced by a
-	// snapshot; the live store copies it before the next write.
+	// indexes holds one index per Xm, in registration order.
+	indexes []*ruleIndex
+	// pairs maps HandleKey(Xm, Bm) to the pair's resolution, so a
+	// handle binds with one map lookup.
+	pairs map[string]*rulePair
+	// shared marks the slice and the map as referenced by a snapshot;
+	// the live store copies both before the next write.
 	shared bool
 }
 
 func newRuleIndexes() *ruleIndexes {
-	return &ruleIndexes{indexes: make(map[string]*ruleIndex)}
+	return &ruleIndexes{pairs: make(map[string]*rulePair)}
 }
 
-// registryMut returns the registry map, copying it first when a
-// snapshot shares it.
-func (ri *ruleIndexes) registryMut() map[string]*ruleIndex {
-	return cowmap.MutMap(&ri.indexes, &ri.shared)
-}
-
-// build constructs the index for one (Xm, Bm) pair from all rows.
-func (ri *ruleIndexes) build(sch *schema.Schema, matchAttrs, rhsAttrs []string, rows []*schema.Tuple, dict *value.Dict) {
-	idx := newRuleIndex(sch, matchAttrs, rhsAttrs)
-	for _, s := range rows {
-		idx.add(s, dict)
+// mut makes the registry's slice and map private, copying them first
+// when a snapshot shares them.
+func (ri *ruleIndexes) mut() {
+	if ri.shared {
+		ri.indexes = slices.Clone(ri.indexes)
 	}
-	ri.registryMut()[ruleIndexKey(matchAttrs, rhsAttrs)] = idx
+	cowmap.MutMap(&ri.pairs, &ri.shared)
+}
+
+// prepare registers every rule's (Xm, Bm) pair and rebuilds, from
+// rows, the index of every Xm the rules use. An index that gains Bm
+// attributes appends them to its U.
+func (ri *ruleIndexes) prepare(sch *schema.Schema, rules []*rule.Rule, rows []*schema.Tuple, dict *value.Dict) {
+	ri.mut()
+	var rebuild []int
+	for _, r := range rules {
+		xm, bm := r.MatchMasterAttrs(), r.SetMasterAttrs()
+		slot := slices.IndexFunc(ri.indexes, func(ix *ruleIndex) bool { return slices.Equal(ix.matchAttrs, xm) })
+		if slot < 0 {
+			slot = len(ri.indexes)
+			ri.indexes = append(ri.indexes, &ruleIndex{matchAttrs: xm})
+		}
+		if !slices.Contains(rebuild, slot) {
+			// A fresh header, filled below: snapshots keep the old one.
+			old := ri.indexes[slot]
+			ri.indexes[slot] = &ruleIndex{matchAttrs: old.matchAttrs, unionAttrs: slices.Clip(old.unionAttrs)}
+			rebuild = append(rebuild, slot)
+		}
+		key := HandleKey(xm, bm)
+		if _, ok := ri.pairs[key]; ok {
+			continue
+		}
+		ix := ri.indexes[slot]
+		p := &rulePair{slot: slot, pos: make([]int, len(bm))}
+		for i, a := range bm {
+			j := slices.Index(ix.unionAttrs, a)
+			if j < 0 {
+				j = len(ix.unionAttrs)
+				ix.unionAttrs = append(ix.unionAttrs, a)
+			}
+			p.pos[i] = j
+			p.mask |= 1 << uint(j)
+		}
+		ri.pairs[key] = p
+	}
+	for _, slot := range rebuild {
+		ri.indexes[slot].build(sch, rows, dict)
+	}
 }
 
 // insert maintains every registered index for a new master tuple.
@@ -208,14 +268,16 @@ func (ri *ruleIndexes) insert(s *schema.Tuple, dict *value.Dict) {
 	if len(ri.indexes) == 0 {
 		return
 	}
-	reg := ri.registryMut()
-	for key, ix := range reg {
+	ri.mut()
+	var buf []byte
+	for i, ix := range ri.indexes {
 		if ix.shared {
-			cp := &ruleIndex{matchAttrs: ix.matchAttrs, rhsAttrs: ix.rhsAttrs, matchPos: ix.matchPos, shards: ix.shards}
-			reg[key] = cp
-			ix = cp
+			cp := *ix
+			cp.shared = false
+			ix = &cp
+			ri.indexes[i] = ix
 		}
-		ix.add(s, dict)
+		buf = ix.add(s, dict, buf)
 	}
 }
 
@@ -230,7 +292,7 @@ func (ri *ruleIndexes) snapshot() *ruleIndexes {
 			sh.Shared = true
 		}
 	}
-	return &ruleIndexes{indexes: ri.indexes, shared: true}
+	return &ruleIndexes{indexes: ri.indexes, pairs: ri.pairs, shared: true}
 }
 
 // lookup answers the unique-RHS question for a registered pair; the
@@ -238,7 +300,7 @@ func (ri *ruleIndexes) snapshot() *ruleIndexes {
 // dictionary has never seen is a certain NoMatch for a registered
 // pair — no master tuple carries it (see ruleIndex).
 func (ri *ruleIndexes) lookup(matchAttrs []string, key value.List, rhsAttrs []string, dict *value.Dict) (value.List, int64, LookupStatus, bool) {
-	ix, ok := ri.indexes[ruleIndexKey(matchAttrs, rhsAttrs)]
+	p, ok := ri.pairs[HandleKey(matchAttrs, rhsAttrs)]
 	if !ok {
 		return nil, 0, NoMatch, false
 	}
@@ -250,42 +312,64 @@ func (ri *ruleIndexes) lookup(matchAttrs []string, key value.List, rhsAttrs []st
 		}
 		kb = value.AppendSym(kb, sym)
 	}
-	return entryResult(ix.getBytes(kb))
+	a := p.answer(ri.indexes[p.slot].get(kb))
+	return a.List(), a.Witness, a.Status, true
 }
 
-// AppendProbeKey appends the sym-encoded rule-index probe key for t's
-// projection on positions, resolving each value through dict without
-// interning. ok=false means some value has never been interned: no
-// master tuple carries it, so for any registered (Xm, Bm) pair the
-// probe is a certain NoMatch (pass encoded=false to RuleHandle.Lookup
-// and it answers accordingly). The compiled chase calls this with a
-// reused scratch buffer; it never allocates.
-func AppendProbeKey(dict *value.Dict, dst []byte, t *schema.Tuple, positions []int) ([]byte, bool) {
-	for _, p := range positions {
-		sym, found := dict.LookupV(t.Vals[p])
-		if !found {
-			return dst, false
-		}
-		dst = value.AppendSym(dst, sym)
-	}
-	return dst, true
+// Answer is one (Xm, Bm) pair's unique-RHS result, read in place from
+// an index entry: RHS(i) is the witness's value on the pair's i-th Bm
+// attribute, valid when Status is Unique.
+type Answer struct {
+	Status  LookupStatus
+	Witness int64
+	vals    value.List
+	pos     []int // Bm's positions in vals; nil when vals is Bm-aligned
 }
+
+// ListAnswer wraps a UniqueRHS result, whose values are already in Bm
+// order, as an Answer.
+func ListAnswer(rhs value.List, witness int64, status LookupStatus) Answer {
+	return Answer{Status: status, Witness: witness, vals: rhs}
+}
+
+// RHS returns the i-th Bm value.
+func (a *Answer) RHS(i int) value.V {
+	if a.pos == nil {
+		return a.vals[i]
+	}
+	return a.vals[a.pos[i]]
+}
+
+// List materializes the Bm values in order (nil unless Unique).
+func (a *Answer) List() value.List {
+	if a.pos == nil {
+		return a.vals
+	}
+	out := make(value.List, len(a.pos))
+	for i := range out {
+		out[i] = a.RHS(i)
+	}
+	return out
+}
+
+// Entry is a probed key's entry on one index. Every pair registered
+// with that index's Xm reads its own answer from it (RuleHandle.Read),
+// so one probe per key serves them all. The zero Entry is a miss.
+type Entry struct{ e *rhsEntry }
 
 // RuleHandle is a pre-resolved unique-RHS lookup handle for one
 // (Xm, Bm) pair — the compiled chase's direct line to a rule's index.
-// Resolving a handle pays the registry-key build once; every probe
-// after that skips the per-lookup ruleIndexKey string construction,
-// and on frozen stores (the batch pipeline's and job runners' view)
-// the index itself is resolved at handle creation, so a probe is one
-// shard hash plus one map hit with no locking at all. On live stores
-// the handle keeps the prebuilt key and re-resolves the index under
-// the read lock per probe, staying correct across copy-on-write
-// registry swaps (Insert after Snapshot replaces shared index
-// headers).
+// On frozen stores (the batch pipeline's and job runners' view) the
+// pair — its index's slot and Bm's positions — is resolved at handle
+// creation with one registry lookup, so a probe is one shard hash
+// plus one map hit with no locking at all. On live stores the handle keeps the pair key and
+// re-resolves it under the read lock per call, staying correct across
+// copy-on-write registry swaps (Insert after Snapshot replaces shared
+// index headers).
 type RuleHandle struct {
 	store *Store
 	key   string
-	idx   *ruleIndex // resolved once when the store is frozen
+	pair  *rulePair // resolved once when the store is frozen
 }
 
 // HandleKey canonicalizes a (Xm, Bm) pair into the registry key a
@@ -293,7 +377,17 @@ type RuleHandle struct {
 // callers that bind handles repeatedly (the compiled chase binds one
 // per rule per Chaser) compute it once and pass it to HandleByKey.
 func HandleKey(matchAttrs, rhsAttrs []string) string {
-	return ruleIndexKey(matchAttrs, rhsAttrs)
+	var b strings.Builder
+	for _, a := range matchAttrs {
+		b.WriteByte(byte(len(a)))
+		b.WriteString(a)
+	}
+	b.WriteByte(0xff)
+	for _, a := range rhsAttrs {
+		b.WriteByte(byte(len(a)))
+		b.WriteString(a)
+	}
+	return b.String()
 }
 
 // Handle resolves a (Xm, Bm) pair to a lookup handle. The handle is
@@ -312,84 +406,86 @@ func (m *Store) Handle(matchAttrs, rhsAttrs []string) *RuleHandle {
 func (m *Store) HandleByKey(key string) RuleHandle {
 	h := RuleHandle{store: m, key: key}
 	if m.frozen {
-		h.idx = m.ruleIdx.indexes[key]
+		h.pair = m.ruleIdx.pairs[key]
 	}
 	return h
 }
 
-// Lookup answers the unique-RHS probe for a sym-encoded composite key
-// (the AppendProbeKey encoding of t[X]). encoded=false means the
-// probe could not be encoded because some value is absent from the
+// Probe looks up a sym-encoded composite key (value.AppendSym of each
+// t[X] value's dictionary sym) on the pair's index. It returns the
+// entry, which any handle of a pair with the same Xm on the same
+// store view may Read, and this pair's answer. encoded=false means the
+// key could not be encoded because some value is absent from the
 // dictionary: for a registered pair that is a certain NoMatch (every
 // key in the index interned its values when its row was added), so
 // the handle answers without touching the shards. The final result
 // reports whether a rule index is registered for the pair — false
 // means the caller must fall back to the group verification path
 // (Store.UniqueRHS), exactly as an unregistered pair does there.
-func (h *RuleHandle) Lookup(encKey []byte, encoded bool) (value.List, int64, LookupStatus, bool) {
-	ix := h.idx
-	if ix == nil {
-		m := h.store
+func (h *RuleHandle) Probe(encKey []byte, encoded bool) (Entry, Answer, bool) {
+	m, p := h.store, h.pair
+	if p == nil {
 		if m.frozen {
-			return nil, 0, NoMatch, false // no index at capture: permanent
+			return Entry{}, Answer{}, false // no index at capture: permanent
 		}
 		m.mu.RLock()
-		ix = m.ruleIdx.indexes[h.key]
-		if ix == nil {
-			m.mu.RUnlock()
-			return nil, 0, NoMatch, false
+		defer m.mu.RUnlock()
+		if p = m.ruleIdx.pairs[h.key]; p == nil {
+			return Entry{}, Answer{}, false
 		}
-		if !encoded {
-			m.mu.RUnlock()
-			return nil, 0, NoMatch, true
-		}
-		e := ix.getBytes(encKey)
+	}
+	var e *rhsEntry
+	if encoded {
+		e = m.ruleIdx.indexes[p.slot].get(encKey)
+	}
+	return Entry{e}, p.answer(e), true
+}
+
+// Read answers the pair from an entry that Probe returned for a pair
+// with the same Xm on the same store view, without probing. The
+// final result is Probe's: false means no index is registered.
+func (h *RuleHandle) Read(e Entry) (Answer, bool) {
+	m, p := h.store, h.pair
+	if p == nil && !m.frozen {
+		m.mu.RLock()
+		p = m.ruleIdx.pairs[h.key]
 		m.mu.RUnlock()
-		return entryResult(e)
 	}
-	if !encoded {
-		return nil, 0, NoMatch, true
+	if p == nil {
+		return Answer{}, false
 	}
-	return entryResult(ix.getBytes(encKey))
+	return p.answer(e.e), true
 }
 
-// entryResult decodes a probe's entry into the UniqueRHS result shape.
-func entryResult(e *rhsEntry) (value.List, int64, LookupStatus, bool) {
-	if e == nil {
-		return nil, 0, NoMatch, true
-	}
-	if e.conflict {
-		return nil, 0, Conflict, true
-	}
-	return e.rhs, e.witness, Unique, true
+// Lookup is Probe returning the answer in the UniqueRHS result shape.
+func (h *RuleHandle) Lookup(encKey []byte, encoded bool) (value.List, int64, LookupStatus, bool) {
+	_, a, ok := h.Probe(encKey, encoded)
+	return a.List(), a.Witness, a.Status, ok
 }
 
-// registered lists the (Xm, Bm) pairs with indexes, sorted, for
-// diagnostics.
+// registered lists the indexes as "Xm->U", sorted, for diagnostics.
 func (ri *ruleIndexes) registered() []string {
 	out := make([]string, 0, len(ri.indexes))
 	for _, ix := range ri.indexes {
-		out = append(out, strings.Join(ix.matchAttrs, ",")+"->"+strings.Join(ix.rhsAttrs, ","))
+		out = append(out, strings.Join(ix.matchAttrs, ",")+"->"+strings.Join(ix.unionAttrs, ","))
 	}
 	sort.Strings(out)
 	return out
 }
 
-// PrepareRuleIndexes (re)builds the unique-RHS index of every rule in
-// the set. Called by PrepareForRules; callers that mutate the
-// underlying table directly must re-run it.
+// PrepareRuleIndexes (re)builds the unique-RHS index of every master
+// match list in the rule set, registering each rule's (Xm, Bm) pair.
+// Called by PrepareForRules; callers that mutate the underlying table
+// directly must re-run it.
 func (m *Store) PrepareRuleIndexes(rs *rule.Set) {
 	m.lock()
 	defer m.unlock()
-	rows := m.table.All()
-	sch, dict := m.table.Schema(), m.table.Dict()
-	for _, r := range rs.Rules() {
-		m.ruleIdx.build(sch, r.MatchMasterAttrs(), r.SetMasterAttrs(), rows, dict)
-	}
+	m.ruleIdx.prepare(m.table.Schema(), rs.Rules(), m.table.All(), m.table.Dict())
 	m.version++
 }
 
-// RegisteredRuleIndexes lists the built indexes (diagnostics).
+// RegisteredRuleIndexes lists the built indexes, one "Xm->U" line per
+// master match list (diagnostics).
 func (m *Store) RegisteredRuleIndexes() []string {
 	m.rlock()
 	defer m.runlock()

@@ -102,22 +102,25 @@ func TestRegisteredRuleIndexes(t *testing.T) {
 	rs := rule.MustSet(
 		mustParse(t, `r1: match zip~zip set AC := AC`),
 		mustParse(t, `r2: match AC~AC set city := city`),
+		mustParse(t, `r3: match zip~zip set city := city, AC := AC`),
 	)
 	if err := m.PrepareForRules(rs); err != nil {
 		t.Fatal(err)
 	}
+	// One index per master match list, listing U in registration order.
 	regs := m.RegisteredRuleIndexes()
 	if len(regs) != 2 {
 		t.Fatalf("registered = %v", regs)
 	}
-	if regs[0] != "AC->city" || regs[1] != "zip->AC" {
+	if regs[0] != "AC->city" || regs[1] != "zip->AC,city" {
 		t.Fatalf("registered = %v", regs)
 	}
 }
 
-// RegisteredRuleIndexes promises sorted output; the registry is a map,
-// so pin the ordering against iteration-order luck with enough
-// indexes that an unsorted implementation cannot pass by accident.
+// RegisteredRuleIndexes promises sorted output; the registry keeps
+// registration order, so pin the ordering with enough indexes, built
+// in unsorted order, that an unsorted implementation cannot pass by
+// accident. 56 rules over 8 master match lists build 8 indexes.
 func TestRegisteredRuleIndexesSorted(t *testing.T) {
 	m := demoStore(t)
 	attrs := []string{"AC", "Hphn", "Mphn", "city", "str", "zip", "FN", "LN"}
@@ -135,13 +138,13 @@ func TestRegisteredRuleIndexesSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	regs := m.RegisteredRuleIndexes()
-	if len(regs) != len(rules) {
-		t.Fatalf("registered %d pairs, want %d", len(regs), len(rules))
+	if len(regs) != len(attrs) {
+		t.Fatalf("registered %d indexes, want %d: %v", len(regs), len(attrs), regs)
 	}
 	if !sort.StringsAreSorted(regs) {
 		t.Fatalf("RegisteredRuleIndexes not sorted: %v", regs)
 	}
-	// Stable across calls (map iteration must not leak through).
+	// Stable across calls.
 	for i := 0; i < 5; i++ {
 		again := m.RegisteredRuleIndexes()
 		if !slices.Equal(regs, again) {
@@ -151,7 +154,7 @@ func TestRegisteredRuleIndexesSorted(t *testing.T) {
 }
 
 // encodeProbe sym-encodes a probe key against the store's dictionary,
-// mirroring what master.AppendProbeKey does for the compiled chase. The
+// as the compiled chase does (core's Chaser.encodeKey). The
 // second result reports whether every value was already interned; a
 // miss means no registered index can contain the key.
 func encodeProbe(st *Store, key value.List) ([]byte, bool) {

@@ -233,18 +233,6 @@ func (t *Tuple) ProjectAt(positions []int) value.List {
 	return out
 }
 
-// AppendKeyAt appends the value.List.Key encoding of the tuple's
-// projection on the given positions to dst and returns the extended
-// slice. Byte-identical to t.ProjectAt(positions).Key() but with no
-// intermediate list or string: the chase's per-probe key encode runs
-// allocation-free against a reused scratch buffer.
-func (t *Tuple) AppendKeyAt(dst []byte, positions []int) []byte {
-	for _, p := range positions {
-		dst = value.AppendKeyV(dst, t.Vals[p])
-	}
-	return dst
-}
-
 // Map renders the tuple as an attribute->string map (for JSON and
 // display).
 func (t *Tuple) Map() map[string]string {

@@ -192,9 +192,8 @@ func TestTupleProjectAndMap(t *testing.T) {
 	}
 }
 
-// ProjectAt and AppendKeyAt are the position-resolved siblings of
-// Project and Project(...).Key(): same values, same bytes.
-func TestTupleProjectAtAndAppendKeyAt(t *testing.T) {
+// ProjectAt is the position-resolved sibling of Project: same values.
+func TestTupleProjectAt(t *testing.T) {
 	s := custSchema(t)
 	tu := MustTuple(s, "Bob", "Brady", "020", "079172485", "2", "501 Elm St", "Edi", "EH8 4AH", "CD")
 	names := []string{"zip", "AC", "FN"}
@@ -205,17 +204,5 @@ func TestTupleProjectAtAndAppendKeyAt(t *testing.T) {
 	want := tu.Project(names)
 	if got := tu.ProjectAt(positions); !got.Equal(want) {
 		t.Fatalf("ProjectAt = %v, want %v", got, want)
-	}
-	if got := string(tu.AppendKeyAt(nil, positions)); got != want.Key() {
-		t.Fatalf("AppendKeyAt = %q, want %q", got, want.Key())
-	}
-	// Appends extend an existing buffer.
-	buf := tu.AppendKeyAt([]byte("x"), positions)
-	if string(buf) != "x"+want.Key() {
-		t.Fatalf("AppendKeyAt clobbered the buffer: %q", buf)
-	}
-	// Empty projection encodes to nothing.
-	if got := tu.AppendKeyAt(nil, nil); len(got) != 0 {
-		t.Fatalf("empty AppendKeyAt = %q", got)
 	}
 }
