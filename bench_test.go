@@ -141,7 +141,7 @@ func BenchmarkE5ScaleMaster(b *testing.B) {
 }
 
 // BenchmarkE5AccessPaths is the E5 ablation at a fixed master size:
-// rule-index vs plain-index vs scan lookups.
+// rule-index vs scan lookups.
 func BenchmarkE5AccessPaths(b *testing.B) {
 	g := dataset.NewCustomerGen(3)
 	w, err := g.GenerateWorkload(5000, 64, 0.3, nil)
@@ -153,7 +153,7 @@ func BenchmarkE5AccessPaths(b *testing.B) {
 		b.Fatal(err)
 	}
 	seed := schema.SetOfNames(dataset.CustSchema(), "zip", "phn", "type", "item")
-	for _, mode := range []master.LookupMode{master.ModeRuleIndex, master.ModePlainIndex, master.ModeScan} {
+	for _, mode := range []master.LookupMode{master.ModeRuleIndex, master.ModeScan} {
 		b.Run(mode.String(), func(b *testing.B) {
 			w.Store.SetMode(mode)
 			defer w.Store.SetMode(master.ModeRuleIndex)

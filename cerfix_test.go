@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cerfix/internal/core"
 	"cerfix/internal/dataset"
 )
 
@@ -136,6 +137,62 @@ func TestRuleManagement(t *testing.T) {
 	}
 	if sys.RuleSet().Len() != 9 {
 		t.Fatalf("rules after remove = %d", sys.RuleSet().Len())
+	}
+}
+
+// TestRuleIndexesResolveEveryRule: every rule of the shipped rule sets
+// resolves a registered rule index on the live store NewEngine
+// prepared, on its snapshot, and after rules are added (one new Bm on
+// a registered Xm, one new Xm) and removed. So the compiled chase
+// never takes Store.UniqueRHS's fallback on the rule-index path; only
+// ModeScan reaches it.
+func TestRuleIndexesResolveEveryRule(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		input, master *Schema
+		rules         *RuleSet
+		extra         []string
+	}{
+		{"demo", dataset.CustSchema(), dataset.PersonSchema(), dataset.DemoRules(),
+			[]string{`x1: match zip~zip set FN := FN`, `x2: match LN~LN set FN := FN`}},
+		{"dblp", dataset.DblpSchema(), dataset.DblpSchema(), dataset.DblpRules(),
+			[]string{`x1: match key~key set vfull := vfull`, `x2: match authors~authors set venue := venue`}},
+		{"hosp", dataset.HospSchema(), dataset.HospSchema(), dataset.HospRules(),
+			[]string{`x1: match zip~zip set county := county`, `x2: match hospital~hospital set phone := phone`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := NewWithRules(tc.input, tc.master, tc.rules)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(stage string, want int) {
+				t.Helper()
+				for _, eng := range []*core.Engine{sys.Engine(), sys.SnapshotEngine()} {
+					rules := eng.Rules().Rules()
+					if len(rules) != want {
+						t.Fatalf("%s: %d rules, want %d", stage, len(rules), want)
+					}
+					for _, r := range rules {
+						h := eng.Master().Handle(r.MatchMasterAttrs(), r.SetMasterAttrs())
+						if _, _, _, ok := h.Lookup(nil, false); !ok {
+							t.Errorf("%s (frozen %v): rule %s has no registered rule index", stage, eng.Master().Frozen(), r.ID)
+						}
+					}
+				}
+			}
+			n := tc.rules.Len()
+			check("NewEngine", n)
+			for _, line := range tc.extra {
+				if err := sys.AddRule(line); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("after AddRule", n+len(tc.extra))
+			if !sys.RemoveRule("x1") {
+				t.Fatal("RemoveRule(x1) found nothing")
+			}
+			check("after RemoveRule", n+len(tc.extra)-1)
+		})
 	}
 }
 

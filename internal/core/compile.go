@@ -520,8 +520,8 @@ func (c *Chaser) evaluate(ri, round int, res *ChaseResult) bool {
 // every later rule of the group reads its own Bm off the remembered
 // entry. No step allocates. A probe value the dictionary has never
 // seen answers NoMatch for registered pairs (no master tuple carries
-// it); other modes and unregistered ad-hoc pairs take the store's
-// general path, byte-identical to the legacy engine's.
+// it); ModeScan and unregistered ad-hoc pairs take the store's scan,
+// byte-identical to the legacy engine's.
 func (c *Chaser) lookup(ri int, cr *compiledRule, t *schema.Tuple) master.Answer {
 	if c.eng.store.Mode() == master.ModeRuleIndex {
 		h, g := &c.handles[ri], cr.group

@@ -192,10 +192,10 @@ func buildRandomWorld(t *testing.T, seed uint64, sharedXm bool) *randomWorld {
 // random worlds, every lookup mode, random seeds, three compiled
 // entry points against the legacy oracle.
 func TestCompiledLegacyParityRandom(t *testing.T) {
-	modes := []master.LookupMode{master.ModeRuleIndex, master.ModePlainIndex, master.ModeScan}
+	modes := []master.LookupMode{master.ModeRuleIndex, master.ModeScan}
 	for trial := uint64(0); trial < 40; trial++ {
 		w := newRandomWorld(t, 1000+trial)
-		mode := modes[trial%3]
+		mode := modes[trial%uint64(len(modes))]
 		w.eng.Master().SetMode(mode)
 		chaser := w.eng.NewChaser()
 		scratcher := w.eng.NewChaser()
@@ -220,10 +220,10 @@ func TestCompiledLegacyParityRandom(t *testing.T) {
 // which is the access path of the batch pipeline and job runners. A
 // second view over the same master packed into columnar blocks must
 // chase identically to the boxed one under every lookup mode (the
-// plain-index and scan paths read the packed rows). Random worlds are
+// scan path reads the packed rows). Random worlds are
 // far below the default pack threshold, so it is dropped to one row.
 func TestCompiledLegacyParitySnapshots(t *testing.T) {
-	modes := []master.LookupMode{master.ModeRuleIndex, master.ModePlainIndex, master.ModeScan}
+	modes := []master.LookupMode{master.ModeRuleIndex, master.ModeScan}
 	for trial := uint64(0); trial < 10; trial++ {
 		w := newRandomWorld(t, 9000+trial)
 		snap := w.eng.Snapshot()
@@ -418,10 +418,10 @@ func premiseReadyCounts(e *Engine, res *ChaseResult) (ready, static int) {
 // reconcile: every premise-ready rule is either evaluated or skipped,
 // and the skipped ones are exactly the statically unsatisfiable ones.
 func TestPrefilterOnOffParityRandom(t *testing.T) {
-	modes := []master.LookupMode{master.ModeRuleIndex, master.ModePlainIndex, master.ModeScan}
+	modes := []master.LookupMode{master.ModeRuleIndex, master.ModeScan}
 	for trial := uint64(0); trial < 40; trial++ {
 		w := newRandomWorld(t, 5000+trial)
-		w.eng.Master().SetMode(modes[trial%3])
+		w.eng.Master().SetMode(modes[trial%uint64(len(modes))])
 		fresh := w.eng.NewChaser()
 		pooled := w.eng.AcquireChaser()
 		for i, in := range w.inputs {

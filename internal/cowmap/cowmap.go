@@ -1,10 +1,8 @@
-// Package cowmap provides the copy-on-write sharded-map primitive
-// shared by the storage tables and the master rule indexes. A map is
-// split across a fixed number of Shards; a snapshot marks every shard
-// Shared in O(shard count) and references them from a frozen view,
-// and the live owner copies a shard (Mut) before its first write into
-// it afterwards. One discipline, one implementation — the layers
-// differ only in key/value types and in how a key routes to a shard.
+// Package cowmap provides the copy-on-write sharded-map primitive of
+// the master rule indexes. A map is split across a fixed number of
+// Shards; a snapshot marks every shard Shared in O(shard count) and
+// references them from a frozen view, and the live owner copies a
+// shard (Mut) before its first write into it afterwards.
 package cowmap
 
 import "cerfix/internal/simd"
@@ -56,15 +54,10 @@ func MutMap[K comparable, V any](m *map[K]V, shared *bool) map[K]V {
 	return *m
 }
 
-// FNV routes a string key to one of fanout shards (fanout must be a
-// power of two) by FNV-1a hash. Both forms run the one FNV-1a loop,
-// simd.Hash/HashBytes (cowmap_test pins it to the scalar definition):
-// equal bytes hash equally whether presented as a string or a []byte,
-// so a scratch-encoded probe key lands on the shard its string form
-// was stored in — routing divergence would silently read the wrong
-// shard.
-func FNV(k string, fanout int) int { return int(simd.Hash(k) & uint32(fanout-1)) }
-
-// FNVBytes is FNV for a byte-slice key — same bytes, same shard,
-// without converting (and allocating) the string.
+// FNVBytes routes a byte-slice key to one of fanout shards (fanout
+// must be a power of two) by its FNV-1a hash, simd.HashBytes
+// (cowmap_test pins it to the scalar definition). Build and probe
+// sides both route the key bytes, so a scratch-encoded probe key lands
+// on the shard its string form was stored in without converting (and
+// allocating) the string.
 func FNVBytes(k []byte, fanout int) int { return int(simd.HashBytes(k) & uint32(fanout-1)) }

@@ -446,16 +446,14 @@ func RunE4Hosp(noiseRates []float64, nProviders, nInputs int, seed uint64) ([]E4
 
 // --- E5: scalability ---------------------------------------------------------
 
-// E5MasterRow is one master-size measurement across the three lookup
+// E5MasterRow is one master-size measurement across the two lookup
 // access paths (the master manager's ablation): the precomputed
-// unique-RHS rule index (O(1) per probe), the plain hash index
-// (O(|key group|) — non-key attributes like the demo's area code grow
-// linearly with master size), and full scans (O(|master|)).
+// unique-RHS rule index (O(1) per probe) and full scans (O(|master|)).
 type E5MasterRow struct {
 	MasterSize int
-	// RuleIdxNsPerFix, PlainIdxNsPerFix and ScanNsPerFix are mean wall
-	// times per non-interactive certain-fix pass.
-	RuleIdxNsPerFix, PlainIdxNsPerFix, ScanNsPerFix float64
+	// RuleIdxNsPerFix and ScanNsPerFix are mean wall times per
+	// non-interactive certain-fix pass.
+	RuleIdxNsPerFix, ScanNsPerFix float64
 	// ScanMeasured reports whether the scan ablation ran at this size
 	// (it is skipped at large sizes to keep runs bounded).
 	ScanMeasured bool
@@ -478,8 +476,6 @@ func RunE5Master(sizes []int, nInputs int, scanLimit int, seed uint64) ([]E5Mast
 		row := E5MasterRow{MasterSize: size}
 		w.Store.SetMode(master.ModeRuleIndex)
 		row.RuleIdxNsPerFix = timeFixes(eng, w.Dirty, seedSet)
-		w.Store.SetMode(master.ModePlainIndex)
-		row.PlainIdxNsPerFix = timeFixes(eng, w.Dirty, seedSet)
 		if size <= scanLimit {
 			w.Store.SetMode(master.ModeScan)
 			row.ScanNsPerFix = timeFixes(eng, w.Dirty, seedSet)

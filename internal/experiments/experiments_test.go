@@ -162,21 +162,16 @@ func TestRunE5MasterShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.RuleIdxNsPerFix <= 0 || r.PlainIdxNsPerFix <= 0 {
+		if r.RuleIdxNsPerFix <= 0 {
 			t.Fatalf("bad timing: %+v", r)
 		}
 		if !r.ScanMeasured {
 			t.Fatalf("scan skipped at %d", r.MasterSize)
 		}
 	}
-	// Ordering at 1000 master rows: rule-index <= plain-index <= scan
-	// (allow slack on the first inequality; both are fast).
-	if rows[1].ScanNsPerFix <= rows[1].PlainIdxNsPerFix {
-		t.Fatalf("scan (%.0f ns) not slower than plain index (%.0f ns)",
-			rows[1].ScanNsPerFix, rows[1].PlainIdxNsPerFix)
-	}
-	if rows[1].RuleIdxNsPerFix > rows[1].ScanNsPerFix {
-		t.Fatalf("rule index (%.0f ns) slower than scan (%.0f ns)",
+	// Ordering at 1000 master rows: rule-index < scan.
+	if rows[1].RuleIdxNsPerFix >= rows[1].ScanNsPerFix {
+		t.Fatalf("rule index (%.0f ns) not faster than scan (%.0f ns)",
 			rows[1].RuleIdxNsPerFix, rows[1].ScanNsPerFix)
 	}
 }

@@ -1,15 +1,15 @@
 // Package master implements CerFix's master data manager. Master data
 // (a.k.a. reference data) is "a single repository of high-quality data
 // ... assumed consistent and accurate" (paper §2). The manager wraps a
-// storage table, pre-builds hash indexes over the master-side attribute
-// lists (Xm) of every editing rule — the access path rule application
-// probes — and exposes the unique-right-hand-side lookup that the
+// storage table and exposes the unique-right-hand-side lookup that the
 // certain-fix semantics requires: a fix is only certain if every master
 // tuple matching the key agrees on the source values. That lookup is
 // precomputed per key in one unique-RHS index per master match list
 // Xm, shared by every rule with that Xm (ruleindex.go): each rule reads
 // its own Bm off the shared entry, so the chase probes a key once for
-// all rules that match it the same way.
+// all rules that match it the same way. The rule index is the one
+// access path production reads; the scan (ModeScan) answers the same
+// question from the rows and is the reference the tests hold it to.
 package master
 
 import (
@@ -69,7 +69,7 @@ type Store struct {
 	// race-free against concurrent lookups, on live stores and
 	// snapshots alike — the mode is a per-view knob, not data.
 	mode atomic.Int32
-	// ruleIdx holds the precomputed unique-RHS maps (the fast path).
+	// ruleIdx holds the precomputed unique-RHS maps.
 	ruleIdx *ruleIndexes
 	// version counts rule-index mutations (Insert, PrepareRuleIndexes);
 	// together with the table snapshot identity it keys the snapshot
@@ -192,8 +192,9 @@ func (m *Store) Insert(tu *schema.Tuple) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	stored, _ := m.table.Get(id)
-	m.ruleIdx.insert(stored, m.table.Dict())
+	// The indexes copy what they keep, so tu's values serve as the
+	// stored row's without re-reading (and cloning) it.
+	m.ruleIdx.insert(&schema.Tuple{Schema: tu.Schema, ID: id, Vals: tu.Vals}, m.table.Dict())
 	m.version++
 	return id, nil
 }
@@ -213,32 +214,24 @@ func (m *Store) All() []*schema.Tuple { return m.table.All() }
 // Get returns the master tuple with the given ID.
 func (m *Store) Get(id int64) (*schema.Tuple, bool) { return m.table.Get(id) }
 
-// PrepareForRules creates one index per distinct master-side match
-// attribute list across the rule set, so every rule's lookup is O(1)
-// expected. Must be re-run after adding rules with new Xm lists (extra
-// runs are idempotent).
+// PrepareForRules builds one unique-RHS index per distinct master
+// match list across the rule set and registers every rule's (Xm, Bm)
+// pair on it, so every rule's lookup is O(1) expected. Must be re-run
+// after adding rules (extra runs are idempotent). A rule naming an
+// attribute the master schema lacks is an error.
 func (m *Store) PrepareForRules(rs *rule.Set) error {
 	if m.frozen {
 		return fmt.Errorf("master: PrepareForRules: %w", storage.ErrFrozen)
 	}
-	for _, r := range rs.Rules() {
-		if err := m.table.CreateIndex(r.MatchMasterAttrs()); err != nil {
-			return fmt.Errorf("master: indexing for rule %s: %w", r.ID, err)
-		}
-	}
-	m.PrepareRuleIndexes(rs)
-	return nil
+	return m.PrepareRuleIndexes(rs)
 }
 
-// Lookup returns all master tuples whose attrs project to key.
+// Lookup returns copies of all master tuples whose attrs project to
+// key, by a scan. Attribute positions are resolved once up front and
+// every row compares in place over the shared-scan iterator, so the
+// per-row cost is a few value comparisons — not a tuple clone plus a
+// projection allocation.
 func (m *Store) Lookup(attrs []string, key value.List) []*schema.Tuple {
-	if m.Mode() != ModeScan {
-		return m.table.LookupEq(attrs, key)
-	}
-	// Forced-scan path: bypass any index. Attribute positions are
-	// resolved once up front and every row compares in place over the
-	// shared-scan iterator, so the per-row cost is a few value
-	// comparisons — not a tuple clone plus a projection allocation.
 	if len(attrs) != len(key) {
 		return nil
 	}
@@ -273,7 +266,7 @@ func (m *Store) UniqueRHS(matchAttrs []string, key value.List, rhsAttrs []string
 			return rhs, witness, status
 		}
 		// No index for this pair (ad-hoc query): fall through to the
-		// group-verification path.
+		// scan.
 	}
 	matches := m.Lookup(matchAttrs, key)
 	if len(matches) == 0 {

@@ -2,6 +2,7 @@ package master
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"cerfix/internal/rule"
@@ -50,20 +51,6 @@ func TestLookup(t *testing.T) {
 	}
 	if got = m.Lookup([]string{"zip"}, value.List{"none"}); len(got) != 0 {
 		t.Fatalf("phantom rows: %v", got)
-	}
-}
-
-func TestLookupScanPathMatchesIndexed(t *testing.T) {
-	m := demoStore(t)
-	rs := rule.MustSet(mustParse(t, `r1: match zip~zip set AC := AC`))
-	if err := m.PrepareForRules(rs); err != nil {
-		t.Fatal(err)
-	}
-	indexed := m.Lookup([]string{"zip"}, value.List{"EH8 4AH"})
-	m.SetMode(ModeScan)
-	scanned := m.Lookup([]string{"zip"}, value.List{"EH8 4AH"})
-	if len(indexed) != len(scanned) {
-		t.Fatalf("indexed %d vs scanned %d", len(indexed), len(scanned))
 	}
 }
 
@@ -121,20 +108,30 @@ func TestPrepareForRules(t *testing.T) {
 	if err := m.PrepareForRules(rs); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Table().HasIndex([]string{"zip"}) {
-		t.Error("zip index missing")
-	}
-	if !m.Table().HasIndex([]string{"AC", "Hphn"}) {
-		t.Error("composite index missing")
+	want := []string{"AC,Hphn->str", "zip->AC"}
+	if got := m.RegisteredRuleIndexes(); !slices.Equal(got, want) {
+		t.Errorf("registered = %v, want %v", got, want)
 	}
 	// Idempotent.
 	if err := m.PrepareForRules(rs); err != nil {
 		t.Fatal(err)
 	}
-	// Unknown master attr errors.
-	bad := rule.MustSet(mustParse(t, `c: match zip~bogus set AC := AC`))
-	if err := m.PrepareForRules(bad); err == nil {
-		t.Fatal("bad rule index accepted")
+	if got := m.RegisteredRuleIndexes(); !slices.Equal(got, want) {
+		t.Errorf("after a second run registered = %v, want %v", got, want)
+	}
+	// An unknown master attribute, on either side, is an error and
+	// registers nothing.
+	for _, line := range []string{
+		`c: match zip~bogus set AC := AC`,
+		`d: match zip~zip set AC := bogus`,
+	} {
+		bad := rule.MustSet(mustParse(t, `e: match FN~FN set LN := LN`), mustParse(t, line))
+		if err := m.PrepareForRules(bad); err == nil {
+			t.Fatalf("%s: bad rule index accepted", line)
+		}
+		if got := m.RegisteredRuleIndexes(); !slices.Equal(got, want) {
+			t.Fatalf("%s: registered = %v after the error, want %v", line, got, want)
+		}
 	}
 }
 
@@ -164,8 +161,8 @@ func TestGet(t *testing.T) {
 	}
 }
 
-// A snapshot keeps answering from its frozen state — across all three
-// access paths — while the live store absorbs inserts, and vice versa:
+// A snapshot keeps answering from its frozen state — on both access
+// paths — while the live store absorbs inserts, and vice versa:
 // the two share no mutable structures.
 func TestSnapshotIsolation(t *testing.T) {
 	m := demoStore(t)
@@ -182,7 +179,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if _, err := m.InsertValues("Eve", "Jones", "999", "1", "2", "3 Elm", "Edi", "EH8 4AH"); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []LookupMode{ModeRuleIndex, ModePlainIndex, ModeScan} {
+	for _, mode := range []LookupMode{ModeRuleIndex, ModeScan} {
 		snap.SetMode(mode)
 		rhs, _, status := snap.UniqueRHS([]string{"zip"}, value.List{"EH8 4AH"}, []string{"AC"})
 		if status != Unique || rhs[0] != "131" {

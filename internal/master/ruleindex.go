@@ -1,6 +1,7 @@
 package master
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -12,13 +13,13 @@ import (
 )
 
 // This file implements the unique-RHS rule index, the master data
-// manager's fast path. The certain-fix lookup of a rule φ asks one
+// manager's access path. The certain-fix lookup of a rule φ asks one
 // question per probe key k = t[X]: do all master tuples with s[Xm] = k
-// agree on s[Bm], and on what value? A plain hash index answers it in
-// O(|group|) by materializing the group; for non-key match attributes
-// (the demo's φ9 matches on area code, shared by every customer of a
-// city) groups grow linearly with master size and dominate fix
-// latency (benchmark E5's plain-index column shows this).
+// agree on s[Bm], and on what value? Answering it from the group of
+// matching rows costs O(|group|) per probe, and for non-key match
+// attributes (the demo's φ9 matches on area code, shared by every
+// customer of a city) groups grow linearly with master size. The
+// query needs each group's answer, not the group itself.
 //
 // The rule index precomputes the answer per key, once per master
 // match list Xm rather than once per rule. Every rule registered with
@@ -51,17 +52,18 @@ import (
 // are immutable so their readers take no lock at all. ruleIndexes has
 // no mutex of its own.
 
-// LookupMode selects the master access path (E5's ablation knob).
+// LookupMode selects the master access path. There are two: the rule
+// index serves, and the scan is the reference the parity tests hold
+// it to and E5's ablation baseline.
 type LookupMode int32
 
 const (
 	// ModeRuleIndex uses the precomputed unique-RHS map: O(1) per
-	// probe. The default.
+	// probe. The default. A pair with no registered index falls back
+	// to the scan.
 	ModeRuleIndex LookupMode = iota
-	// ModePlainIndex uses the storage hash index and verifies RHS
-	// agreement per probe: O(|key group|).
-	ModePlainIndex
-	// ModeScan performs full relation scans: O(|master|).
+	// ModeScan scans the relation and verifies RHS agreement over the
+	// matching rows: O(|master|) per probe.
 	ModeScan
 )
 
@@ -70,8 +72,6 @@ func (m LookupMode) String() string {
 	switch m {
 	case ModeRuleIndex:
 		return "rule-index"
-	case ModePlainIndex:
-		return "plain-index"
 	case ModeScan:
 		return "scan"
 	default:
@@ -122,8 +122,8 @@ type ruleIndex struct {
 	shards     [entryShardCount]*entryShard
 }
 
-// build fills a fresh index from rows, in table order.
-func (ix *ruleIndex) build(sch *schema.Schema, rows []*schema.Tuple, dict *value.Dict) {
+// build fills a fresh index from the rows scan visits, in table order.
+func (ix *ruleIndex) build(sch *schema.Schema, scan func(func(*schema.Tuple) bool), dict *value.Dict) {
 	ix.matchPos = make([]int, len(ix.matchAttrs))
 	for i, a := range ix.matchAttrs {
 		ix.matchPos[i] = sch.MustIndex(a)
@@ -136,13 +136,15 @@ func (ix *ruleIndex) build(sch *schema.Schema, rows []*schema.Tuple, dict *value
 		ix.shards[i] = cowmap.New[string, *rhsEntry]()
 	}
 	var buf []byte
-	for _, s := range rows {
+	scan(func(s *schema.Tuple) bool {
 		buf = ix.add(s, dict, buf)
-	}
+		return true
+	})
 }
 
 // add folds one master tuple into the index, interning its match
-// values into dict. buf is key scratch, returned for reuse.
+// values into dict. It keeps only copies (ProjectAt), so s may be a
+// shared scan row or scratch. buf is key scratch, returned for reuse.
 func (ix *ruleIndex) add(s *schema.Tuple, dict *value.Dict, buf []byte) []byte {
 	kb := buf[:0]
 	for _, p := range ix.matchPos {
@@ -223,9 +225,18 @@ func (ri *ruleIndexes) mut() {
 }
 
 // prepare registers every rule's (Xm, Bm) pair and rebuilds, from
-// rows, the index of every Xm the rules use. An index that gains Bm
-// attributes appends them to its U.
-func (ri *ruleIndexes) prepare(sch *schema.Schema, rules []*rule.Rule, rows []*schema.Tuple, dict *value.Dict) {
+// the rows scan visits, the index of every Xm the rules use. An index
+// that gains Bm attributes appends them to its U. A rule naming an
+// attribute sch lacks is an error, reported before anything is
+// registered.
+func (ri *ruleIndexes) prepare(sch *schema.Schema, rules []*rule.Rule, scan func(func(*schema.Tuple) bool), dict *value.Dict) error {
+	for _, r := range rules {
+		for _, a := range slices.Concat(r.MatchMasterAttrs(), r.SetMasterAttrs()) {
+			if !sch.Has(a) {
+				return fmt.Errorf("master: rule %s: attribute %q not in master schema %s", r.ID, a, sch.Name())
+			}
+		}
+	}
 	ri.mut()
 	var rebuild []int
 	for _, r := range rules {
@@ -259,8 +270,9 @@ func (ri *ruleIndexes) prepare(sch *schema.Schema, rules []*rule.Rule, rows []*s
 		ri.pairs[key] = p
 	}
 	for _, slot := range rebuild {
-		ri.indexes[slot].build(sch, rows, dict)
+		ri.indexes[slot].build(sch, scan, dict)
 	}
+	return nil
 }
 
 // insert maintains every registered index for a new master tuple.
@@ -420,8 +432,8 @@ func (m *Store) HandleByKey(key string) RuleHandle {
 // key in the index interned its values when its row was added), so
 // the handle answers without touching the shards. The final result
 // reports whether a rule index is registered for the pair — false
-// means the caller must fall back to the group verification path
-// (Store.UniqueRHS), exactly as an unregistered pair does there.
+// means the caller must fall back to the scan (Store.UniqueRHS),
+// exactly as an unregistered pair does there.
 func (h *RuleHandle) Probe(encKey []byte, encoded bool) (Entry, Answer, bool) {
 	m, p := h.store, h.pair
 	if p == nil {
@@ -475,13 +487,18 @@ func (ri *ruleIndexes) registered() []string {
 
 // PrepareRuleIndexes (re)builds the unique-RHS index of every master
 // match list in the rule set, registering each rule's (Xm, Bm) pair.
-// Called by PrepareForRules; callers that mutate the underlying table
-// directly must re-run it.
-func (m *Store) PrepareRuleIndexes(rs *rule.Set) {
+// It reads the rows in place through the table's shared scan. A rule
+// naming an attribute the master schema lacks is an error, and then
+// nothing is registered. Called by PrepareForRules; callers that
+// mutate the underlying table directly must re-run it.
+func (m *Store) PrepareRuleIndexes(rs *rule.Set) error {
 	m.lock()
 	defer m.unlock()
-	m.ruleIdx.prepare(m.table.Schema(), rs.Rules(), m.table.All(), m.table.Dict())
+	if err := m.ruleIdx.prepare(m.table.Schema(), rs.Rules(), m.table.ScanShared, m.table.Dict()); err != nil {
+		return err
+	}
 	m.version++
+	return nil
 }
 
 // RegisteredRuleIndexes lists the built indexes, one "Xm->U" line per

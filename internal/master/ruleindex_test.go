@@ -12,7 +12,6 @@ import (
 
 func TestLookupModeStrings(t *testing.T) {
 	if ModeRuleIndex.String() != "rule-index" ||
-		ModePlainIndex.String() != "plain-index" ||
 		ModeScan.String() != "scan" {
 		t.Fatal("mode names wrong")
 	}
@@ -23,13 +22,13 @@ func TestSetModeAndUseIndexes(t *testing.T) {
 	if m.Mode() != ModeRuleIndex {
 		t.Fatalf("default mode = %v", m.Mode())
 	}
-	m.SetMode(ModePlainIndex)
-	if m.Mode() != ModePlainIndex {
+	m.SetMode(ModeScan)
+	if m.Mode() != ModeScan {
 		t.Fatal("SetMode lost")
 	}
 }
 
-// All three access paths must return identical UniqueRHS results.
+// Both access paths must return identical UniqueRHS results.
 func TestModesAgree(t *testing.T) {
 	m := demoStore(t)
 	rs := rule.MustSet(
@@ -45,16 +44,16 @@ func TestModesAgree(t *testing.T) {
 		for _, rhs := range rhsSets {
 			var got []string
 			var statuses []LookupStatus
-			for _, mode := range []LookupMode{ModeRuleIndex, ModePlainIndex, ModeScan} {
+			for _, mode := range []LookupMode{ModeRuleIndex, ModeScan} {
 				m.SetMode(mode)
 				vals, _, st := m.UniqueRHS([]string{"zip"}, key, rhs)
 				got = append(got, fmt.Sprint(vals))
 				statuses = append(statuses, st)
 			}
-			if got[0] != got[1] || got[1] != got[2] {
+			if got[0] != got[1] {
 				t.Fatalf("key %v rhs %v: values diverge across modes: %v", key, rhs, got)
 			}
-			if statuses[0] != statuses[1] || statuses[1] != statuses[2] {
+			if statuses[0] != statuses[1] {
 				t.Fatalf("key %v rhs %v: statuses diverge: %v", key, rhs, statuses)
 			}
 		}

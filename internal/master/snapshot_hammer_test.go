@@ -58,7 +58,7 @@ func TestSnapshotAtomicHammer(t *testing.T) {
 						e.lastZip, status, rhs, e.lastAC)
 					return
 				}
-				// Table hash-index path agrees.
+				// Table scan path agrees.
 				if n := len(e.snap.Lookup([]string{"zip"}, value.List{value.V(e.lastZip)})); n != 1 {
 					t.Errorf("snapshot table lookup for %q = %d rows, want 1", e.lastZip, n)
 					return
@@ -115,7 +115,7 @@ func TestModeFlipsRaceFree(t *testing.T) {
 				return
 			default:
 			}
-			m.SetMode(LookupMode(i % 3))
+			m.SetMode(LookupMode(i % 2))
 			if i%2 == 0 {
 				m.SetMode(ModeRuleIndex)
 			} else {

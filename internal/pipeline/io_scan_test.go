@@ -15,7 +15,8 @@ import (
 	"cerfix/internal/value"
 )
 
-// Differential suite for the simd-scanned sources: every decode —
+// Differential suite for the sources' fast paths (the quote-free CSV
+// line splitter and the flat-object JSONL decoder): every decode —
 // values AND error text — is pinned against the pure stdlib decoders
 // the fast paths replaced, across adversarial inputs (quotes inside
 // fields, escapes, multi-byte UTF-8 straddling 8-byte word

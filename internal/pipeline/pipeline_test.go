@@ -32,11 +32,11 @@ func workloadEngine(t testing.TB, entities, inputs int) (*core.Engine, []*schema
 // TestPipelineDeterministic is the core guarantee: at 8 workers the
 // pipeline's output — every fixed value, validated set, change list,
 // conflict list, in input order — equals the sequential engine path
-// byte for byte, on the rule-index and the plain-index access paths.
+// byte for byte, on the rule-index and the scan access paths.
 func TestPipelineDeterministic(t *testing.T) {
 	eng, dirty, seed := workloadEngine(t, 60, 400)
 
-	for _, mode := range []master.LookupMode{master.ModeRuleIndex, master.ModePlainIndex} {
+	for _, mode := range []master.LookupMode{master.ModeRuleIndex, master.ModeScan} {
 		eng.Master().SetMode(mode)
 		// Sequential reference.
 		want := make([]*core.ChaseResult, len(dirty))

@@ -42,14 +42,11 @@ func fillVaried(t *testing.T, tb *Table, n int) []int64 {
 
 // TestPackedScanByteIdentical is the satellite parity check: packing
 // frozen shards into columnar form must not change a single byte of
-// what scans, gets and indexed lookups observe — on the live table,
-// on snapshots taken before the pack, and on snapshots taken after.
+// what scans, gets and selections observe — on the live table, on
+// snapshots taken before the pack, and on snapshots taken after.
 func TestPackedScanByteIdentical(t *testing.T) {
 	tb := NewTable(personSchema(t))
 	ids := fillVaried(t, tb, 500)
-	if err := tb.CreateIndex([]string{"FN"}); err != nil {
-		t.Fatal(err)
-	}
 	// Delete a few rows so packed shards carry tombstoned order slots.
 	for _, id := range []int64{ids[10], ids[333]} {
 		if !tb.Delete(id) {
@@ -88,7 +85,7 @@ func TestPackedScanByteIdentical(t *testing.T) {
 		t.Fatal("pack did not invalidate the cached snapshot")
 	}
 
-	// Point reads and indexed lookups agree with the boxed layout.
+	// Point reads and selections agree with the boxed layout.
 	for _, id := range []int64{ids[0], ids[77], ids[499]} {
 		tu, ok := tb.Get(id)
 		if !ok {
@@ -101,7 +98,7 @@ func TestPackedScanByteIdentical(t *testing.T) {
 	if _, ok := tb.Get(ids[10]); ok {
 		t.Fatal("deleted row resurfaced from packed shard")
 	}
-	got := tb.LookupEq([]string{"FN"}, value.List{"Robert"})
+	got := tb.Select(func(tu *schema.Tuple) bool { return tu.Get("FN") == "Robert" })
 	want := 0
 	preSnap.Scan(func(tu *schema.Tuple) bool {
 		if tu.Get("FN") == "Robert" {
@@ -110,10 +107,7 @@ func TestPackedScanByteIdentical(t *testing.T) {
 		return true
 	})
 	if len(got) != want {
-		t.Fatalf("LookupEq(FN=Robert) = %d rows, want %d", len(got), want)
-	}
-	if probe := tb.LookupEq([]string{"FN"}, value.List{"NeverSeen"}); len(probe) != 0 {
-		t.Fatalf("LookupEq on un-interned value returned %d rows", len(probe))
+		t.Fatalf("Select(FN=Robert) = %d rows, want %d", len(got), want)
 	}
 }
 

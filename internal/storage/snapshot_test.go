@@ -15,9 +15,6 @@ import (
 // the identity.
 func TestSnapshotReadOnly(t *testing.T) {
 	tb := NewTable(personSchema(t))
-	if err := tb.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatal(err)
-	}
 	id, err := tb.InsertValues("F", "L", "Z1")
 	if err != nil {
 		t.Fatal(err)
@@ -36,14 +33,6 @@ func TestSnapshotReadOnly(t *testing.T) {
 	row.Set("zip", "Z9")
 	if err := snap.Update(row); !errors.Is(err, ErrFrozen) {
 		t.Fatalf("Update on snapshot: %v, want ErrFrozen", err)
-	}
-	// A new index cannot be built on a frozen view; an existing one
-	// is answered idempotently.
-	if err := snap.CreateIndex([]string{"FN"}); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("CreateIndex on snapshot: %v, want ErrFrozen", err)
-	}
-	if err := snap.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatalf("idempotent CreateIndex on snapshot: %v", err)
 	}
 	if snap.Delete(id) {
 		t.Error("Delete on snapshot reported success")
@@ -71,14 +60,11 @@ type snapExpect struct {
 // TestSnapshotHammer interleaves one writer (inserts, updates,
 // deletes), O(1) snapshot captures, and concurrent snapshot readers.
 // Under -race this is the copy-on-write soundness proof: every
-// snapshot must see exactly its generation's rows and index contents
-// — nothing torn, nothing from the future — while the writer keeps
-// touching the shared shards.
+// snapshot must see exactly its generation's rows — nothing torn,
+// nothing from the future — while the writer keeps touching the
+// shared shards.
 func TestSnapshotHammer(t *testing.T) {
 	tb := NewTable(personSchema(t))
-	if err := tb.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatal(err)
-	}
 
 	const (
 		iters   = 400
@@ -99,23 +85,28 @@ func TestSnapshotHammer(t *testing.T) {
 					t.Errorf("gen %d: Len = %d, want %d", e.wantGen, got, e.wantLen)
 					return
 				}
-				if n := len(e.snap.LookupEq([]string{"zip"}, value.List{value.V(e.lastZip)})); n != 1 {
-					t.Errorf("gen %d: newest row %q matched %d times via index", e.wantGen, e.lastZip, n)
+				// Count each zip over the snapshot's rows; the scan
+				// agrees with Len and never surfaces a tombstone.
+				count, zips := 0, make(map[value.V]int)
+				e.snap.Scan(func(tu *schema.Tuple) bool {
+					count++
+					zips[tu.Get("zip")]++
+					return true
+				})
+				if n := zips[value.V(e.lastZip)]; n != 1 {
+					t.Errorf("gen %d: newest row %q matched %d times", e.wantGen, e.lastZip, n)
 					return
 				}
 				if e.goneZip != "" {
-					if n := len(e.snap.LookupEq([]string{"zip"}, value.List{value.V(e.goneZip)})); n != 0 {
-						t.Errorf("gen %d: removed row %q still indexed (%d hits)", e.wantGen, e.goneZip, n)
+					if n := zips[value.V(e.goneZip)]; n != 0 {
+						t.Errorf("gen %d: removed row %q still present (%d hits)", e.wantGen, e.goneZip, n)
 						return
 					}
 				}
-				if n := len(e.snap.LookupEq([]string{"zip"}, value.List{value.V(e.nextZip)})); n != 0 {
+				if n := zips[value.V(e.nextZip)]; n != 0 {
 					t.Errorf("gen %d: future row %q visible", e.wantGen, e.nextZip)
 					return
 				}
-				// Scan agrees with Len and never surfaces a tombstone.
-				count := 0
-				e.snap.Scan(func(*schema.Tuple) bool { count++; return true })
 				if count != e.wantLen {
 					t.Errorf("gen %d: Scan yielded %d rows, want %d", e.wantGen, count, e.wantLen)
 					return
@@ -125,7 +116,6 @@ func TestSnapshotHammer(t *testing.T) {
 	}
 
 	// Single writer; the model (count, gen, zips) is its ground truth.
-	// gen starts at the post-CreateIndex generation.
 	var (
 		ids   []int64
 		zips  []string
@@ -153,7 +143,7 @@ func TestSnapshotHammer(t *testing.T) {
 			gen++
 		}
 		if i%5 == 0 {
-			// Rewrite the newest row's zip (update path: index remove+add).
+			// Rewrite the newest row's zip (update path).
 			newZip := zip + "u"
 			row, ok := tb.Get(id)
 			if !ok {
@@ -234,7 +224,7 @@ func TestDeleteTombstoneCompaction(t *testing.T) {
 
 // TestSnapshotCache: re-snapshotting an unchanged table returns the
 // identical frozen view (no re-marking, no fresh COW debt); any
-// mutation — row change or index build — invalidates the cache.
+// row change invalidates the cache.
 func TestSnapshotCache(t *testing.T) {
 	tb := NewTable(personSchema(t))
 	if _, err := tb.InsertValues("F", "L", "Z1"); err != nil {
@@ -253,15 +243,5 @@ func TestSnapshotCache(t *testing.T) {
 	}
 	if s1.Len() != 1 || s3.Len() != 2 {
 		t.Fatalf("lens: s1 %d s3 %d", s1.Len(), s3.Len())
-	}
-	if err := tb.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatal(err)
-	}
-	s4 := tb.Snapshot()
-	if s4 == s3 {
-		t.Fatal("index build did not invalidate the snapshot cache")
-	}
-	if !s4.HasIndex([]string{"zip"}) || s3.HasIndex([]string{"zip"}) {
-		t.Fatal("index visibility wrong across cached snapshots")
 	}
 }

@@ -2,21 +2,21 @@
 // for the demo's JDBC data connection. CerFix's data monitor "supports
 // several interfaces to access data" (paper §3); this package provides
 // the one our build uses: schema-typed tables with auto-assigned row
-// IDs, predicate scans, hash indexes over attribute lists (the access
-// path editing-rule lookups need), and CSV import/export for
-// persistence.
+// IDs, predicate scans, and CSV import/export for persistence. The
+// tables keep no secondary index: the access path editing-rule
+// lookups need is the master data manager's unique-RHS rule index
+// (internal/master), which stores each key's answer, not its rows.
 //
 // # Snapshots: versioned copy-on-write
 //
-// Table supports O(1) snapshots. The table's state is sharded —
-// a fixed number of row-map shards plus, per hash index, a fixed
-// number of bucket-map shards — and Snapshot marks every shard
+// Table supports O(1) snapshots. The table's rows are sharded across
+// a fixed number of row-map shards, and Snapshot marks every shard
 // shared and returns a frozen *Table that references the same
 // shards. The cost is proportional to the (constant) shard count,
 // never to the number of rows. A writer that later touches a shared
 // shard copies just that shard first (copy-on-write), so arbitrarily
 // many snapshots coexist with live writes while each keeps the exact
-// rows, insertion order and index contents of its generation.
+// rows and insertion order of its generation.
 // Frozen tables are read-only — mutators return ErrFrozen — and
 // immutable, so snapshot readers take no locks at all.
 package storage
@@ -27,7 +27,6 @@ import (
 	"sort"
 	"sync"
 
-	"cerfix/internal/cowmap"
 	"cerfix/internal/schema"
 	"cerfix/internal/value"
 )
@@ -37,13 +36,10 @@ import (
 var ErrFrozen = errors.New("storage: snapshot is read-only")
 
 const (
-	// rowShardCount and bucketShardCount size the copy-on-write
-	// granularity (both powers of two). Snapshot cost is
-	// O(rowShardCount + #indexes·bucketShardCount); the first write
-	// into a shard after a snapshot copies O(rows/shardCount)
-	// entries.
-	rowShardCount    = 64
-	bucketShardCount = 64
+	// rowShardCount sizes the copy-on-write granularity (a power of
+	// two). Snapshot cost is O(rowShardCount); the first write into a
+	// shard after a snapshot copies O(rows/rowShardCount) entries.
+	rowShardCount = 64
 
 	// defaultPackMinRows is the per-shard row threshold for
 	// PackColumnar (see colblock.go): tiny shards stay boxed.
@@ -63,7 +59,7 @@ type Table struct {
 	mu     sync.RWMutex
 	sch    *schema.Schema
 	frozen bool
-	// gen counts mutations (insert/update/delete and index builds);
+	// gen counts mutations (insert/update/delete and packing);
 	// snapshots carry the generation they froze at.
 	gen   uint64
 	rows  [rowShardCount]*rowShard
@@ -76,16 +72,13 @@ type Table struct {
 	order  []int64
 	dead   int
 	nextID int64
-	// indexes is the hash-index registry; indexesShared marks the
-	// map itself as referenced by a snapshot.
-	indexes       map[string]*hashIndex
-	indexesShared bool
 	// lastSnap caches the most recent snapshot: re-snapshotting an
 	// unchanged table (every Scan takes one) returns it outright, so
 	// read-heavy phases never re-mark shards or re-tax writers.
 	lastSnap *Table
-	// dict interns cell values for packed shards and sym-keyed index
-	// probes. Append-only, shared with every snapshot and clone.
+	// dict interns cell values for packed shards and for the master
+	// rule indexes' sym-keyed probes. Append-only, shared with every
+	// snapshot.
 	dict *value.Dict
 	// cowCopied accumulates the bytes duplicated by copying shared
 	// shards (the COW debt already paid); packMinRows gates packing.
@@ -98,7 +91,6 @@ func NewTable(sch *schema.Schema) *Table {
 	t := &Table{
 		sch:         sch,
 		nextID:      1,
-		indexes:     make(map[string]*hashIndex),
 		dict:        value.NewDict(),
 		packMinRows: defaultPackMinRows,
 	}
@@ -128,9 +120,10 @@ func (t *Table) Schema() *schema.Schema { return t.sch }
 // Frozen reports whether the table is a read-only snapshot.
 func (t *Table) Frozen() bool { return t.frozen }
 
-// Generation returns the mutation counter: every insert, update,
-// delete and index build increments it, and a snapshot's generation
-// tells which version of the data it froze.
+// Generation returns the mutation counter: every insert, update and
+// delete increments it, and so does a PackColumnar call that packs a
+// shard. A snapshot's generation tells which version of the data it
+// froze.
 func (t *Table) Generation() uint64 {
 	t.rlock()
 	defer t.runlock()
@@ -186,25 +179,6 @@ func (t *Table) rowFresh(id int64) (*schema.Tuple, bool) {
 	return tu.Clone(), true
 }
 
-// rowShared returns a read-only view of a live row without copying:
-// the stored tuple from a boxed shard, or scratch refilled from a
-// packed one (scratch must not be nil and must not be retained by the
-// caller past its next use). Callers hold the read lock (or the table
-// is frozen).
-func (t *Table) rowShared(id int64, scratch *schema.Tuple) (*schema.Tuple, bool) {
-	sh := t.rows[rowShardOf(id)]
-	if sh.col != nil {
-		r, ok := sh.col.find(id)
-		if !ok {
-			return nil, false
-		}
-		sh.col.materializeInto(scratch, t.sch, t.dict, r)
-		return scratch, true
-	}
-	tu, ok := sh.m[id]
-	return tu, ok
-}
-
 // rowShardMut returns a privately-owned boxed shard for id, copying a
 // shared shard (and unpacking a packed one) first. Callers hold the
 // write lock.
@@ -224,11 +198,11 @@ func (t *Table) rowShardMut(id int64) *rowShard {
 	return ns
 }
 
-// Snapshot returns a frozen O(1) view of the table: the exact rows,
-// insertion order and hash indexes of this generation, immutable
-// forever. The call marks the live shards copy-on-write and copies
-// only the constant-size shard directory — cost is independent of the
-// number of rows. The snapshot needs no locks to read and mutators on
+// Snapshot returns a frozen O(1) view of the table: the exact rows
+// and insertion order of this generation, immutable forever. The call
+// marks the live shards copy-on-write and copies only the
+// constant-size shard directory — cost is independent of the number
+// of rows. The snapshot needs no locks to read and mutators on
 // it return ErrFrozen; the live table keeps absorbing writes, copying
 // each touched shard the first time it diverges. Snapshotting a
 // snapshot returns the same view.
@@ -239,35 +213,26 @@ func (t *Table) Snapshot() *Table {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Unchanged since the last capture (the generation counts every
-	// row mutation and index build): hand the same frozen view out
+	// row mutation and pack): hand the same frozen view out
 	// again — repeated scans of a quiet table cost nothing and leave
 	// no fresh copy-on-write debt.
 	if t.lastSnap != nil && t.lastSnap.gen == t.gen {
 		return t.lastSnap
 	}
 	cp := &Table{
-		sch:           t.sch,
-		frozen:        true,
-		gen:           t.gen,
-		count:         t.count,
-		order:         t.order[:len(t.order):len(t.order)],
-		dead:          t.dead,
-		nextID:        t.nextID,
-		indexes:       t.indexes,
-		indexesShared: true,
-		dict:          t.dict,
-		packMinRows:   t.packMinRows,
+		sch:         t.sch,
+		frozen:      true,
+		gen:         t.gen,
+		count:       t.count,
+		order:       t.order[:len(t.order):len(t.order)],
+		dead:        t.dead,
+		nextID:      t.nextID,
+		dict:        t.dict,
+		packMinRows: t.packMinRows,
 	}
-	t.indexesShared = true
 	for i, sh := range &t.rows {
 		sh.shared = true
 		cp.rows[i] = sh
-	}
-	for _, ix := range t.indexes {
-		ix.shared = true
-		for _, bsh := range &ix.shards {
-			bsh.Shared = true
-		}
 	}
 	t.lastSnap = cp
 	return cp
@@ -294,7 +259,6 @@ func (t *Table) Insert(tu *schema.Tuple) (int64, error) {
 	sh.bytes += rowBoxedCost(cp)
 	t.order = append(t.order, cp.ID)
 	t.count++
-	t.indexAddLocked(cp)
 	return cp.ID, nil
 }
 
@@ -331,10 +295,8 @@ func (t *Table) Update(tu *schema.Tuple) error {
 	t.gen++
 	sh := t.rowShardMut(cp.ID)
 	old := sh.m[cp.ID]
-	t.indexRemoveLocked(old)
 	sh.m[cp.ID] = cp
 	sh.bytes += rowBoxedCost(cp) - rowBoxedCost(old)
-	t.indexAddLocked(cp)
 	return nil
 }
 
@@ -353,7 +315,6 @@ func (t *Table) Delete(id int64) bool {
 	t.gen++
 	sh := t.rowShardMut(id)
 	tu := sh.m[id]
-	t.indexRemoveLocked(tu)
 	delete(sh.m, id)
 	sh.bytes -= rowBoxedCost(tu)
 	t.count--
@@ -461,258 +422,3 @@ func (t *Table) Select(pred func(*schema.Tuple) bool) []*schema.Tuple {
 
 // All returns copies of every row in insertion order.
 func (t *Table) All() []*schema.Tuple { return t.Select(nil) }
-
-// indexKey canonicalizes an attribute list for the index registry.
-func indexKey(attrs []string) string {
-	cp := append([]string(nil), attrs...)
-	sort.Strings(cp)
-	var b []byte
-	for _, a := range cp {
-		b = append(b, byte(len(a)))
-		b = append(b, a...)
-	}
-	return string(b)
-}
-
-// bucketShard is one segment of a hash index's bucket map, with the
-// same shared/copy-on-write discipline as rowShard.
-type bucketShard = cowmap.Shard[string, []int64]
-
-// bucketShardOf routes a bucket key to its shard.
-func bucketShardOf(k string) int { return cowmap.FNV(k, bucketShardCount) }
-
-// hashIndex maps composite attribute values to row IDs, sharded for
-// copy-on-write. The struct itself follows the same discipline: once
-// shared with a snapshot, the live table copies the header (attrs
-// reference + shard directory) before replacing any shard pointer.
-//
-// Bucket keys are interned: the key is the fixed-width Sym encoding
-// of the projected values (4 bytes per attribute), not the values
-// themselves — at master scale the buckets stop repeating every
-// indexed string. Soundness of the probe-side dictionary miss: every
-// key in a bucket was interned when its row was added, so a probe
-// value the dictionary has never seen cannot match any bucket.
-type hashIndex struct {
-	attrs  []string // sorted
-	pos    []int    // schema positions of attrs
-	shared bool
-	shards [bucketShardCount]*bucketShard
-}
-
-func newHashIndex(sch *schema.Schema, attrs []string) *hashIndex {
-	ix := &hashIndex{attrs: attrs, pos: make([]int, len(attrs))}
-	for i, a := range attrs {
-		ix.pos[i] = sch.MustIndex(a)
-	}
-	for i := range ix.shards {
-		ix.shards[i] = cowmap.New[string, []int64]()
-	}
-	return ix
-}
-
-// appendKey appends tu's sym-encoded bucket key to dst. With intern
-// set (the add path) unseen values are assigned ids; without it (the
-// remove path) an unseen value means the key cannot be in any bucket
-// and ok is false.
-func (ix *hashIndex) appendKey(dst []byte, tu *schema.Tuple, dict *value.Dict, intern bool) ([]byte, bool) {
-	for _, p := range ix.pos {
-		var sym value.Sym
-		if intern {
-			sym = dict.InternV(tu.Vals[p])
-		} else {
-			var ok bool
-			if sym, ok = dict.LookupV(tu.Vals[p]); !ok {
-				return dst, false
-			}
-		}
-		dst = value.AppendSym(dst, sym)
-	}
-	return dst, true
-}
-
-// lookupBytes returns the bucket for an encoded key without
-// allocating. Live callers hold the table's read lock; frozen
-// snapshots need none. The returned slice must not be mutated.
-func (ix *hashIndex) lookupBytes(k []byte) []int64 {
-	return ix.shards[cowmap.FNVBytes(k, bucketShardCount)].M[string(k)]
-}
-
-// shardMut returns a privately-owned bucket shard for key k.
-func (ix *hashIndex) shardMut(k string) *bucketShard {
-	return cowmap.Mut(&ix.shards[bucketShardOf(k)])
-}
-
-// add appends tu's ID to its bucket. Appending in place is safe even
-// when the slice's backing array is shared with a snapshot: the
-// snapshot reads only its captured length, every append lands beyond
-// it, and each backing position is written at most once (remove
-// always swaps in a fresh array).
-func (ix *hashIndex) add(tu *schema.Tuple, dict *value.Dict) {
-	kb, _ := ix.appendKey(nil, tu, dict, true)
-	k := string(kb)
-	sh := ix.shardMut(k)
-	sh.M[k] = append(sh.M[k], tu.ID)
-}
-
-// remove drops tu's ID from its bucket, rebuilding the slice into a
-// fresh array — never shifting in place — because snapshots may
-// share the old backing array.
-func (ix *hashIndex) remove(tu *schema.Tuple, dict *value.Dict) {
-	kb, ok := ix.appendKey(nil, tu, dict, false)
-	if !ok {
-		return // values never interned ⇒ key cannot be in any bucket
-	}
-	k := string(kb)
-	sh := ix.shardMut(k)
-	ids := sh.M[k]
-	if len(ids) == 0 {
-		return
-	}
-	out := make([]int64, 0, len(ids)-1)
-	removed := false
-	for _, x := range ids {
-		if !removed && x == tu.ID {
-			removed = true
-			continue
-		}
-		out = append(out, x)
-	}
-	if len(out) == 0 {
-		delete(sh.M, k)
-	} else {
-		sh.M[k] = out
-	}
-}
-
-// indexesMut returns the index registry, copying the map first when
-// a snapshot shares it. Callers hold the write lock.
-func (t *Table) indexesMut() map[string]*hashIndex {
-	return cowmap.MutMap(&t.indexes, &t.indexesShared)
-}
-
-// indexMutEntry COWs one index's header inside a privately-owned
-// registry, returning the writable index.
-func indexMutEntry(reg map[string]*hashIndex, key string, ix *hashIndex) *hashIndex {
-	if ix.shared {
-		cp := &hashIndex{attrs: ix.attrs, pos: ix.pos, shards: ix.shards}
-		reg[key] = cp
-		ix = cp
-	}
-	return ix
-}
-
-// indexAddLocked maintains every index for a new row version.
-func (t *Table) indexAddLocked(tu *schema.Tuple) {
-	if len(t.indexes) == 0 {
-		return
-	}
-	reg := t.indexesMut()
-	for key, ix := range reg {
-		indexMutEntry(reg, key, ix).add(tu, t.dict)
-	}
-}
-
-// indexRemoveLocked drops a row version from every index.
-func (t *Table) indexRemoveLocked(tu *schema.Tuple) {
-	if len(t.indexes) == 0 {
-		return
-	}
-	reg := t.indexesMut()
-	for key, ix := range reg {
-		indexMutEntry(reg, key, ix).remove(tu, t.dict)
-	}
-}
-
-// CreateIndex builds (or reuses) a hash index over the attribute list.
-// Index lookups then serve LookupEq in O(1) expected time.
-func (t *Table) CreateIndex(attrs []string) error {
-	for _, a := range attrs {
-		if !t.sch.Has(a) {
-			return fmt.Errorf("storage: index attribute %q not in schema %s", a, t.sch.Name())
-		}
-	}
-	key := indexKey(attrs)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.indexes[key]; ok {
-		return nil
-	}
-	if t.frozen {
-		return ErrFrozen
-	}
-	t.gen++ // index DDL is a mutation: invalidates the cached snapshot
-	sorted := append([]string(nil), attrs...)
-	sort.Strings(sorted)
-	idx := newHashIndex(t.sch, sorted)
-	scratch := &schema.Tuple{Vals: make(value.List, 0, t.sch.Len())}
-	for _, id := range t.order {
-		if tu, ok := t.rowShared(id, scratch); ok {
-			idx.add(tu, t.dict)
-		}
-	}
-	t.indexesMut()[key] = idx
-	return nil
-}
-
-// HasIndex reports whether an index over exactly these attributes
-// exists (order-insensitive).
-func (t *Table) HasIndex(attrs []string) bool {
-	t.rlock()
-	defer t.runlock()
-	_, ok := t.indexes[indexKey(attrs)]
-	return ok
-}
-
-// LookupEq returns copies of all rows whose attrs project to key. It
-// uses a matching hash index when one exists and falls back to a scan
-// otherwise (the E5 benchmark's indexed-vs-scan ablation toggles
-// exactly this).
-func (t *Table) LookupEq(attrs []string, key value.List) []*schema.Tuple {
-	if len(attrs) != len(key) {
-		return nil
-	}
-	t.rlock()
-	idx, ok := t.indexes[indexKey(attrs)]
-	if ok {
-		// Project the probe into the index's canonical attribute order.
-		sorted := append([]string(nil), attrs...)
-		sort.Strings(sorted)
-		probe := make(value.List, len(sorted))
-		for i, a := range sorted {
-			for j, orig := range attrs {
-				if orig == a {
-					probe[i] = key[j]
-					break
-				}
-			}
-		}
-		// Sym-encode the probe. A dictionary miss is a proven miss:
-		// every bucket key was interned when its row was indexed.
-		var ids []int64
-		kb := make([]byte, 0, 4*len(probe))
-		enc := true
-		for _, v := range probe {
-			sym, found := t.dict.LookupV(v)
-			if !found {
-				enc = false
-				break
-			}
-			kb = value.AppendSym(kb, sym)
-		}
-		if enc {
-			ids = idx.lookupBytes(kb)
-		}
-		out := make([]*schema.Tuple, 0, len(ids))
-		for _, id := range ids {
-			if tu, live := t.rowFresh(id); live {
-				out = append(out, tu)
-			}
-		}
-		t.runlock()
-		return out
-	}
-	t.runlock()
-	return t.Select(func(tu *schema.Tuple) bool {
-		return tu.Project(attrs).Equal(key)
-	})
-}

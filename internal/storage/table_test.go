@@ -215,68 +215,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestLookupEqScanAndIndex(t *testing.T) {
-	tb := NewTable(personSchema(t))
-	fill(t, tb)
-	attrs := []string{"zip"}
-	key := value.List{"EH8 4AH"}
-
-	scanRes := tb.LookupEq(attrs, key)
-	if len(scanRes) != 2 {
-		t.Fatalf("scan lookup = %d rows", len(scanRes))
-	}
-	if err := tb.CreateIndex(attrs); err != nil {
-		t.Fatal(err)
-	}
-	if !tb.HasIndex(attrs) {
-		t.Fatal("HasIndex false after CreateIndex")
-	}
-	idxRes := tb.LookupEq(attrs, key)
-	if len(idxRes) != 2 {
-		t.Fatalf("indexed lookup = %d rows", len(idxRes))
-	}
-	// Composite, order-insensitive.
-	if err := tb.CreateIndex([]string{"FN", "LN"}); err != nil {
-		t.Fatal(err)
-	}
-	got := tb.LookupEq([]string{"LN", "FN"}, value.List{"Brady", "Robert"})
-	if len(got) != 1 || got[0].Get("zip") != "EH8 4AH" {
-		t.Fatalf("composite lookup = %v", got)
-	}
-	if res := tb.LookupEq(attrs, value.List{"a", "b"}); res != nil {
-		t.Fatal("arity-mismatched lookup returned rows")
-	}
-	if err := tb.CreateIndex([]string{"bogus"}); err == nil {
-		t.Fatal("index on unknown attribute accepted")
-	}
-}
-
-func TestIndexMaintenance(t *testing.T) {
-	tb := NewTable(personSchema(t))
-	if err := tb.CreateIndex([]string{"zip"}); err != nil {
-		t.Fatal(err)
-	}
-	ids := fill(t, tb)
-	if n := len(tb.LookupEq([]string{"zip"}, value.List{"EH8 4AH"})); n != 2 {
-		t.Fatalf("after insert: %d", n)
-	}
-	tu, _ := tb.Get(ids[0])
-	tu.Set("zip", "XX1 1XX")
-	if err := tb.Update(tu); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(tb.LookupEq([]string{"zip"}, value.List{"EH8 4AH"})); n != 1 {
-		t.Fatalf("after update: %d", n)
-	}
-	if n := len(tb.LookupEq([]string{"zip"}, value.List{"XX1 1XX"})); n != 1 {
-		t.Fatalf("after update new key: %d", n)
-	}
-	tb.Delete(ids[2])
-	if n := len(tb.LookupEq([]string{"zip"}, value.List{"EH8 4AH"})); n != 0 {
-		t.Fatalf("after delete: %d", n)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	tb := NewTable(personSchema(t))
 	var wg sync.WaitGroup
@@ -289,7 +227,7 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				tb.LookupEq([]string{"zip"}, value.List{"Z"})
+				tb.Select(func(tu *schema.Tuple) bool { return tu.Get("zip") == "Z" })
 				tb.Len()
 			}
 		}(g)

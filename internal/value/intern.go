@@ -264,14 +264,13 @@ func (d *Dict) Compare(a, b Sym, dom Domain) int {
 }
 
 // AppendSym appends sym's fixed-width little-endian encoding to dst.
-// Composite sym-encoded keys (rule-index probes, hash-index buckets)
-// concatenate these 4-byte groups; fixed width means no length
-// prefixes are needed for unambiguous decoding.
+// Composite sym-encoded keys (the master rule indexes' entry keys and
+// the compiled chase's probes) concatenate these 4-byte groups; fixed
+// width means no length prefixes are needed for unambiguous decoding.
 func AppendSym(dst []byte, s Sym) []byte {
 	return append(dst, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
 }
 
 // fnvString is FNV-1a over the string bytes via simd.Hash, the same
-// loop cowmap.FNV/FNVBytes route with, so callers can hash either
-// representation consistently.
+// loop cowmap.FNVBytes routes with.
 func fnvString(s string) uint32 { return simd.Hash(s) }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cerfix/internal/dataset"
 	"cerfix/internal/value"
 )
 
@@ -107,6 +108,34 @@ func TestSaveAppendsWALAfterInserts(t *testing.T) {
 	}
 	if final.Master().Len() != baseRows+4 {
 		t.Fatalf("post-checkpoint load: %d rows, want %d", final.Master().Len(), baseRows+4)
+	}
+}
+
+// Systems that apply the same inserts write the same WAL bytes: the
+// rule indexes intern each new row's match values in registration
+// order, so the dictionary ids the WAL records are reproducible.
+func TestWALBytesDeterministic(t *testing.T) {
+	var wals [][]byte
+	for run := 0; run < 3; run++ {
+		sys := demoSystem(t)
+		dir := filepath.Join(t.TempDir(), "instance")
+		if err := sys.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range dataset.NewCustomerGen(5).GenerateEntities(20) {
+			if err := sys.AddMasterRow(e.Master.Strings()...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sys.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		wals = append(wals, readFileT(t, filepath.Join(dir, walFile)))
+	}
+	for run := 1; run < len(wals); run++ {
+		if !bytes.Equal(wals[0], wals[run]) {
+			t.Fatalf("run %d wrote different WAL bytes than run 0:\n%s\n---\n%s", run, wals[run], wals[0])
+		}
 	}
 }
 
