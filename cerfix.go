@@ -193,21 +193,11 @@ func (s *System) Master() *MasterStore { return s.store }
 // Audit returns the system-wide audit log.
 func (s *System) Audit() *AuditLog { return s.log }
 
-// MemStats reports the master data manager's memory accounting:
-// boxed vs columnar-packed bytes, snapshot-shared bytes and COW debt,
-// rule-index footprint, and interning-dictionary size. Surfaced on
-// GET /api/v1/status and in the jobs queue stats.
+// MemStats reports the master data manager's memory accounting: row
+// bytes, snapshot-shared bytes and COW debt, interning-dictionary size
+// and rule-index footprint. Surfaced on GET /api/v1/status and in the
+// jobs queue stats.
 func (s *System) MemStats() master.MemStats { return s.store.MemStats() }
-
-// PackMaster converts large mutation-quiet master shards to the
-// columnar frozen layout (one []Sym block per shard instead of one
-// boxed tuple per row), returning how many shards were packed. Packing
-// preserves scan/lookup results byte-for-byte and copy-on-write
-// semantics — a later write to a packed shard unpacks a private copy.
-// maxShards > 0 bounds the work per call so callers can amortize
-// packing over time (cerfixd runs this on a ticker); <= 0 packs every
-// eligible shard.
-func (s *System) PackMaster(maxShards int) int { return s.store.PackColumnar(maxShards) }
 
 // Engine exposes the underlying rule engine (chase + analyses).
 func (s *System) Engine() *core.Engine { return s.engine }

@@ -104,8 +104,6 @@ func main() {
 		maxBody     = flag.String("max-body", "64MiB", "max request body size (e.g. 64MiB, 1GiB); excess answers 413 body_too_large (empty or 0 = unlimited)")
 		memSoft     = flag.String("mem-soft", "", "heap soft watermark (e.g. 1GiB): past it, job submissions shed with 429 memory_pressure (empty = off)")
 		memHard     = flag.String("mem-hard", "", "heap hard watermark: past it, submissions answer 503 memory_degraded and /status reports the state (empty = off)")
-		packEvery   = flag.Duration("pack-interval", time.Minute, "how often to pack mutation-quiet master shards into the columnar frozen layout (0 = never)")
-		packShards  = flag.Int("pack-shards", 8, "max master shards packed per -pack-interval tick (bounds per-tick work; <= 0 packs all eligible)")
 	)
 	flag.Parse()
 
@@ -203,22 +201,6 @@ func main() {
 			}
 		}
 		log.Printf("cerfixd: jobs directory %s (%d queued, %d runners)", *jobsDir, recovered, mgr.Workers())
-	}
-	// Columnar packing is decoupled from snapshotting (snapshots stay
-	// O(1)); the daemon amortizes it on a ticker instead, a few shards
-	// per tick, off the request path. Packed shards cut master memory
-	// to one []Sym block per shard; GET /api/v1/status shows the
-	// boxed/packed balance under "memory".
-	if *packEvery > 0 {
-		go func() {
-			t := time.NewTicker(*packEvery)
-			defer t.Stop()
-			for range t.C {
-				if n := sys.PackMaster(*packShards); n > 0 {
-					log.Printf("cerfixd: packed %d master shard(s) into columnar layout", n)
-				}
-			}
-		}()
 	}
 	// An explicit http.Server rather than bare ListenAndServe: the
 	// header timeout closes slowloris connections, and Shutdown gives

@@ -217,26 +217,16 @@ func TestCompiledLegacyParityRandom(t *testing.T) {
 
 // TestCompiledLegacyParitySnapshots pins parity on frozen engine
 // views — the handle fast path resolves the rule index directly there,
-// which is the access path of the batch pipeline and job runners. A
-// second view over the same master packed into columnar blocks must
-// chase identically to the boxed one under every lookup mode (the
-// scan path reads the packed rows). Random worlds are
-// far below the default pack threshold, so it is dropped to one row.
+// which is the access path of the batch pipeline and job runners —
+// under every lookup mode.
 func TestCompiledLegacyParitySnapshots(t *testing.T) {
 	modes := []master.LookupMode{master.ModeRuleIndex, master.ModeScan}
 	for trial := uint64(0); trial < 10; trial++ {
 		w := newRandomWorld(t, 9000+trial)
 		snap := w.eng.Snapshot()
-		w.eng.Master().Table().SetPackMinRows(1)
-		if w.eng.Master().PackColumnar(0) == 0 {
-			t.Fatalf("trial %d: no master shard packed", trial)
-		}
-		packed := w.eng.Snapshot()
 		chaser := snap.NewChaser()
-		packedChaser := packed.NewChaser()
 		for _, mode := range modes {
 			snap.Master().SetMode(mode)
-			packed.Master().SetMode(mode)
 			for i, in := range w.inputs {
 				seed := schema.EmptySet
 				for p := 0; p < w.eng.InputSchema().Len(); p++ {
@@ -247,8 +237,6 @@ func TestCompiledLegacyParitySnapshots(t *testing.T) {
 				label := fmt.Sprintf("trial %d mode %s tuple %d", trial, mode, i)
 				want := snap.ChaseLegacy(in, seed)
 				assertSameResult(t, label+" [snapshot]", chaser.ChaseScratch(in, seed), want)
-				assertSameResult(t, label+" [packed snapshot]", packedChaser.ChaseScratch(in, seed), want)
-				assertSameResult(t, label+" [packed legacy]", packed.ChaseLegacy(in, seed), want)
 			}
 		}
 	}

@@ -10,6 +10,12 @@
 // all rules that match it the same way. The rule index is the one
 // access path production reads; the scan (ModeScan) answers the same
 // question from the rows and is the reference the tests hold it to.
+//
+// The store owns the interning dictionary (Store.Dict). The rule
+// indexes intern each row's match values as they add it, and the
+// compiled chase and the WAL writer encode against the same
+// dictionary. The table underneath stores plain rows and interns
+// nothing.
 package master
 
 import (
@@ -64,6 +70,9 @@ type Store struct {
 	mu     sync.RWMutex
 	frozen bool
 	table  *storage.Table
+	// dict is the interning dictionary (see Dict). Append-only and
+	// shared with every snapshot.
+	dict *value.Dict
 	// mode selects the lookup access path; see LookupMode. It is an
 	// atomic so mode flips (the E5 ablation knob, SetMode) are
 	// race-free against concurrent lookups, on live stores and
@@ -87,7 +96,7 @@ type Store struct {
 
 // New wraps an empty master relation under sch.
 func New(sch *schema.Schema) *Store {
-	m := &Store{table: storage.NewTable(sch), ruleIdx: newRuleIndexes()}
+	m := &Store{table: storage.NewTable(sch), dict: value.NewDict(), ruleIdx: newRuleIndexes()}
 	m.mode.Store(int32(ModeRuleIndex))
 	return m
 }
@@ -151,6 +160,7 @@ func (m *Store) Snapshot() *Store {
 	cp := &Store{
 		frozen:  true,
 		table:   tsnap,
+		dict:    m.dict,
 		ruleIdx: m.snapRuleIdx,
 	}
 	cp.mode.Store(m.mode.Load())
@@ -194,7 +204,7 @@ func (m *Store) Insert(tu *schema.Tuple) (int64, error) {
 	}
 	// The indexes copy what they keep, so tu's values serve as the
 	// stored row's without re-reading (and cloning) it.
-	m.ruleIdx.insert(&schema.Tuple{Schema: tu.Schema, ID: id, Vals: tu.Vals}, m.table.Dict())
+	m.ruleIdx.insert(&schema.Tuple{Schema: tu.Schema, ID: id, Vals: tu.Vals}, m.dict)
 	m.version++
 	return id, nil
 }
@@ -260,7 +270,7 @@ func (m *Store) Lookup(attrs []string, key value.List) []*schema.Tuple {
 func (m *Store) UniqueRHS(matchAttrs []string, key value.List, rhsAttrs []string) (value.List, int64, LookupStatus) {
 	if m.Mode() == ModeRuleIndex {
 		m.rlock()
-		rhs, witness, status, ok := m.ruleIdx.lookup(matchAttrs, key, rhsAttrs, m.table.Dict())
+		rhs, witness, status, ok := m.ruleIdx.lookup(matchAttrs, key, rhsAttrs, m.dict)
 		m.runlock()
 		if ok {
 			return rhs, witness, status
@@ -289,35 +299,18 @@ func (m *Store) UniqueRHSForRule(r *rule.Rule, input *schema.Tuple) (value.List,
 	return m.UniqueRHS(r.MatchMasterAttrs(), key, r.SetMasterAttrs())
 }
 
-// Dict returns the store's interning dictionary (the table's).
-// Append-only and shared with every snapshot, so probe-key encoders
-// may use it lock-free.
-func (m *Store) Dict() *value.Dict { return m.table.Dict() }
-
-// PackColumnar packs cold master shards into columnar form (see
-// storage.Table.PackColumnar), returning how many shards it packed.
-// Amortized off the snapshot path: cerfixd's pack ticker and the jobs
-// runner call it between requests.
-func (m *Store) PackColumnar(maxShards int) int {
-	if m.frozen {
-		return 0
-	}
-	m.lock()
-	defer m.unlock()
-	packed := m.table.PackColumnar(maxShards)
-	if packed > 0 {
-		// Representation changed: force the next Snapshot to re-freeze
-		// so it shares the packed shards instead of the cached view.
-		m.version++
-	}
-	return packed
-}
+// Dict returns the store's interning dictionary. Append-only and
+// shared with every snapshot, so probe-key encoders may use it
+// lock-free.
+func (m *Store) Dict() *value.Dict { return m.dict }
 
 // MemStats is the store's memory account: the table's (rows, shards,
-// COW debt, dictionary) plus an estimate of the unique-RHS rule
-// indexes.
+// COW debt), the interning dictionary's, and an estimate of the
+// unique-RHS rule indexes. The dictionary is shared by every snapshot
+// and reported once.
 type MemStats struct {
 	Table storage.TableMem `json:"table"`
+	Dict  value.DictStats  `json:"dict"`
 	// RuleIndexKeys counts entries across all rule indexes (one per
 	// key per master match list); RuleIndexBytes estimates their
 	// footprint (sym-encoded keys, map entries, and the value headers
@@ -327,18 +320,20 @@ type MemStats struct {
 }
 
 // TotalBytes sums the account.
-func (s MemStats) TotalBytes() int64 { return s.Table.TotalBytes() + s.RuleIndexBytes }
+func (s MemStats) TotalBytes() int64 {
+	return s.Table.TotalBytes() + s.Dict.Bytes + s.RuleIndexBytes
+}
 
 // MemStats returns the store's memory account.
 func (m *Store) MemStats() MemStats {
 	m.rlock()
 	defer m.runlock()
-	out := MemStats{Table: m.table.MemStats()}
+	out := MemStats{Table: m.table.MemStats(), Dict: m.dict.Stats()}
 	for _, ix := range m.ruleIdx.indexes {
 		keyBytes := int64(4*len(ix.matchAttrs)) + 16 // sym key + string header
 		entryBytes := keyBytes + 48 + 40 + int64(16*len(ix.unionAttrs))
 		for _, sh := range &ix.shards {
-			n := len(sh.M)
+			n := len(sh.m)
 			out.RuleIndexKeys += n
 			out.RuleIndexBytes += int64(n) * entryBytes
 		}

@@ -2,13 +2,14 @@ package master
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
 
-	"cerfix/internal/cowmap"
 	"cerfix/internal/rule"
 	"cerfix/internal/schema"
+	"cerfix/internal/simd"
 	"cerfix/internal/value"
 )
 
@@ -93,13 +94,32 @@ type rhsEntry struct {
 // index's entry map (power of two).
 const entryShardCount = 64
 
-// entryShard is one segment of a rule index's entry map (see cowmap
-// for the shared/copy-on-write discipline).
-type entryShard = cowmap.Shard[string, *rhsEntry]
+// entryShard is one copy-on-write segment of a rule index's entry
+// map. Once a snapshot marks it shared, the live store copies it
+// (mutShard) before the next write; the marked shard itself is then
+// immutable forever, so snapshot readers need no synchronization.
+type entryShard struct {
+	m      map[string]*rhsEntry
+	shared bool
+}
 
-// entryShardOf routes a sym-encoded key to its shard. Build and probe
-// both route the key bytes, so they always agree on the shard.
-func entryShardOf(k []byte) int { return cowmap.FNVBytes(k, entryShardCount) }
+// mutShard returns a privately-owned shard for the slot: the shard
+// itself when no snapshot shares it, otherwise a copy stored back
+// through the slot pointer. Callers hold the store's write lock.
+func mutShard(slot **entryShard) *entryShard {
+	sh := *slot
+	if sh.shared {
+		sh = &entryShard{m: maps.Clone(sh.m)}
+		*slot = sh
+	}
+	return sh
+}
+
+// entryShardOf routes a sym-encoded key to its shard by the FNV-1a
+// hash of its bytes. Build and probe both route the key bytes, so a
+// scratch-encoded probe key lands on the shard its string form was
+// stored in without converting (and allocating) the string.
+func entryShardOf(k []byte) int { return int(simd.HashBytes(k) & (entryShardCount - 1)) }
 
 // ruleIndex holds the unique-RHS map of one master match list Xm. The
 // header follows the shared/copy-on-write discipline: once a snapshot
@@ -109,7 +129,7 @@ func entryShardOf(k []byte) int { return cowmap.FNVBytes(k, entryShardCount) }
 // Entry keys are sym-encoded: the fixed-width dictionary ids of the
 // projected match values (value.AppendSym), 4 bytes per attribute
 // instead of a length-prefixed copy of every string. Build and probe
-// sides MUST use the same dictionary — the store's table dictionary —
+// sides MUST use the same dictionary — the store's (Store.Dict) —
 // and the encoding makes the dictionary a sound prefilter: every key
 // in the index interned its values at add time, so a probe value the
 // dictionary has never seen cannot match any key (a certain NoMatch).
@@ -133,7 +153,7 @@ func (ix *ruleIndex) build(sch *schema.Schema, scan func(func(*schema.Tuple) boo
 		ix.unionPos[i] = sch.MustIndex(a)
 	}
 	for i := range ix.shards {
-		ix.shards[i] = cowmap.New[string, *rhsEntry]()
+		ix.shards[i] = &entryShard{m: make(map[string]*rhsEntry)}
 	}
 	var buf []byte
 	scan(func(s *schema.Tuple) bool {
@@ -150,10 +170,10 @@ func (ix *ruleIndex) add(s *schema.Tuple, dict *value.Dict, buf []byte) []byte {
 	for _, p := range ix.matchPos {
 		kb = value.AppendSym(kb, dict.InternV(s.Vals[p]))
 	}
-	sh := cowmap.Mut(&ix.shards[entryShardOf(kb)])
-	e, ok := sh.M[string(kb)]
+	sh := mutShard(&ix.shards[entryShardOf(kb)])
+	e, ok := sh.m[string(kb)]
 	if !ok {
-		sh.M[string(kb)] = &rhsEntry{vals: s.ProjectAt(ix.unionPos), witness: s.ID}
+		sh.m[string(kb)] = &rhsEntry{vals: s.ProjectAt(ix.unionPos), witness: s.ID}
 		return kb
 	}
 	conflict := e.conflict
@@ -164,7 +184,7 @@ func (ix *ruleIndex) add(s *schema.Tuple, dict *value.Dict, buf []byte) []byte {
 	}
 	if conflict != e.conflict {
 		// Replace, never mutate: snapshots may share the old entry.
-		sh.M[string(kb)] = &rhsEntry{vals: e.vals, witness: e.witness, conflict: conflict}
+		sh.m[string(kb)] = &rhsEntry{vals: e.vals, witness: e.witness, conflict: conflict}
 	}
 	return kb
 }
@@ -173,7 +193,7 @@ func (ix *ruleIndex) add(s *schema.Tuple, dict *value.Dict, buf []byte) []byte {
 // index expression does not allocate (compiler-recognized pattern),
 // so a probe against a reused []byte buffer is allocation-free.
 func (ix *ruleIndex) get(k []byte) *rhsEntry {
-	return ix.shards[entryShardOf(k)].M[string(k)]
+	return ix.shards[entryShardOf(k)].m[string(k)]
 }
 
 // rulePair resolves one registered (Xm, Bm) pair: the slot of its
@@ -220,8 +240,9 @@ func newRuleIndexes() *ruleIndexes {
 func (ri *ruleIndexes) mut() {
 	if ri.shared {
 		ri.indexes = slices.Clone(ri.indexes)
+		ri.pairs = maps.Clone(ri.pairs)
+		ri.shared = false
 	}
-	cowmap.MutMap(&ri.pairs, &ri.shared)
 }
 
 // prepare registers every rule's (Xm, Bm) pair and rebuilds, from
@@ -301,7 +322,7 @@ func (ri *ruleIndexes) snapshot() *ruleIndexes {
 	for _, ix := range ri.indexes {
 		ix.shared = true
 		for _, sh := range &ix.shards {
-			sh.Shared = true
+			sh.shared = true
 		}
 	}
 	return &ruleIndexes{indexes: ri.indexes, pairs: ri.pairs, shared: true}
@@ -494,7 +515,7 @@ func (ri *ruleIndexes) registered() []string {
 func (m *Store) PrepareRuleIndexes(rs *rule.Set) error {
 	m.lock()
 	defer m.unlock()
-	if err := m.ruleIdx.prepare(m.table.Schema(), rs.Rules(), m.table.ScanShared, m.table.Dict()); err != nil {
+	if err := m.ruleIdx.prepare(m.table.Schema(), rs.Rules(), m.table.ScanShared, m.dict); err != nil {
 		return err
 	}
 	m.version++

@@ -381,9 +381,10 @@ func (f *Finder) instantiateRows(reg *Region, z schema.AttrSet, c cell, admit co
 			probeConds = append(probeConds, cond)
 		}
 	}
-	for _, s := range f.eng.Master().All() {
+	// Stored rows are immutable, so they are read in place: a tableau
+	// row keeps their values, never the tuple.
+	f.eng.Master().Table().ScanShared(func(s *schema.Tuple) bool {
 		conds := append([]pattern.Condition{}, rowConds...)
-		ok := true
 		for _, b := range bindings {
 			v := s.Get(b.masterAttr)
 			conds = append(conds, pattern.Eq(input.Attr(b.inputIdx).Name, v))
@@ -391,25 +392,22 @@ func (f *Finder) instantiateRows(reg *Region, z schema.AttrSet, c cell, admit co
 			// constraint (e.g. AC=0800 cell with a master AC of 131
 			// cannot produce a row).
 			if !pattern.Satisfiable(pattern.NewPattern(append(append([]pattern.Condition{}, c.constraint.Conds...), conds...)...), input) {
-				ok = false
-				break
+				return true
 			}
-		}
-		if !ok {
-			continue
 		}
 		probe, built := f.canonicalProbe(z, s, bindings, probeConds, conds)
 		if !built {
-			continue
+			return true
 		}
 		res := f.eng.Chase(probe, z)
 		if !res.AllValidated() || len(res.Conflicts) > 0 {
-			continue
+			return true
 		}
 		if reg.Tableau.AddRow(pattern.NewPattern(conds...)) {
 			added++
 		}
-	}
+		return true
+	})
 	return added
 }
 

@@ -186,9 +186,9 @@ type statusResponse struct {
 	// Jobs reports the async queue (absent when the daemon runs
 	// without -jobs-dir).
 	Jobs *jobs.QueueStats `json:"jobs,omitempty"`
-	// Memory is the master data manager's byte accounting: boxed vs
-	// columnar-packed rows, snapshot-shared bytes and COW debt, rule
-	// indexes, interning dictionary.
+	// Memory is the master data manager's byte accounting: rows,
+	// snapshot-shared bytes and COW debt, interning dictionary, rule
+	// indexes.
 	Memory *master.MemStats `json:"memory,omitempty"`
 	// Persistence reports where the instance was loaded from and the
 	// live durability health (absent for in-memory systems with no

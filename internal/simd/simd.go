@@ -1,7 +1,7 @@
 // Package simd holds two things: Active, the architecture name the
 // end-to-end benchmark prints in its host stamp, and the plain 32-bit
 // FNV-1a byte loop behind Hash/HashBytes. The hash has two consumers,
-// the shard routing of cowmap.FNVBytes and the value interner's
+// the master rule indexes' shard routing and the value interner's
 // slot hash (value.fnvString), and both depend on it staying the
 // standard FNV-1a: a changed bit would move shards and interner slots.
 package simd

@@ -9,7 +9,7 @@ import (
 
 // The hash is pinned bit for bit to the standard library's FNV-1a
 // across every short length, random contents and input placements:
-// cowmap shard routing and interner slots depend on it never moving.
+// rule-index shard routing and interner slots depend on it never moving.
 
 func refHash(s string) uint32 {
 	h := fnv.New32a()

@@ -19,11 +19,16 @@
 // rows and insertion order of its generation.
 // Frozen tables are read-only — mutators return ErrFrozen — and
 // immutable, so snapshot readers take no locks at all.
+//
+// Stored rows are immutable too: Insert and Update store a private
+// copy and later writes replace the row instead of editing it, so a
+// row that a scan hands out never changes underneath its reader.
 package storage
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -35,19 +40,19 @@ import (
 // snapshot (see Table.Snapshot).
 var ErrFrozen = errors.New("storage: snapshot is read-only")
 
-const (
-	// rowShardCount sizes the copy-on-write granularity (a power of
-	// two). Snapshot cost is O(rowShardCount); the first write into a
-	// shard after a snapshot copies O(rows/rowShardCount) entries.
-	rowShardCount = 64
+// rowShardCount sizes the copy-on-write granularity (a power of two).
+// Snapshot cost is O(rowShardCount); the first write into a shard
+// after a snapshot copies O(rows/rowShardCount) entries.
+const rowShardCount = 64
 
-	// defaultPackMinRows is the per-shard row threshold for
-	// PackColumnar (see colblock.go): tiny shards stay boxed.
-	defaultPackMinRows = 256
-)
-
-// rowShard (two forms: boxed map, packed columnar) lives in
-// colblock.go together with the packing machinery.
+// rowShard is one segment of the row registry. shared marks the shard
+// as referenced by a snapshot: a writer copies it before mutating.
+// bytes is the shard's memory account (see rowBoxedCost).
+type rowShard struct {
+	m      map[int64]*schema.Tuple
+	shared bool
+	bytes  int64
+}
 
 func rowShardOf(id int64) int { return int(uint64(id) & (rowShardCount - 1)) }
 
@@ -59,8 +64,8 @@ type Table struct {
 	mu     sync.RWMutex
 	sch    *schema.Schema
 	frozen bool
-	// gen counts mutations (insert/update/delete and packing);
-	// snapshots carry the generation they froze at.
+	// gen counts mutations (insert/update/delete); snapshots carry
+	// the generation they froze at.
 	gen   uint64
 	rows  [rowShardCount]*rowShard
 	count int
@@ -76,26 +81,16 @@ type Table struct {
 	// unchanged table (every Scan takes one) returns it outright, so
 	// read-heavy phases never re-mark shards or re-tax writers.
 	lastSnap *Table
-	// dict interns cell values for packed shards and for the master
-	// rule indexes' sym-keyed probes. Append-only, shared with every
-	// snapshot.
-	dict *value.Dict
 	// cowCopied accumulates the bytes duplicated by copying shared
-	// shards (the COW debt already paid); packMinRows gates packing.
-	cowCopied   int64
-	packMinRows int
+	// shards (the COW debt already paid).
+	cowCopied int64
 }
 
 // NewTable creates an empty table under sch.
 func NewTable(sch *schema.Schema) *Table {
-	t := &Table{
-		sch:         sch,
-		nextID:      1,
-		dict:        value.NewDict(),
-		packMinRows: defaultPackMinRows,
-	}
+	t := &Table{sch: sch, nextID: 1}
 	for i := range t.rows {
-		t.rows[i] = newRowShard()
+		t.rows[i] = &rowShard{m: make(map[int64]*schema.Tuple)}
 	}
 	return t
 }
@@ -121,9 +116,8 @@ func (t *Table) Schema() *schema.Schema { return t.sch }
 func (t *Table) Frozen() bool { return t.frozen }
 
 // Generation returns the mutation counter: every insert, update and
-// delete increments it, and so does a PackColumnar call that packs a
-// shard. A snapshot's generation tells which version of the data it
-// froze.
+// delete increments it. A snapshot's generation tells which version
+// of the data it froze.
 func (t *Table) Generation() uint64 {
 	t.rlock()
 	defer t.runlock()
@@ -147,53 +141,25 @@ func (t *Table) Len() int {
 	return t.count
 }
 
-// rowHas reports whether a live row exists, in either shard form,
-// without materializing it. Callers hold the read lock (or the table
-// is frozen).
+// rowHas reports whether a live row exists. Callers hold the read
+// lock (or the table is frozen).
 func (t *Table) rowHas(id int64) bool {
-	sh := t.rows[rowShardOf(id)]
-	if sh.col != nil {
-		_, ok := sh.col.find(id)
-		return ok
-	}
-	_, ok := sh.m[id]
+	_, ok := t.rows[rowShardOf(id)].m[id]
 	return ok
 }
 
-// rowFresh returns a privately-owned copy of a live row: a Clone from
-// a boxed shard, a fresh materialization from a packed one. Callers
-// hold the read lock (or the table is frozen).
-func (t *Table) rowFresh(id int64) (*schema.Tuple, bool) {
-	sh := t.rows[rowShardOf(id)]
-	if sh.col != nil {
-		r, ok := sh.col.find(id)
-		if !ok {
-			return nil, false
-		}
-		return sh.col.materialize(t.sch, t.dict, r), true
-	}
-	tu, ok := sh.m[id]
-	if !ok {
-		return nil, false
-	}
-	return tu.Clone(), true
-}
-
-// rowShardMut returns a privately-owned boxed shard for id, copying a
-// shared shard (and unpacking a packed one) first. Callers hold the
-// write lock.
+// rowShardMut returns a privately-owned shard for id, copying a shared
+// shard first. Callers hold the write lock.
 func (t *Table) rowShardMut(id int64) *rowShard {
 	slot := &t.rows[rowShardOf(id)]
 	sh := *slot
-	if sh.col == nil && !sh.shared {
+	if !sh.shared {
 		return sh
 	}
-	if sh.shared {
-		// The old shard stays pinned by whichever snapshots froze it:
-		// that is the COW debt this write just paid.
-		t.cowCopied += sh.bytes
-	}
-	ns := sh.unpack(t.sch, t.dict)
+	// The old shard stays pinned by whichever snapshots froze it: that
+	// is the COW debt this write just paid.
+	t.cowCopied += sh.bytes
+	ns := &rowShard{m: maps.Clone(sh.m), bytes: sh.bytes}
 	*slot = ns
 	return ns
 }
@@ -213,22 +179,20 @@ func (t *Table) Snapshot() *Table {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Unchanged since the last capture (the generation counts every
-	// row mutation and pack): hand the same frozen view out
-	// again — repeated scans of a quiet table cost nothing and leave
-	// no fresh copy-on-write debt.
+	// row mutation): hand the same frozen view out again — repeated
+	// scans of a quiet table cost nothing and leave no fresh
+	// copy-on-write debt.
 	if t.lastSnap != nil && t.lastSnap.gen == t.gen {
 		return t.lastSnap
 	}
 	cp := &Table{
-		sch:         t.sch,
-		frozen:      true,
-		gen:         t.gen,
-		count:       t.count,
-		order:       t.order[:len(t.order):len(t.order)],
-		dead:        t.dead,
-		nextID:      t.nextID,
-		dict:        t.dict,
-		packMinRows: t.packMinRows,
+		sch:    t.sch,
+		frozen: true,
+		gen:    t.gen,
+		count:  t.count,
+		order:  t.order[:len(t.order):len(t.order)],
+		dead:   t.dead,
+		nextID: t.nextID,
 	}
 	for i, sh := range &t.rows {
 		sh.shared = true
@@ -275,7 +239,11 @@ func (t *Table) InsertValues(vals ...value.V) (int64, error) {
 func (t *Table) Get(id int64) (*schema.Tuple, bool) {
 	t.rlock()
 	defer t.runlock()
-	return t.rowFresh(id)
+	tu, ok := t.rows[rowShardOf(id)].m[id]
+	if !ok {
+		return nil, false
+	}
+	return tu.Clone(), true
 }
 
 // Update replaces the row with tu.ID by a copy of tu.
@@ -352,11 +320,9 @@ func (t *Table) Scan(fn func(*schema.Tuple) bool) {
 // ScanShared calls fn on the stored rows themselves — no per-row
 // copy — in insertion order; fn returning false stops the scan. Like
 // Scan it iterates one frozen O(1) snapshot, so it holds no locks and
-// sees a single consistent generation. Callers must treat each tuple
-// as read-only and must not retain it past the callback (Clone what
-// you keep): boxed rows are shared with the table and every snapshot
-// of its generation, and rows from packed shards are materialized
-// into one scratch tuple that the very next row overwrites.
+// sees a single consistent generation. The rows are shared with the
+// table and every snapshot of its generation: callers must treat each
+// tuple as read-only (Clone one before editing it).
 func (t *Table) ScanShared(fn func(*schema.Tuple) bool) {
 	snap := t.Snapshot()
 	snap.scanIDs(snap.order, fn)
@@ -380,26 +346,10 @@ func (t *Table) ScanSharedTail(minID int64, fn func(*schema.Tuple) bool) {
 // scanIDs runs the shared-row scan loop over ids, which must be a
 // subslice of the (frozen) receiver's order header.
 func (snap *Table) scanIDs(ids []int64, fn func(*schema.Tuple) bool) {
-	var scratch *schema.Tuple // lazily allocated at the first packed shard
 	for _, id := range ids {
-		sh := snap.rows[rowShardOf(id)]
-		var tu *schema.Tuple
-		if sh.col != nil {
-			r, ok := sh.col.find(id)
-			if !ok {
-				continue // tombstoned
-			}
-			if scratch == nil {
-				scratch = &schema.Tuple{Vals: make(value.List, 0, snap.sch.Len())}
-			}
-			sh.col.materializeInto(scratch, snap.sch, snap.dict, r)
-			tu = scratch
-		} else {
-			var ok bool
-			tu, ok = sh.m[id]
-			if !ok {
-				continue // tombstoned
-			}
+		tu, ok := snap.rows[rowShardOf(id)].m[id]
+		if !ok {
+			continue // tombstoned
 		}
 		if !fn(tu) {
 			return
@@ -422,3 +372,55 @@ func (t *Table) Select(pred func(*schema.Tuple) bool) []*schema.Tuple {
 
 // All returns copies of every row in insertion order.
 func (t *Table) All() []*schema.Tuple { return t.Select(nil) }
+
+// rowBoxedCost estimates the heap bytes one row pins: the tuple
+// struct, its value-header slice, the cell bytes, and the row-map
+// entry. It deliberately ignores allocator rounding and string
+// sharing between rows — the account is for trend and ratio, not for
+// a byte-exact heap profile.
+func rowBoxedCost(tu *schema.Tuple) int64 {
+	b := int64(48 + 48) // tuple struct (+Vals header) + map entry
+	b += int64(len(tu.Vals)) * 16
+	for _, v := range tu.Vals {
+		b += int64(len(v))
+	}
+	return b
+}
+
+// TableMem is a point-in-time memory account of one table (or
+// snapshot). The accounting contract: BoxedBytes is an estimate of
+// the heap pinned by the rows, SharedBytes is the portion currently
+// referenced by at least one snapshot (copy-on-write debt that a
+// write would duplicate), and CowCopiedBytes is the cumulative bytes
+// this table has duplicated by copying shared shards — the COW debt
+// already paid.
+type TableMem struct {
+	Rows        int    `json:"rows"`
+	BoxedBytes  int64  `json:"boxed_bytes"`
+	OrderBytes  int64  `json:"order_bytes"`
+	SharedBytes int64  `json:"shared_bytes"`
+	CowCopied   int64  `json:"cow_copied_bytes"`
+	Generation  uint64 `json:"generation"`
+}
+
+// TotalBytes sums the table-owned accounts.
+func (m TableMem) TotalBytes() int64 { return m.BoxedBytes + m.OrderBytes }
+
+// MemStats returns the table's memory account.
+func (t *Table) MemStats() TableMem {
+	t.rlock()
+	defer t.runlock()
+	out := TableMem{
+		Rows:       t.count,
+		OrderBytes: int64(len(t.order)) * 8,
+		CowCopied:  t.cowCopied,
+		Generation: t.gen,
+	}
+	for _, sh := range &t.rows {
+		out.BoxedBytes += sh.bytes
+		if sh.shared {
+			out.SharedBytes += sh.bytes
+		}
+	}
+	return out
+}

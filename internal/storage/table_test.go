@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -54,10 +55,9 @@ func TestInsertGet(t *testing.T) {
 // TestScanSharedTail pins the WAL writer's tail-scan contract: for an
 // append-only history past minID, ScanSharedTail visits exactly the
 // rows ScanShared would visit filtered to id >= minID, in the same
-// order — across boxed and packed shards and over tombstones.
+// order — over tombstones too.
 func TestScanSharedTail(t *testing.T) {
 	tb := NewTable(personSchema(t))
-	tb.SetPackMinRows(1)
 	var ids []int64
 	for i := 0; i < 300; i++ {
 		id, err := tb.InsertValues(value.V(string(rune('A'+i%26))), "L", "Z")
@@ -68,7 +68,6 @@ func TestScanSharedTail(t *testing.T) {
 	}
 	tb.Delete(ids[10])
 	tb.Delete(ids[250])
-	tb.PackColumnar(16) // some shards packed, some boxed
 	for _, minID := range []int64{ids[0], ids[137], ids[299], ids[299] + 1} {
 		var want, got []int64
 		tb.ScanShared(func(tu *schema.Tuple) bool {
@@ -235,5 +234,42 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if tb.Len() != 800 {
 		t.Fatalf("Len = %d after concurrent inserts", tb.Len())
+	}
+}
+
+func TestMemStatsAccounting(t *testing.T) {
+	tb := NewTable(personSchema(t))
+	for i := 0; i < 400; i++ {
+		if _, err := tb.InsertValues("Robert", value.V(fmt.Sprintf("uniq-%d", i)), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := tb.MemStats()
+	if m.Rows != 400 || m.BoxedBytes == 0 {
+		t.Fatalf("boxed stats: %+v", m)
+	}
+	if m.SharedBytes != 0 {
+		t.Fatalf("SharedBytes = %d before any snapshot", m.SharedBytes)
+	}
+
+	snap := tb.Snapshot()
+	m = tb.MemStats()
+	if m.SharedBytes != m.BoxedBytes {
+		t.Fatalf("after snapshot every shard is shared: %+v", m)
+	}
+
+	// A write into a shared shard pays COW debt.
+	tu, _ := tb.Get(1)
+	tu.Set("FN", "X")
+	if err := tb.Update(tu); err != nil {
+		t.Fatal(err)
+	}
+	m = tb.MemStats()
+	if m.CowCopied == 0 {
+		t.Fatal("COW copy not accounted")
+	}
+	// The snapshot's own account still reports its shards.
+	if sm := snap.MemStats(); sm.BoxedBytes == 0 {
+		t.Fatalf("snapshot stats lost its shards: %+v", sm)
 	}
 }

@@ -1,15 +1,15 @@
 // Interned values: a concurrent, snapshot-shareable dictionary mapping
-// strings to dense Sym ids. The chase's hot path compares master-data
-// cells billions of times; interning turns each comparison into a
-// pointer-width integer equality and lets frozen columnar shards store
-// 4-byte ids instead of 16-byte string headers plus per-row data.
+// strings to dense Sym ids. The master rule indexes key their entries
+// by the Syms of the match values, so a probe key is 4 bytes per
+// attribute and a value the dictionary has never seen is a certain
+// miss; the WAL writes rows as Syms plus dictionary deltas.
 //
 // Concurrency model (the part that makes snapshots free):
 //
 //   - The dictionary is append-only. A Sym, once published, is
 //     immutable forever, so any number of frozen snapshots can share
 //     one *Dict with the live writer without copying anything.
-//   - Readers (Lookup, Str, Compare) are lock-free: they navigate an
+//   - Readers (Lookup, Str) are lock-free: they navigate an
 //     atomically published open-addressed id table and an atomically
 //     published page directory. Writers serialize on a mutex and
 //     publish each new entry with a release store after the string is
@@ -22,8 +22,7 @@
 //
 // Memory: one interned string costs its raw bytes in the arena plus a
 // 16-byte page-directory slot and ~8 bytes of id table (load factor
-// ≤ 50%), versus a 16-byte header plus a per-value heap allocation for
-// every repetition in the boxed layout.
+// ≤ 50%).
 package value
 
 import (
@@ -35,9 +34,9 @@ import (
 )
 
 // Sym is a dense dictionary id for an interned string. Equality of two
-// Syms from the same Dict is equality of the underlying strings.
-// Domain-aware ordering still needs the dictionary (see Dict.Compare):
-// two distinct Syms may compare equal under DInt ("7" vs "07").
+// Syms from the same Dict is equality of the underlying strings, not
+// of the values under a domain: two distinct Syms may compare equal
+// under DInt ("7" vs "07").
 type Sym uint32
 
 const (
@@ -150,9 +149,6 @@ func (d *Dict) Str(sym Sym) string {
 	return pages[sym>>symPageBits][sym&symPageMask]
 }
 
-// Val returns the interned cell value for sym.
-func (d *Dict) Val(sym Sym) V { return V(d.Str(sym)) }
-
 // Intern returns the Sym for s, assigning the next dense id if s has
 // not been seen before. The string's bytes are copied into the
 // dictionary's arena, so callers may reuse their buffer.
@@ -251,18 +247,6 @@ func (d *Dict) growTable(t *symTable) *symTable {
 	return nt
 }
 
-// Compare orders two interned values under domain dom with the same
-// contract as Compare on raw values. Identical Syms are equal without
-// touching the dictionary — the chase's hot path; ordered comparisons
-// (and cross-representation equalities like "07" vs "7" under DInt)
-// fall back to the interned strings.
-func (d *Dict) Compare(a, b Sym, dom Domain) int {
-	if a == b {
-		return 0
-	}
-	return Compare(V(d.Str(a)), V(d.Str(b)), dom)
-}
-
 // AppendSym appends sym's fixed-width little-endian encoding to dst.
 // Composite sym-encoded keys (the master rule indexes' entry keys and
 // the compiled chase's probes) concatenate these 4-byte groups; fixed
@@ -272,5 +256,5 @@ func AppendSym(dst []byte, s Sym) []byte {
 }
 
 // fnvString is FNV-1a over the string bytes via simd.Hash, the same
-// loop cowmap.FNVBytes routes with.
+// loop the master rule indexes route their shards with.
 func fnvString(s string) uint32 { return simd.Hash(s) }

@@ -238,7 +238,7 @@ func (s *System) saveAppendWAL(dir string) (done bool, err error) {
 	// are collected into dict records that precede the rows that need
 	// them. Fresh defs are merged into cur.written only after the
 	// batch is durable — a failed append must re-emit them.
-	dict := t.Dict()
+	dict := s.store.Dict()
 	var batch bytes.Buffer
 	var defs []walDictEntry
 	newDefs := make(map[value.Sym]struct{})

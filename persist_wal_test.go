@@ -2,12 +2,15 @@ package cerfix
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"cerfix/internal/dataset"
+	"cerfix/internal/pipeline"
+	"cerfix/internal/schema"
 	"cerfix/internal/value"
 )
 
@@ -49,18 +52,40 @@ func TestSaveAppendsWALAfterInserts(t *testing.T) {
 		t.Fatalf("WAL missing expected records:\n%s", wal)
 	}
 
-	// A second append batch lands in the same log.
+	// A second append batch lands in the same log, although every read
+	// path ran between the inserts: none of them may move the table's
+	// generation, or the pure-append proof fails and Save checkpoints.
+	readAll := func() {
+		t.Helper()
+		sys.SnapshotEngine()
+		sys.Regions(2)
+		sys.Fix(dataset.DemoInputFig3(), []string{"zip", "phn", "type", "item"})
+		sys.CheckConsistency()
+		sys.MemStats()
+		sys.Master().All()
+		seed := schema.SetOfNames(sys.InputSchema(), "zip", "phn", "type", "item")
+		src := pipeline.NewSliceSource([]*schema.Tuple{dataset.DemoInputFig3(), dataset.DemoInputExample1()})
+		if _, err := pipeline.Run(context.Background(), sys.SnapshotEngine(), seed, src, &pipeline.SliceSink{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readAll()
 	if err := sys.AddMasterRow("Jesse", "Pinkman", "505", "5550003", "5550004", "Margo", "Albuquerque", "NM 87104", "24/09/84", "M"); err != nil {
 		t.Fatal(err)
 	}
+	readAll()
 	if err := sys.AddMasterRow("Saul", "Goodman", "505", "5550005", "5550006", "Juan Tabo", "Albuquerque", "NM 87111", "12/11/60", "M"); err != nil {
 		t.Fatal(err)
 	}
+	readAll()
 	if err := sys.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(csvBefore, readFileT(t, filepath.Join(dir, "master.csv"))) {
 		t.Fatal("second incremental save rewrote master.csv")
+	}
+	if walNow := readFileT(t, filepath.Join(dir, walFile)); len(walNow) <= len(wal) || !bytes.HasPrefix(walNow, wal) {
+		t.Fatalf("second save did not append to the WAL (%d bytes before, %d after)", len(wal), len(walNow))
 	}
 
 	// Saving with no changes at all is a durable no-op.
