@@ -33,7 +33,7 @@ func BenchmarkE1ConsistencyCheck(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := eng.CheckConsistency(nil)
+		rep := eng.CheckConsistency()
 		if !rep.Consistent() {
 			b.Fatal("inconsistent")
 		}

@@ -85,8 +85,6 @@ type (
 	RegionOptions = region.Options
 	// ConsistencyReport is the rule engine's static analysis output.
 	ConsistencyReport = core.ConsistencyReport
-	// ConsistencyOptions tunes the consistency analyses.
-	ConsistencyOptions = core.ConsistencyOptions
 	// ChaseResult is the outcome of one fixing pass.
 	ChaseResult = core.ChaseResult
 	// AuditLog records user validations and rule fixes.
@@ -296,14 +294,9 @@ func (s *System) SetRegionOptions(o *RegionOptions) {
 }
 
 // CheckConsistency runs the rule engine's static analysis (§2: whether
-// the rules "are dirty themselves") with default budgets.
+// the rules "are dirty themselves").
 func (s *System) CheckConsistency() *ConsistencyReport {
-	return s.engine.CheckConsistency(nil)
-}
-
-// CheckConsistencyWith runs the analysis with explicit budgets.
-func (s *System) CheckConsistencyWith(o *ConsistencyOptions) *ConsistencyReport {
-	return s.engine.CheckConsistency(o)
+	return s.engine.CheckConsistency()
 }
 
 // Regions computes the top-k certain regions (k <= 0 returns all).

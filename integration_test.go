@@ -89,7 +89,7 @@ func TestEndToEndAllFamilies(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Rule-set health.
-			rep := eng.CheckConsistency(&core.ConsistencyOptions{MaxProbeTuples: 8})
+			rep := eng.CheckConsistency()
 			if !rep.Consistent() {
 				t.Fatalf("rules inconsistent: %v", rep.Errors())
 			}

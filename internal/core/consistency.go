@@ -28,11 +28,13 @@ import (
 //     tuples, synthesized from master rows, under several rule orders
 //     and flag any outcome that depends on the order.
 //
-// (1) and (2) are sound: every reported issue comes with a concrete
-// witness. (3) is a randomized check that catches multi-step
-// interactions the pairwise analysis cannot see. None is complete —
-// that would contradict the coNP-hardness — and the report says which
-// analysis produced each issue so users can judge severity.
+// (1) and (2) are sound, with a concrete witness per issue, and exact:
+// (1) regroups every master row per rule, and (2) covers every master
+// pair, with no budget, as an equi-join of the master with itself.
+// (3) is a randomized check that catches multi-step interactions the
+// pairwise analysis cannot see. The check as a whole is incomplete —
+// a complete one would contradict the coNP-hardness — and the report
+// says which analysis produced each issue so users can judge severity.
 
 // IssueKind classifies consistency issues.
 type IssueKind int
@@ -155,57 +157,30 @@ func (r *ConsistencyReport) Warnings() []Issue {
 	return out
 }
 
-// ConsistencyOptions tunes the analyses' search budgets.
-type ConsistencyOptions struct {
-	// MaxMasterPairs caps the (s1, s2) enumeration per rule pair in
-	// analysis (2); 0 means the default (100k).
-	MaxMasterPairs int
-	// ProbeOrders is the number of random rule orders (besides the
-	// canonical and reversed ones) chased per probe in analysis (3);
-	// 0 means the default (2).
-	ProbeOrders int
-	// MaxProbeTuples caps how many master tuples seed probes; 0 means
-	// the default (50).
-	MaxProbeTuples int
-	// Seed drives the randomized probe generation (default 1).
-	Seed uint64
-}
+// Analysis (3) synthesizes probes from the first probeRows master rows
+// and chases them under the canonical rule order, its reverse and
+// probeShuffles shuffles drawn from probeSeed.
+const probeRows, probeShuffles, probeSeed = 50, 2, 1
 
-func (o *ConsistencyOptions) withDefaults() ConsistencyOptions {
-	out := ConsistencyOptions{MaxMasterPairs: 100000, ProbeOrders: 2, MaxProbeTuples: 50, Seed: 1}
-	if o == nil {
-		return out
-	}
-	if o.MaxMasterPairs > 0 {
-		out.MaxMasterPairs = o.MaxMasterPairs
-	}
-	if o.ProbeOrders > 0 {
-		out.ProbeOrders = o.ProbeOrders
-	}
-	if o.MaxProbeTuples > 0 {
-		out.MaxProbeTuples = o.MaxProbeTuples
-	}
-	if o.Seed != 0 {
-		out.Seed = o.Seed
-	}
-	return out
-}
-
-// CheckConsistency runs all three analyses and returns the combined
-// report.
-func (e *Engine) CheckConsistency(opts *ConsistencyOptions) *ConsistencyReport {
-	o := opts.withDefaults()
+// CheckConsistency runs all three analyses over one read of the
+// master and returns the combined report.
+func (e *Engine) CheckConsistency() *ConsistencyReport {
+	// Stored rows are immutable, so the analyses share them uncopied.
+	rows := make([]*schema.Tuple, 0, e.store.Len())
+	e.store.Table().ScanShared(func(s *schema.Tuple) bool {
+		rows = append(rows, s)
+		return true
+	})
 	rep := &ConsistencyReport{}
-	e.checkMasterAmbiguity(rep)
-	e.checkPairwiseConflicts(rep, o)
-	e.checkOrderIndependence(rep, o)
+	e.checkMasterAmbiguity(rep, rows)
+	e.checkPairwiseConflicts(rep, rows)
+	e.checkOrderIndependence(rep, rows)
 	return rep
 }
 
 // checkMasterAmbiguity groups master tuples by each rule's Xm and flags
 // keys whose groups disagree on Bm.
-func (e *Engine) checkMasterAmbiguity(rep *ConsistencyReport) {
-	all := e.store.All()
+func (e *Engine) checkMasterAmbiguity(rep *ConsistencyReport, rows []*schema.Tuple) {
 	for _, r := range e.rules.Rules() {
 		xm := r.MatchMasterAttrs()
 		bm := r.SetMasterAttrs()
@@ -215,7 +190,7 @@ func (e *Engine) checkMasterAmbiguity(rep *ConsistencyReport) {
 		}
 		groups := make(map[string]seenRHS)
 		flagged := make(map[string]bool)
-		for _, s := range all {
+		for _, s := range rows {
 			key := s.Project(xm).Key()
 			rhs := s.Project(bm)
 			prev, ok := groups[key]
@@ -240,9 +215,8 @@ func (e *Engine) checkMasterAmbiguity(rep *ConsistencyReport) {
 
 // checkPairwiseConflicts searches for concrete two-rule conflict
 // witnesses.
-func (e *Engine) checkPairwiseConflicts(rep *ConsistencyReport, o ConsistencyOptions) {
+func (e *Engine) checkPairwiseConflicts(rep *ConsistencyReport, rows []*schema.Tuple) {
 	rules := e.rules.Rules()
-	all := e.store.All()
 	for i := 0; i < len(rules); i++ {
 		for j := i + 1; j < len(rules); j++ {
 			r1, r2 := rules[i], rules[j]
@@ -253,7 +227,7 @@ func (e *Engine) checkPairwiseConflicts(rep *ConsistencyReport, o ConsistencyOpt
 			if !pattern.JointlySatisfiable(r1.When, r2.When, e.input) {
 				continue
 			}
-			e.findConflictWitness(rep, o, r1, r2, shared, all)
+			e.joinConflictWitness(rep, r1, r2, shared, rows)
 		}
 	}
 }
@@ -277,72 +251,162 @@ func (e *Engine) sharedTargets(r1, r2 *rule.Rule) []sharedTarget {
 	return out
 }
 
-// findConflictWitness enumerates master tuple pairs (capped) and
-// reports the first concrete conflict per shared attribute.
-func (e *Engine) findConflictWitness(rep *ConsistencyReport, o ConsistencyOptions,
-	r1, r2 *rule.Rule, shared []sharedTarget, all []*schema.Tuple) {
+// witnessSide is one rule's half of the witness join. Master rows
+// (s1, s2) witness a conflict of r1 and r2 when matching s1 via r1 and
+// s2 via r2 binds each input attribute to one value, both patterns can
+// hold under those bindings, and the rules derive different values for
+// a shared target: one filter per side, an equi-join on the attributes
+// both rules match, and a test on the targets.
+type witnessSide struct {
+	agree [][2]int    // master columns one repeated match attribute binds
+	conds []boundCond // pattern conditions decided by this side's row
+	key   []int       // master columns bound to the jointly matched attributes
+}
 
-	budget := o.MaxMasterPairs
-	// Diagonal pass first: same-tuple witnesses are error-severity and
-	// must not be shadowed by an earlier cross-entity warning.
-	for _, s := range all {
-		if budget--; budget < 0 {
-			return
-		}
-		if e.tryWitnessPair(rep, r1, r2, shared, s, s) {
-			return
+// boundCond is a pattern condition evaluated on a master column.
+type boundCond struct {
+	pattern.Condition
+	col int
+	dom value.Domain
+}
+
+// keyOf appends s's join key to dst, or reports false when s fails the
+// side's filter.
+func (w *witnessSide) keyOf(dst []byte, s *schema.Tuple) ([]byte, bool) {
+	for _, p := range w.agree {
+		if s.Vals[p[0]] != s.Vals[p[1]] {
+			return dst, false
 		}
 	}
-	for _, s1 := range all {
-		for _, s2 := range all {
-			if s1.ID == s2.ID {
-				continue
+	for _, c := range w.conds {
+		if !c.Matches(s.Vals[c.col], c.dom) {
+			return dst, false
+		}
+	}
+	for _, col := range w.key {
+		dst = value.AppendKeyV(dst, s.Vals[col])
+	}
+	return dst, true
+}
+
+// witnessSides builds both sides of the r1/r2 join. A condition is
+// decided on side 1 when r1 matches its attribute, else on side 2 when
+// r2 does. The conditions neither rule matches do not depend on the
+// rows, so ok reports once whether they are jointly satisfiable.
+func (e *Engine) witnessSides(r1, r2 *rule.Rule) (sides [2]witnessSide, ok bool) {
+	ms := e.store.Schema()
+	var bound [2]map[string]int
+	for i, r := range [2]*rule.Rule{r1, r2} {
+		bound[i] = make(map[string]int, len(r.Match))
+		for _, c := range r.Match {
+			col := ms.MustIndex(c.Master)
+			if first, seen := bound[i][c.Input]; seen {
+				sides[i].agree = append(sides[i].agree, [2]int{first, col})
+			} else {
+				bound[i][c.Input] = col
 			}
-			if budget--; budget < 0 {
-				return
+		}
+	}
+	for _, c := range r1.Match {
+		if col, both := bound[1][c.Input]; both {
+			sides[0].key = append(sides[0].key, bound[0][c.Input])
+			sides[1].key = append(sides[1].key, col)
+		}
+	}
+	var free []pattern.Condition
+	for _, p := range [2]pattern.Pattern{r1.When, r2.When} {
+		for _, c := range p.Conds {
+			bc := boundCond{Condition: c, dom: e.input.Domain(c.Attr)}
+			var on bool
+			if bc.col, on = bound[0][c.Attr]; on {
+				sides[0].conds = append(sides[0].conds, bc)
+			} else if bc.col, on = bound[1][c.Attr]; on {
+				sides[1].conds = append(sides[1].conds, bc)
+			} else {
+				free = append(free, c)
 			}
-			if e.tryWitnessPair(rep, r1, r2, shared, s1, s2) {
-				return // one witness per rule pair keeps reports readable
-			}
+		}
+	}
+	return sides, pattern.Satisfiable(pattern.Pattern{Conds: free}, e.input)
+}
+
+// joinConflictWitness reports the witness a nested loop over all
+// master pairs in table order would report first: a same-tuple witness
+// (error severity, never shadowed by a cross-entity warning), else the
+// first s1 with its first partner s2 != s1. The cross pass keeps two
+// side-2 rows per join group, the first and the first whose targets
+// differ from it: for any s1, the first partner whose targets differ
+// from s1's is one of the two, and it is never s1 itself once the
+// same-tuple pass has found nothing. The cost is O(|master|) per pair.
+func (e *Engine) joinConflictWitness(rep *ConsistencyReport, r1, r2 *rule.Rule,
+	shared []sharedTarget, rows []*schema.Tuple) {
+
+	sides, ok := e.witnessSides(r1, r2)
+	if !ok {
+		return
+	}
+	type group struct{ first, differ *schema.Tuple }
+	groups := make(map[string]group)
+	var k1, k2 []byte
+	var in1, in2 bool // whether s passes each side's filter
+	for _, s := range rows {
+		if k2, in2 = sides[1].keyOf(k2[:0], s); !in2 {
+			continue
+		}
+		k1, in1 = sides[0].keyOf(k1[:0], s)
+		if in1 && string(k1) == string(k2) && recordWitness(rep, r1, r2, shared, s, s) {
+			return
+		}
+		switch g, seen := groups[string(k2)]; {
+		case !seen:
+			groups[string(k2)] = group{first: s}
+		case g.differ == nil && derivedDiffer(shared, g.first, s):
+			g.differ = s
+			groups[string(k2)] = g
+		}
+	}
+	for _, s1 := range rows {
+		if k1, in1 = sides[0].keyOf(k1[:0], s1); !in1 {
+			continue
+		}
+		g, ok := groups[string(k1)]
+		if ok && (recordWitness(rep, r1, r2, shared, s1, g.first) ||
+			g.differ != nil && recordWitness(rep, r1, r2, shared, s1, g.differ)) {
+			return // one witness per rule pair keeps reports readable
 		}
 	}
 }
 
-// tryWitnessPair checks whether (s1, s2) witnesses a conflict between
-// r1 and r2 on a shared target; if so it records the issue (severity by
-// whether the witnesses are the same entity) and returns true.
-func (e *Engine) tryWitnessPair(rep *ConsistencyReport, r1, r2 *rule.Rule,
+// derivedDiffer reports whether r2 derives different targets from a and b.
+func derivedDiffer(shared []sharedTarget, a, b *schema.Tuple) bool {
+	for _, st := range shared {
+		if a.Get(st.bm2) != b.Get(st.bm2) {
+			return true
+		}
+	}
+	return false
+}
+
+// recordWitness records the issue (s1, s2) witnesses when r1 and r2
+// derive different values from them for a shared target, and reports
+// whether it did.
+func recordWitness(rep *ConsistencyReport, r1, r2 *rule.Rule,
 	shared []sharedTarget, s1, s2 *schema.Tuple) bool {
 
-	bindings, ok := e.compatibleBindings(r1, r2, s1, s2)
-	if !ok {
-		return false
-	}
-	if !e.patternsHoldUnderBindings(r1.When, r2.When, bindings) {
-		return false
-	}
 	for _, st := range shared {
-		v1 := s1.Get(st.bm1)
-		v2 := s2.Get(st.bm2)
+		v1, v2 := s1.Get(st.bm1), s2.Get(st.bm2)
 		if v1 == v2 {
 			continue
 		}
-		sev := SeverityWarning
-		note := "only reachable by validating attributes of two different master entities"
+		sev, note := SeverityWarning, "only reachable by validating attributes of two different master entities"
 		if s1.ID == s2.ID {
 			// One entity, two derivations: the rules genuinely
 			// contradict each other.
-			sev = SeverityError
-			note = "both derivations come from the same master tuple"
+			sev, note = SeverityError, "both derivations come from the same master tuple"
 		}
 		rep.Issues = append(rep.Issues, Issue{
-			Kind:     IssueRuleConflict,
-			Severity: sev,
-			RuleA:    r1.ID,
-			RuleB:    r2.ID,
-			Attr:     st.attr,
-			MasterA:  s1.ID,
-			MasterB:  s2.ID,
+			Kind: IssueRuleConflict, Severity: sev, RuleA: r1.ID, RuleB: r2.ID,
+			Attr: st.attr, MasterA: s1.ID, MasterB: s2.ID,
 			Detail: fmt.Sprintf("an input matching both rules would get %s=%q from %s but %s=%q from %s (%s)",
 				st.attr, string(v1), r1.ID, st.attr, string(v2), r2.ID, note),
 		})
@@ -351,68 +415,22 @@ func (e *Engine) tryWitnessPair(rep *ConsistencyReport, r1, r2 *rule.Rule,
 	return false
 }
 
-// compatibleBindings merges the input-attribute assignments implied by
-// matching s1 via r1 and s2 via r2; fails when they disagree on a
-// shared input attribute.
-func (e *Engine) compatibleBindings(r1, r2 *rule.Rule, s1, s2 *schema.Tuple) (map[string]value.V, bool) {
-	b := make(map[string]value.V)
-	add := func(corrs []rule.Correspondence, s *schema.Tuple) bool {
-		for _, c := range corrs {
-			v := s.Get(c.Master)
-			if prev, ok := b[c.Input]; ok && prev != v {
-				return false
-			}
-			b[c.Input] = v
-		}
-		return true
-	}
-	if !add(r1.Match, s1) || !add(r2.Match, s2) {
-		return nil, false
-	}
-	return b, true
-}
-
-// patternsHoldUnderBindings checks both patterns can hold for some
-// input consistent with bindings: conditions on bound attributes are
-// evaluated concretely; conditions on free attributes only need joint
-// satisfiability.
-func (e *Engine) patternsHoldUnderBindings(p1, p2 pattern.Pattern, bindings map[string]value.V) bool {
-	var free1, free2 []pattern.Condition
-	check := func(p pattern.Pattern, free *[]pattern.Condition) bool {
-		for _, c := range p.Conds {
-			if v, bound := bindings[c.Attr]; bound {
-				if !c.Matches(v, e.input.Domain(c.Attr)) {
-					return false
-				}
-			} else {
-				*free = append(*free, c)
-			}
-		}
-		return true
-	}
-	if !check(p1, &free1) || !check(p2, &free2) {
-		return false
-	}
-	return pattern.JointlySatisfiable(
-		pattern.NewPattern(free1...), pattern.NewPattern(free2...), e.input)
-}
-
 // checkOrderIndependence chases synthesized probe tuples under several
 // rule orders and flags outcome differences.
-func (e *Engine) checkOrderIndependence(rep *ConsistencyReport, o ConsistencyOptions) {
+func (e *Engine) checkOrderIndependence(rep *ConsistencyReport, rows []*schema.Tuple) {
 	rules := e.rules.Rules()
 	if len(rules) < 2 {
 		return
 	}
-	rng := textutil.NewRNG(o.Seed)
-	probes := e.synthesizeProbes(o.MaxProbeTuples, rng)
+	rng := textutil.NewRNG(probeSeed)
+	probes := e.synthesizeProbes(rows, rng)
 	if len(probes) == 0 {
 		return
 	}
 	// Seed validated sets: every rule-premise union plus each single
 	// rule premise (the states the monitor actually passes through).
 	seeds := e.probeSeeds(rules)
-	orders := e.probeOrders(rules, o.ProbeOrders, rng)
+	orders := e.probeOrders(rules, probeShuffles, rng)
 	// One engine (and compiled program) per order, hoisted out of the
 	// probe × seed sweep; each gets a reusable chaser for the probes.
 	chasers := make([]*Chaser, len(orders))
@@ -448,19 +466,16 @@ func (e *Engine) checkOrderIndependence(rep *ConsistencyReport, o ConsistencyOpt
 	}
 }
 
-// synthesizeProbes builds input tuples from master rows by pulling
-// every corresponded master attribute through the rules, completing
-// pattern attributes with the constants mentioned in rule patterns
-// (both the matching and the complement side) and filling the rest
-// with synthetic values.
-func (e *Engine) synthesizeProbes(maxTuples int, rng *textutil.RNG) []*schema.Tuple {
-	all := e.store.All()
-	if len(all) > maxTuples {
-		all = all[:maxTuples]
-	}
+// synthesizeProbes builds input tuples from the first probeRows master
+// rows by pulling every corresponded master attribute through the
+// rules, completing pattern attributes with the constants mentioned in
+// rule patterns (both the matching and the complement side) and
+// filling the rest with synthetic values.
+func (e *Engine) synthesizeProbes(rows []*schema.Tuple, rng *textutil.RNG) []*schema.Tuple {
+	rows = rows[:min(len(rows), probeRows)]
 	patternConsts := e.patternConstants()
 	var probes []*schema.Tuple
-	for _, s := range all {
+	for _, s := range rows {
 		base := make(value.List, e.input.Len())
 		covered := schema.EmptySet
 		for _, r := range e.rules.Rules() {

@@ -15,7 +15,7 @@ import (
 // the nine rules pass (E1).
 func TestDemoRulesConsistent(t *testing.T) {
 	e := demoEngine(t)
-	rep := e.CheckConsistency(nil)
+	rep := e.CheckConsistency()
 	if !rep.Consistent() {
 		for _, is := range rep.Issues {
 			t.Logf("issue: %s", is)
@@ -54,7 +54,7 @@ func TestMasterAmbiguityDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.CheckConsistency(nil)
+	rep := e.CheckConsistency()
 	found := false
 	for _, is := range rep.Issues {
 		if is.Kind == IssueMasterAmbiguity && is.RuleA == "phi1" {
@@ -92,7 +92,7 @@ func TestPairwiseConflictDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.CheckConsistency(nil)
+	rep := e.CheckConsistency()
 	found := false
 	for _, is := range rep.Issues {
 		if is.Kind == IssueRuleConflict && is.Attr == "city" {
@@ -136,7 +136,7 @@ func TestSameEntityConflictIsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.CheckConsistency(nil)
+	rep := e.CheckConsistency()
 	if rep.Consistent() {
 		t.Fatal("same-entity conflict not flagged as error")
 	}
@@ -168,7 +168,7 @@ func TestDisjointPatternsNoConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.CheckConsistency(nil)
+	rep := e.CheckConsistency()
 	for _, is := range rep.Issues {
 		if is.Kind == IssueRuleConflict {
 			t.Fatalf("false conflict despite disjoint patterns: %v", is)
@@ -194,33 +194,12 @@ func TestBoundPatternBlocksConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.CheckConsistency(nil)
+	rep := e.CheckConsistency()
 	for _, is := range rep.Issues {
 		if is.Kind == IssueRuleConflict {
 			t.Fatalf("conflict reported though no master tuple has AC=0800: %v", is)
 		}
 	}
-}
-
-// The pairwise search budget is respected (smoke test: tiny budget on a
-// conflicting configuration still terminates quickly and quietly).
-func TestPairwiseBudget(t *testing.T) {
-	st := master.New(dataset.PersonSchema())
-	for _, row := range dataset.DemoMasterRows() {
-		if _, err := st.InsertValues(row...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rs := rule.MustSet(
-		mustParse(t, `ra: match zip~zip set city := city`),
-		mustParse(t, `rb: match AC~AC set city := city`),
-	)
-	e, err := NewEngine(dataset.CustSchema(), rs, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := e.CheckConsistency(&ConsistencyOptions{MaxMasterPairs: 1})
-	_ = rep // with budget 1 the witness may or may not be found; just must terminate
 }
 
 // Single-rule sets skip order probing but still report.
@@ -236,7 +215,7 @@ func TestSingleRuleOrderProbeSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.CheckConsistency(nil)
+	rep := e.CheckConsistency()
 	if rep.ProbesRun != 0 {
 		t.Fatalf("probes ran for single rule: %d", rep.ProbesRun)
 	}
@@ -250,18 +229,5 @@ func TestIssueKindStrings(t *testing.T) {
 		IssueRuleConflict.String() != "rule-conflict" ||
 		IssueOrderDependence.String() != "order-dependence" {
 		t.Fatal("kind names wrong")
-	}
-}
-
-// Options defaulting.
-func TestConsistencyOptionsDefaults(t *testing.T) {
-	var nilOpts *ConsistencyOptions
-	o := nilOpts.withDefaults()
-	if o.MaxMasterPairs != 100000 || o.ProbeOrders != 2 || o.MaxProbeTuples != 50 || o.Seed != 1 {
-		t.Fatalf("defaults = %+v", o)
-	}
-	o2 := (&ConsistencyOptions{MaxMasterPairs: 5, Seed: 7}).withDefaults()
-	if o2.MaxMasterPairs != 5 || o2.Seed != 7 || o2.ProbeOrders != 2 {
-		t.Fatalf("merged = %+v", o2)
 	}
 }

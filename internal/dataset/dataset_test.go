@@ -56,7 +56,7 @@ func TestDemoConfigurationConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.CheckConsistency(nil)
+	rep := e.CheckConsistency()
 	if !rep.Consistent() {
 		t.Fatalf("demo configuration inconsistent: %v", rep.Errors())
 	}
@@ -122,7 +122,7 @@ func TestGeneratedMasterConsistentWithDemoRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.CheckConsistency(&core.ConsistencyOptions{MaxProbeTuples: 10})
+	rep := e.CheckConsistency()
 	if !rep.Consistent() {
 		t.Fatalf("generated master inconsistent: %v", rep.Errors())
 	}
@@ -295,7 +295,7 @@ func TestHospRulesConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.CheckConsistency(&core.ConsistencyOptions{MaxProbeTuples: 5})
+	rep := e.CheckConsistency()
 	if !rep.Consistent() {
 		t.Fatalf("HOSP rules inconsistent: %v", rep.Errors())
 	}
@@ -354,7 +354,7 @@ func TestDblpRulesConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.CheckConsistency(&core.ConsistencyOptions{MaxProbeTuples: 5})
+	rep := e.CheckConsistency()
 	if !rep.Consistent() {
 		t.Fatalf("DBLP rules inconsistent: %v", rep.Errors())
 	}

@@ -60,7 +60,7 @@ func RunE1() (*E1Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	rep := eng.CheckConsistency(nil)
+	rep := eng.CheckConsistency()
 	return &E1Result{
 		Consistent: rep.Consistent(),
 		Errors:     len(rep.Errors()),

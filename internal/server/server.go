@@ -320,10 +320,12 @@ type issueJSON struct {
 	Detail   string `json:"detail,omitempty"`
 }
 
+// handleRulesCheck runs the check on a snapshot after unlocking, like /fix.
 func (s *Server) handleRulesCheck(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep := s.sys.CheckConsistency()
+	eng := s.sys.SnapshotEngine()
+	s.mu.Unlock()
+	rep := eng.CheckConsistency()
 	issues := make([]issueJSON, len(rep.Issues))
 	for i, is := range rep.Issues {
 		issues[i] = issueJSON{
