@@ -21,7 +21,7 @@
 // # Batch repair at scale
 //
 // Interactive sessions fix one tuple at a time; bulk integrations
-// (the POST /api/fix endpoint, `cerfix fix -workers N`) instead run
+// (the POST /api/v1/fix endpoint, `cerfix fix -workers N`) instead run
 // non-interactive certain-fix passes through internal/pipeline, a
 // streaming sharded executor. Because rules and master data are
 // frozen for the duration of a batch, every tuple's chase is
@@ -38,7 +38,7 @@
 // views while the live system keeps absorbing master-data inserts.
 // For batches too long to hold a connection open, internal/jobs wraps
 // the same pipeline in a persistent job queue (cerfixd -jobs-dir,
-// POST /api/jobs, `cerfix jobs`): submitted work is journaled,
+// POST /api/v1/jobs, `cerfix jobs`): submitted work is journaled,
 // tracked through a queued/running/done lifecycle, recovered across
 // daemon restarts, and executed by a configurable pool of concurrent
 // runners (cerfixd -jobs-workers) with fair FIFO admission.

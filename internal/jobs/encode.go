@@ -11,7 +11,7 @@ import (
 
 // ResultEncoder renders TupleResult records — the per-tuple JSON shape
 // shared by the jobs results.jsonl artifact and the synchronous
-// POST /api/fix results array — straight from a pipeline.Result into a
+// POST /api/v1/fix results array — straight from a pipeline.Result into a
 // caller-owned buffer, byte-identical to
 // json.Marshal(NewTupleResult(sch, r)) without building the
 // intermediate map, slices or Change structs. It is the sink-side half

@@ -24,7 +24,7 @@
 // Cancellation aborts the pipeline through its context hook and is
 // observed within one backpressure window. Terminal jobs — journal,
 // input and results artifacts — are retained until explicitly purged
-// (Manager.Remove; DELETE /api/jobs/{id} on a finished job); there is
+// (Manager.Remove; DELETE /api/v1/jobs/{id} on a finished job); there is
 // no automatic retention window.
 //
 // # Directory layout
@@ -49,7 +49,7 @@
 // the directory need not be dedicated to jobs.
 //
 // The results artifact uses the same per-tuple JSON shape as the
-// synchronous POST /api/fix results array, so an async job's output
+// synchronous POST /api/v1/fix results array, so an async job's output
 // is byte-identical, line for line, to the sync path for the same
 // input.
 //

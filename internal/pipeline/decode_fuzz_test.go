@@ -17,7 +17,8 @@ import (
 // input schema. The decoder decodes a plain object first, so state a
 // previous call leaves behind would show. The seed corpus
 // (testdata/fuzz/FuzzTupleDecoder) holds the JSONL lines of the
-// curated differential and error-parity suites.
+// curated differential and error-parity suites. The prefix form is held
+// to Decode on the same bytes (checkPrefix).
 func FuzzTupleDecoder(f *testing.F) {
 	abc, err := schema.New("T", schema.Str("a"), schema.Str("b"), schema.Str("c"))
 	if err != nil {
@@ -49,8 +50,29 @@ func FuzzTupleDecoder(f *testing.F) {
 			case gotErr.Error() != wantErr.Error() && !sameUnknownAttr(sch, m, gotErr, wantErr):
 				t.Fatalf("%s %q:\n got error %q\nwant error %q", sch.Name(), obj, gotErr, wantErr)
 			}
+			checkPrefix(t, decs[i], obj)
 		}
 	})
+}
+
+// checkPrefix holds DecodePrefix to Decode: an object it takes at the
+// head of obj decodes to the same tuple as that prefix alone, and every
+// shorter head of obj asks for more bytes instead of deciding.
+func checkPrefix(t *testing.T, dec *TupleDecoder, obj []byte) {
+	tu, n, _ := dec.DecodePrefix(obj)
+	if n == 0 {
+		return
+	}
+	got := append([]string(nil), tu.Vals.Strings()...)
+	want, err := dec.Decode(obj[:n])
+	if err != nil || strings.Join(want.Vals.Strings(), "\x00") != strings.Join(got, "\x00") {
+		t.Fatalf("DecodePrefix(%q) took %d bytes as %q; Decode of them: %v, %v", obj, n, got, want, err)
+	}
+	for k := range n {
+		if tu, m, more := dec.DecodePrefix(obj[:k]); tu != nil || m != 0 || !more {
+			t.Fatalf("DecodePrefix(%q) = %v, %d, %v; want nil, 0, true (a head of %q)", obj[:k], tu, m, more, obj[:n])
+		}
+	}
 }
 
 // sameUnknownAttr reports whether both errors reject an unknown

@@ -352,25 +352,27 @@ func (s *JSONLSource) Next() (*schema.Tuple, error) {
 }
 
 // TupleDecoder decodes flat JSON objects — one attribute→value object,
-// the shape of a JSONL line and of an element of a POST /jobs tuples
-// array — into tuples under a schema. Unknown attributes are an error;
-// absent ones become null.
+// the shape of a JSONL line and of an element of the tuples array of a
+// POST /fix or /jobs body — into tuples under a schema. Unknown
+// attributes are an error; absent ones become null.
 //
 // A fast path parses the common shape — a flat object of plain string
 // values — with one allocation per object (the immutable backing
 // string of the decoded values, the same economy encoding/csv uses):
-// scanJSON finds the next byte that needs a decision, and the clean
+// ScanJSON finds the next byte that needs a decision, and the clean
 // run before it is copied in bulk. Anything beyond the plain shape —
 // escape sequences, non-string values, invalid UTF-8, malformed
 // objects, unknown attributes — falls back to encoding/json plus
 // schema.TupleFromMap, so behavior and error text are theirs exactly.
+// DecodePrefix is the fast path alone, over the head of a buffer, for
+// readers that walk a stream of objects in place.
 type TupleDecoder struct {
 	sch *schema.Schema
 	// idx mirrors the schema's name→position map locally: indexing a
 	// map with string(bytes) compiles to an allocation-free lookup
 	// only as a direct map access expression.
 	idx    map[string]int
-	tuple  schema.Tuple // reused; valid until the next Decode
+	tuple  schema.Tuple // reused; valid until the next Decode or DecodePrefix
 	valBuf []byte       // raw decoded values; one backing string per object
 	spans  []valSpan    // per attribute position, offsets into valBuf
 	m      map[string]string
@@ -414,27 +416,42 @@ func (d *TupleDecoder) Decode(obj []byte) (*schema.Tuple, error) {
 	return schema.TupleFromMap(d.sch, d.m)
 }
 
-// parseFast decodes a flat {"attr":"value",...} object into the reused
-// tuple, reporting false — deciding nothing — whenever the object
-// strays from the plain shape, so the encoding/json fallback keeps
-// semantics (duplicate keys last-wins, null handling, error text)
-// authoritative.
+// parseFast decodes obj, a flat object with nothing after it but
+// whitespace, through the prefix form; false means the encoding/json
+// fallback decides.
 func (d *TupleDecoder) parseFast(obj []byte) bool {
+	_, n, _ := d.DecodePrefix(obj)
+	if n == 0 {
+		return false
+	}
+	for n < len(obj) && IsJSONSpace(obj[n]) {
+		n++
+	}
+	return n == len(obj) // trailing bytes: the fallback rejects them
+}
+
+// DecodePrefix decodes the flat {"attr":"value",...} object at the head
+// of obj, after any leading whitespace, into the reused tuple Decode
+// returns, and reports the offset just past its closing brace. It is
+// the one object parser: Decode's fast path is DecodePrefix over the
+// whole input. It takes only the plain shape — a flat object of plain
+// string values under known attributes — and decides nothing
+// otherwise: end is 0 and tu nil, so the encoding/json fallback keeps
+// semantics (null handling, error text) authoritative. more then
+// reports whether obj ended before the object could be taken or
+// refused, so a reader of a stream can retry with more bytes.
+func (d *TupleDecoder) DecodePrefix(obj []byte) (tu *schema.Tuple, end int, more bool) {
 	for i := range d.spans {
 		d.spans[i] = valSpan{-1, -1}
 	}
 	d.valBuf = d.valBuf[:0]
 	p, n := 0, len(obj)
 	ws := func() {
-		for p < n && (obj[p] == ' ' || obj[p] == '\t' || obj[p] == '\n' || obj[p] == '\r') {
+		for p < n && IsJSONSpace(obj[p]) {
 			p++
 		}
 	}
-	finish := func() bool {
-		ws()
-		if p != n {
-			return false // trailing bytes: the fallback rejects them
-		}
+	finish := func() (*schema.Tuple, int, bool) {
 		backing := string(d.valBuf)
 		for i := range d.tuple.Vals {
 			sp := d.spans[i]
@@ -444,49 +461,64 @@ func (d *TupleDecoder) parseFast(obj []byte) bool {
 				d.tuple.Vals[i] = value.V(backing[sp.start:sp.end])
 			}
 		}
-		return true
+		return &d.tuple, p, false
 	}
 	ws()
-	if p >= n || obj[p] != '{' {
-		return false
+	if p >= n {
+		return nil, 0, true
+	}
+	if obj[p] != '{' {
+		return nil, 0, false
 	}
 	p++
 	ws()
-	if p < n && obj[p] == '}' {
+	if p >= n {
+		return nil, 0, true
+	}
+	if obj[p] == '}' {
 		p++
 		return finish()
 	}
 	for {
 		ws()
-		if p >= n || obj[p] != '"' {
-			return false
+		if p >= n {
+			return nil, 0, true
+		}
+		if obj[p] != '"' {
+			return nil, 0, false
 		}
 		p++
 		keyStart := p
 		// One classifier scan covers the whole key: the first special
 		// byte must be the closing quote; a backslash, control byte or
 		// non-ASCII byte means an escaped/exotic key — slow path.
-		rel := scanJSON(obj[p:])
+		rel := ScanJSON(obj[p:])
 		if rel < 0 {
-			return false
+			return nil, 0, true // the key runs past obj
 		}
 		p += rel
 		if obj[p] != '"' {
-			return false
+			return nil, 0, false
 		}
 		ai, known := d.idx[string(obj[keyStart:p])]
 		if !known {
-			return false // unknown attribute: slow path reports it
+			return nil, 0, false // unknown attribute: slow path reports it
 		}
 		p++
 		ws()
-		if p >= n || obj[p] != ':' {
-			return false
+		if p >= n {
+			return nil, 0, true
+		}
+		if obj[p] != ':' {
+			return nil, 0, false
 		}
 		p++
 		ws()
-		if p >= n || obj[p] != '"' {
-			return false // non-string value: slow path decides
+		if p >= n {
+			return nil, 0, true
+		}
+		if obj[p] != '"' {
+			return nil, 0, false // non-string value: slow path decides
 		}
 		p++
 		start := len(d.valBuf)
@@ -495,11 +527,11 @@ func (d *TupleDecoder) parseFast(obj []byte) bool {
 		// then the special byte decides — closing quote ends the value,
 		// a valid multi-byte rune is copied whole and scanning resumes
 		// after it, everything else (escapes, control bytes, invalid
-		// UTF-8, an unterminated value) rejects to the slow path.
+		// UTF-8) rejects to the slow path.
 		for {
-			rel := scanJSON(obj[p:])
+			rel := ScanJSON(obj[p:])
 			if rel < 0 {
-				return false // unterminated value
+				return nil, 0, true // the value runs past obj
 			}
 			d.valBuf = append(d.valBuf, obj[p:p+rel]...)
 			p += rel
@@ -508,11 +540,14 @@ func (d *TupleDecoder) parseFast(obj []byte) bool {
 				break
 			}
 			if c == '\\' || c < 0x20 {
-				return false // escapes & control chars: slow path
+				return nil, 0, false // escapes & control chars: slow path
 			}
 			r, size := utf8.DecodeRune(obj[p:])
 			if r == utf8.RuneError && size == 1 {
-				return false // invalid UTF-8: slow path coerces to U+FFFD
+				// A rune cut off by the end of obj may yet be valid;
+				// invalid UTF-8 goes to the slow path, which coerces it
+				// to U+FFFD.
+				return nil, 0, !utf8.FullRune(obj[p:])
 			}
 			d.valBuf = append(d.valBuf, obj[p:p+size]...)
 			p += size
@@ -521,7 +556,7 @@ func (d *TupleDecoder) parseFast(obj []byte) bool {
 		d.spans[ai] = valSpan{start, len(d.valBuf)} // duplicate keys: last wins
 		ws()
 		if p >= n {
-			return false
+			return nil, 0, true
 		}
 		switch obj[p] {
 		case ',':
@@ -530,18 +565,23 @@ func (d *TupleDecoder) parseFast(obj []byte) bool {
 			p++
 			return finish()
 		default:
-			return false
+			return nil, 0, false
 		}
 	}
 }
 
-// scanJSON returns the index of the first byte of b that the fast path
-// cannot copy verbatim: a double quote, a backslash, a control byte
-// (< 0x20) or a non-ASCII byte (>= 0x80); -1 when there is none. The
-// caller decides on the reported byte: a quote ends the string, a high
-// byte starts a UTF-8 rune to validate, anything else falls back to
-// encoding/json.
-func scanJSON(b []byte) int {
+// IsJSONSpace reports whether c is JSON whitespace.
+func IsJSONSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
+}
+
+// ScanJSON returns the index of the first byte of b, the inside of a
+// JSON string, that a plain-string scan cannot copy verbatim: a double
+// quote, a backslash, a control byte (< 0x20) or a non-ASCII byte
+// (>= 0x80); -1 when there is none. The caller decides on the reported
+// byte: a quote ends the string, a high byte starts a UTF-8 rune to
+// validate, anything else falls back to encoding/json.
+func ScanJSON(b []byte) int {
 	for i, c := range b {
 		if c == '"' || c == '\\' || c < 0x20 || c >= 0x80 {
 			return i

@@ -43,3 +43,20 @@ func TestMasterListPageCost(t *testing.T) {
 		t.Fatalf("a one-row page allocates %.0f at 5,000 entities vs %.0f at 100: the cost follows the master size", large, small)
 	}
 }
+
+// TestFixRequestAllocs: a 256-tuple /fix allocates a bounded number of
+// times per tuple through ServeHTTP — body read, tuple copies, pipeline
+// and response included. Reading each tuple in place costs about 8.5
+// per tuple; a decode of the body into maps would cost about 39, so
+// the bound catches one creeping back. Excluded under the race
+// detector, whose instrumentation allocates.
+func TestFixRequestAllocs(t *testing.T) {
+	const tuples, perTuple = 256, 12
+	l := newFixLoad(t, 500, 1024)
+	body := l.body(0, tuples)
+	allocs := testing.AllocsPerRun(20, func() { l.post(t, body) })
+	t.Logf("%.0f allocs per %d-tuple /fix, %.1f per tuple", allocs, tuples, allocs/tuples)
+	if allocs > perTuple*tuples {
+		t.Fatalf("a %d-tuple /fix allocates %.0f times, more than %d per tuple", tuples, allocs, perTuple)
+	}
+}

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
-	"cerfix"
 	"cerfix/internal/jobs"
 	"cerfix/internal/pipeline"
 	"cerfix/internal/schema"
@@ -26,15 +26,6 @@ import (
 // internal/pipeline's sharded worker pool, so large batches neither
 // serialize behind each other nor block interactive sessions, and
 // concurrent rule/master mutations cannot race the in-flight batch.
-
-// batchRequest is the POST /api/fix payload.
-type batchRequest struct {
-	// Validated lists the attributes the caller asserts correct on
-	// every tuple.
-	Validated []string `json:"validated"`
-	// Tuples are the input rows (attribute → value).
-	Tuples []map[string]string `json:"tuples"`
-}
 
 // batchTupleResult is one tuple's outcome — the same record the async
 // jobs subsystem writes to its results artifact, so a job's JSONL
@@ -56,55 +47,78 @@ type batchResponse struct {
 	CellsRewritten int `json:"cells_rewritten"`
 }
 
+// fixBatch is the tuple sink of one POST /api/v1/fix: it keeps a copy
+// of each tuple, taken out of the decoder's reused one.
+type fixBatch struct{ tuples []*schema.Tuple }
+
+// Add implements tupleSink.
+func (f *fixBatch) Add(tu *schema.Tuple) error {
+	f.tuples = append(f.tuples, tu.Clone())
+	return nil
+}
+
+// Abort implements tupleSink.
+func (f *fixBatch) Abort() { f.tuples = nil }
+
+// fixBufs recycles /fix response buffers. One that grew past
+// maxPooledFixBuf is left to the collector, so a rare huge batch does
+// not stay pinned in the pool.
+var fixBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFixBuf = 1 << 20
+
 func (s *Server) handleBatchFix(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req batchRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeDecodeErr(w, r, err)
+	// The input schema is fixed when the system is built, so the body
+	// is read before the server lock is taken.
+	input := s.sys.InputSchema()
+	var batch fixBatch
+	req := bodyReader{body: r.Body, dec: pipeline.NewTupleDecoder(input), sink: &batch}
+	if err := req.read(w, r); err != nil {
+		writeDecodeErr(w, r, err) // the sink never fails: a body error
 		return
 	}
-	if len(req.Validated) == 0 {
+	if len(req.validated) == 0 {
 		writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, fmt.Errorf("validated attribute list required"))
 		return
 	}
-	if len(req.Tuples) == 0 {
+	if req.tuples == 0 {
 		writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, fmt.Errorf("no tuples"))
+		return
+	}
+	for _, a := range req.validated {
+		if !input.Has(a) {
+			writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, fmt.Errorf("unknown attribute %q", a))
+			return
+		}
+	}
+	if req.tupleErr != nil {
+		writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, fmt.Errorf("tuple %d: %w", req.badTuple, req.tupleErr))
 		return
 	}
 	// Freeze a consistent view — an O(1) COW capture; the lock only
 	// pins the engine pointer against rule-set swaps — then fix
 	// outside it.
 	s.mu.Lock()
-	input := s.sys.InputSchema()
-	for _, a := range req.Validated {
-		if !input.Has(a) {
-			s.mu.Unlock()
-			writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, fmt.Errorf("unknown attribute %q", a))
-			return
-		}
-	}
 	eng := s.sys.SnapshotEngine()
 	s.mu.Unlock()
-
-	tuples := make([]*cerfix.Tuple, len(req.Tuples))
-	for i, tm := range req.Tuples {
-		tu, err := tupleFromMap(input, tm)
-		if err != nil {
-			writeErr(w, r, http.StatusUnprocessableEntity, codeInvalidInput, fmt.Errorf("tuple %d: %w", i, err))
-			return
-		}
-		tuples[i] = tu
-	}
 
 	// The response is rendered incrementally per result through the
 	// jobs ResultEncoder — byte-identical to writeJSON encoding a
 	// batchResponse (the regression test pins this), but honoring the
 	// pipeline's recycling contract: each result is serialized before
-	// Write returns, so the run allocates O(window) plus the response
-	// buffer instead of materializing a TupleResult per tuple.
-	seed := schema.SetOfNames(input, req.Validated...)
+	// Write returns, so the run allocates O(window) instead of
+	// materializing a TupleResult per tuple. The buffer is pooled.
+	seed := schema.SetOfNames(input, req.validated...)
 	enc := jobs.NewResultEncoder(input)
-	buf := append(make([]byte, 0, 64*len(tuples)), `{"results":[`...)
+	bp := fixBufs.Get().(*[]byte)
+	buf := append((*bp)[:0], `{"results":[`...)
+	defer func() {
+		if cap(buf) <= maxPooledFixBuf {
+			*bp = buf
+			fixBufs.Put(bp)
+		}
+	}()
 	first := true
 	sink := pipeline.SinkFunc(func(res *pipeline.Result) error {
 		if !first {
@@ -114,7 +128,7 @@ func (s *Server) handleBatchFix(w http.ResponseWriter, r *http.Request) {
 		buf = enc.Append(buf, res)
 		return nil
 	})
-	stats, err := pipeline.Run(r.Context(), eng, seed, pipeline.NewSliceSource(tuples), sink, nil)
+	stats, err := pipeline.Run(r.Context(), eng, seed, pipeline.NewSliceSource(batch.tuples), sink, nil)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 )
 
 // This file defines the API's one error shape. Every handler, the
@@ -59,7 +60,8 @@ const (
 	// The daemon recovers automatically once its health probe succeeds.
 	codePersistenceDegraded = "persistence_degraded"
 	// codeDeadlineExceeded: the handler ran past -request-timeout and
-	// its per-request context expired mid-work.
+	// its per-request context expired mid-work, or its request body was
+	// not read by then.
 	codeDeadlineExceeded = "deadline_exceeded"
 	// codeBodyTooLarge: the request body exceeded -max-body; the read
 	// stopped at the cap, so the daemon never buffered the excess.
@@ -108,16 +110,21 @@ func withMeta(r *http.Request, m *reqMeta) *http.Request {
 }
 
 // writeDecodeErr classifies a request-body decode failure: a body the
-// -max-body reader truncated is the typed 413; anything else is the
-// plain 400 malformed-body envelope.
+// -max-body reader truncated is the typed 413, one whose read ran past
+// the request deadline the typed 504; anything else is the plain 400
+// malformed-body envelope.
 func writeDecodeErr(w http.ResponseWriter, r *http.Request, err error) {
 	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
+	switch {
+	case errors.As(err, &mbe):
 		writeErr(w, r, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
 			fmt.Errorf("request body exceeds the %d-byte limit", mbe.Limit))
-		return
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		writeErr(w, r, http.StatusGatewayTimeout, codeDeadlineExceeded,
+			fmt.Errorf("request body not read within the request deadline"))
+	default:
+		writeErr(w, r, http.StatusBadRequest, codeInvalidArgument, err)
 	}
-	writeErr(w, r, http.StatusBadRequest, codeInvalidArgument, err)
 }
 
 // writeErr renders the typed envelope. All error paths funnel through

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"runtime"
 	"strings"
@@ -325,5 +329,169 @@ func TestResultsStreamExemptFromDeadline(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("results status = %d", resp.StatusCode)
+	}
+}
+
+// postRaw sends a POST to path over a raw connection, announcing a
+// body of n bytes, lets send write the body, and waits up to 3 s after
+// send returns for the answer.
+func postRaw(t *testing.T, base, path string, n int, send func(io.Writer) error) (int, []byte) {
+	t.Helper()
+	u, err := url.Parse(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", u.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n",
+		path, u.Host, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := send(conn); err != nil {
+		t.Fatalf("sending the %d-byte %s body: %v", n, path, err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(3 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no answer to a %d-byte %s body: %v", n, path, err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, got
+}
+
+// postStalled sends a POST of body to path over a raw connection,
+// announcing its whole length but writing only the first head bytes,
+// and then stalls: it waits up to 3 s for the answer without sending
+// the rest.
+func postStalled(t *testing.T, base, path string, body []byte, head int) (int, []byte) {
+	t.Helper()
+	return postRaw(t, base, path, len(body), func(w io.Writer) error {
+		_, err := w.Write(body[:head])
+		return err
+	})
+}
+
+// A /fix body that stalls mid-upload answers the typed 504 at
+// -request-timeout and returns its -max-sync-fix slot: the next /fix
+// is served, not shed.
+func TestStalledFixBodyReturns504(t *testing.T) {
+	_, ts := guardServer(t, Limits{MaxSyncFix: 1, RequestTimeout: 200 * time.Millisecond})
+	body := fixPayload()
+	status, resp := postStalled(t, ts.URL, "/api/v1/fix", body, len(body)/2)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("stalled body: status = %d (%s), want 504", status, resp)
+	}
+	if env := decodeEnvelope(t, resp); env.Error.Code != codeDeadlineExceeded {
+		t.Fatalf("stalled body: code = %q, want %q", env.Error.Code, codeDeadlineExceeded)
+	}
+	if status, resp, _ := doRaw(t, "POST", ts.URL+"/api/v1/fix", fixPayload(), nil); status != http.StatusOK {
+		t.Fatalf("fix after a stalled body = %d (%s), want 200 (gate slot kept?)", status, resp)
+	}
+}
+
+// jobsGuardServer is a demo server with a jobs manager of at most one
+// queued job, under -request-timeout 200ms.
+func jobsGuardServer(t *testing.T) (*jobs.Manager, string, *httptest.Server) {
+	t.Helper()
+	srv := New(demoSys(t))
+	srv.SetLimits(Limits{RequestTimeout: 200 * time.Millisecond})
+	dir := t.TempDir()
+	mgr, err := jobs.Open(jobs.Config{Dir: dir, Schema: dataset.CustSchema(), Snapshot: srv.SnapshotEngine, MaxQueued: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close(context.Background()) })
+	srv.AttachJobs(mgr)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return mgr, dir, ts
+}
+
+// windowJobBody is an inline job body of n Fig. 3 tuples, n enough to
+// fill the body reader's first window twice over.
+func windowJobBody() (body, tuple []byte, n int) {
+	tuple, _ = json.Marshal(dataset.DemoInputFig3().Map())
+	n = 2*maxWindow/len(tuple) + 1
+	body = []byte(`{"validated":["zip","phn","type","item"],"tuples":[` +
+		strings.Repeat(string(tuple)+",", n-1) + string(tuple) + `]}`)
+	return body, tuple, n
+}
+
+// An inline job upload that stalls after its first window of tuples —
+// the job directory and the backlog reservation exist by then —
+// answers the typed 504 at -request-timeout and leaves neither behind:
+// under MaxQueued 1 the next submit is accepted.
+func TestStalledJobUploadReturns504(t *testing.T) {
+	mgr, dir, ts := jobsGuardServer(t)
+	body, tuple, _ := windowJobBody()
+	head := maxWindow + len(tuple)/2
+	status, resp := postStalled(t, ts.URL, "/api/v1/jobs", body, head)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("stalled upload: status = %d (%s), want 504", status, resp)
+	}
+	if env := decodeEnvelope(t, resp); env.Error.Code != codeDeadlineExceeded {
+		t.Fatalf("stalled upload: code = %q, want %q", env.Error.Code, codeDeadlineExceeded)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("jobs directory after a stalled upload = %v (%v), want empty", entries, err)
+	}
+	if q := mgr.Stats().Queued; q != 0 {
+		t.Fatalf("stalled upload left %d backlog reservations", q)
+	}
+	if status, resp, _ := doRaw(t, "POST", ts.URL+"/api/v1/jobs", fixPayload(), nil); status != http.StatusAccepted {
+		t.Fatalf("submit after a stalled upload = %d (%s), want 202", status, resp)
+	}
+}
+
+// An inline job upload that takes longer than -request-timeout, but
+// never pauses that long, is accepted whole: on /jobs the deadline
+// bounds a stall, not the upload.
+func TestSlowJobUploadAccepted(t *testing.T) {
+	mgr, _, ts := jobsGuardServer(t)
+	body, _, n := windowJobBody()
+	const pieces, gap = 16, 50 * time.Millisecond // 750 ms of gaps against a 200 ms deadline
+	status, resp := postRaw(t, ts.URL, "/api/v1/jobs", len(body), func(w io.Writer) error {
+		for i := range pieces {
+			if i > 0 {
+				time.Sleep(gap)
+			}
+			if _, err := w.Write(body[i*len(body)/pieces : (i+1)*len(body)/pieces]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if status != http.StatusAccepted {
+		t.Fatalf("slow upload: status = %d (%s), want 202", status, resp)
+	}
+	var j jobJSON
+	if err := json.Unmarshal(resp, &j); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got, err := mgr.Get(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State.Terminal() {
+			if got.State != jobs.StateDone || got.Processed != n {
+				t.Fatalf("slow upload's job ended %s with %d of %d tuples", got.State, got.Processed, n)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("slow upload's job stuck in %s", got.State)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -1,13 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"cerfix/internal/admission"
@@ -16,6 +13,7 @@ import (
 	"cerfix/internal/guard"
 	"cerfix/internal/jobs"
 	"cerfix/internal/pipeline"
+	"cerfix/internal/schema"
 )
 
 // This file exposes the async batch-repair job subsystem
@@ -121,9 +119,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitErr(w, r, err)
 		return
 	}
-	req := jobSubmit{m: s.jobs, dec: pipeline.NewTupleDecoder(s.jobs.Schema())}
-	defer req.abort()
-	if err := req.read(r.Body); err != nil {
+	sub := &jobSubmit{m: s.jobs}
+	defer sub.Abort()
+	req := bodyReader{body: r.Body, dec: pipeline.NewTupleDecoder(s.jobs.Schema()), sink: sub, paths: true, stall: s.limits.RequestTimeout}
+	if err := req.read(w, r); err != nil {
 		s.writeSubmitErr(w, r, err)
 		return
 	}
@@ -137,9 +136,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("give tuples or input_path, not both"))
 		return
 	case req.tupleErr != nil:
-		err = req.tupleErr
+		err = jobs.InvalidTuple(req.badTuple, req.tupleErr)
 	case req.tuples > 0:
-		job, err = req.sub.Commit(req.validated)
+		job, err = sub.sub.Commit(req.validated)
 	case req.inputPath != "":
 		job, err = s.jobs.SubmitFile(req.validated, req.inputPath, req.format)
 	default:
@@ -159,11 +158,12 @@ func (s *Server) writeSubmitErr(w http.ResponseWriter, r *http.Request, err erro
 	// A full backlog is load shedding, not failure: 429 with a
 	// Retry-After sized to the queue draining through the worker pool
 	// at the observed per-job service time. A malformed body is 400
-	// (413 past -max-body); client-side rejections are 422; a
-	// shutting-down queue is 503. Unhealthy persistence — the degraded
-	// fast-fail or a fresh transient storage fault — is the typed 503
-	// with a Retry-After, so clients back off instead of hammering a
-	// full disk; anything else is a genuine server fault.
+	// (413 past -max-body, 504 past the request deadline); client-side
+	// rejections are 422; a shutting-down queue is 503. Unhealthy
+	// persistence — the degraded fast-fail or a fresh transient storage
+	// fault — is the typed 503 with a Retry-After, so clients back off
+	// instead of hammering a full disk; anything else is a genuine
+	// server fault.
 	var bad errBody
 	switch {
 	case errors.As(err, &bad):
@@ -186,194 +186,31 @@ func (s *Server) writeSubmitErr(w http.ResponseWriter, r *http.Request, err erro
 	}
 }
 
-// errBody marks a POST /jobs body that is not a well-formed request:
-// malformed JSON, a value of the wrong type, an unknown or repeated
-// key (400), or a body cut off at -max-body (413).
-type errBody struct{ err error }
-
-func (e errBody) Error() string { return e.err.Error() }
-
-// jobSubmit is one POST /api/v1/jobs request read in one pass: the
-// validated list plus exactly one of tuples (inline) or input_path
-// (server-side file, format required; accepted only under the
-// daemon's configured jobs input root). Inline tuples are never held
-// as a whole: each element of the tuples array is decoded by the
-// flat-object decoder JSONLSource uses and appended to the job's
-// input.jsonl as it arrives.
+// jobSubmit is the tuple sink of one inline POST /api/v1/jobs: the
+// submission the body's tuples stream into, begun at the first tuple
+// and appended to the job's input.jsonl as each one arrives.
 type jobSubmit struct {
 	m   *jobs.Manager
-	dec *pipeline.TupleDecoder
-
-	validated []string
-	inputPath string
-	format    string
-	// sawTuples is set by the first tuples key; tuples counts the
-	// elements of its array, and sub is the submission they stream
-	// into, begun at the first tuple.
-	sawTuples bool
-	tuples    int
-	sub       *jobs.Inline
-	// tupleErr is the first tuple the schema rejected. The submission
-	// is aborted then, but the body is still read to its end, because a
-	// later JSON-level error must still answer 400.
-	tupleErr error
+	sub *jobs.Inline
 }
 
-// abort abandons an uncommitted submission (a no-op after Commit).
-func (q *jobSubmit) abort() {
-	if q.sub != nil {
-		q.sub.Abort()
-	}
-}
-
-// read parses the request body the way encoding/json decodes it into a
-// struct with validated, tuples, input_path and format fields while
-// disallowing unknown ones: keys match case-insensitively, repeated
-// keys are last-wins, a JSON null is the empty request, and bytes
-// after the top-level value are not read. One divergence is
-// deliberate: a repeated tuples key is an error, where encoding/json
-// would merge the second array into the first one's maps.
-//
-// A JSON-level error returns errBody only once the top-level value has
-// been read to its end, so that, as with a whole-body decode, a syntax
-// error within -max-body answers 400 and a value cut off at the cap
-// answers 413. Errors of the jobs manager (a lost backlog race, a
-// failed write) return at once.
-func (q *jobSubmit) read(body io.Reader) error {
-	dec := json.NewDecoder(body)
-	// Numbers are skipped, never converted: a valid number such as
-	// 1e999 must not fail the read.
-	dec.UseNumber()
-	tok, err := dec.Token()
-	switch {
-	case err != nil:
-		return errBody{err}
-	case tok == nil:
-		return nil
-	case tok != json.Delim('{'):
-		return skipRest(dec, depthAfter(tok), errors.New("request body must be a JSON object"))
-	}
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return errBody{err}
-		}
-		key, _ := tok.(string) // in key position Token yields a string or an error
-		switch {
-		case strings.EqualFold(key, "validated"):
-			err = dec.Decode(&q.validated)
-		case strings.EqualFold(key, "input_path"):
-			err = dec.Decode(&q.inputPath)
-		case strings.EqualFold(key, "format"):
-			err = dec.Decode(&q.format)
-		case strings.EqualFold(key, "tuples"):
-			if q.sawTuples {
-				return skipRest(dec, 1, errors.New(`repeated "tuples" key`))
-			}
-			q.sawTuples = true
-			if err := q.readTuples(dec); err != nil {
-				return err
-			}
-		default:
-			return skipRest(dec, 1, fmt.Errorf("json: unknown field %q", key))
-		}
-		var te *json.UnmarshalTypeError
-		if errors.As(err, &te) {
-			return skipRest(dec, 1, err) // the type error consumed the value
-		}
-		if err != nil {
-			return errBody{err}
-		}
-	}
-	if _, err := dec.Token(); err != nil {
-		return errBody{err}
-	}
-	return nil
-}
-
-// readTuples streams the tuples array. Each element is read into one
-// reused RawMessage, decoded by the shared flat-object decoder and
-// added to the submission, which begins at the first tuple.
-func (q *jobSubmit) readTuples(dec *json.Decoder) error {
-	tok, err := dec.Token()
-	switch {
-	case err != nil:
-		return errBody{err}
-	case tok == nil:
-		return nil // "tuples": null, no tuples
-	case tok != json.Delim('['):
-		return skipRest(dec, 1+depthAfter(tok), errors.New("tuples must be an array of objects"))
-	}
-	var raw json.RawMessage
-	for dec.More() {
-		if err := dec.Decode(&raw); err != nil {
-			return errBody{err} // RawMessage takes any value: a syntax or read error
-		}
-		i := q.tuples
-		q.tuples++
-		tu, err := q.dec.Decode(raw)
-		switch {
-		case jsonLevel(err):
-			return skipRest(dec, 2, err)
-		case err != nil:
-			if q.tupleErr == nil {
-				q.tupleErr = jobs.InvalidTuple(i, err)
-				q.abort()
-			}
-			continue
-		case q.tupleErr != nil:
-			continue
-		}
-		if q.sub == nil {
-			if q.sub, err = q.m.BeginInline(); err != nil {
-				return err
-			}
-		}
-		if err := q.sub.Add(tu); err != nil {
+// Add implements tupleSink.
+func (q *jobSubmit) Add(tu *schema.Tuple) error {
+	if q.sub == nil {
+		var err error
+		if q.sub, err = q.m.BeginInline(); err != nil {
 			return err
 		}
 	}
-	if _, err := dec.Token(); err != nil {
-		return errBody{err}
-	}
-	return nil
+	return q.sub.Add(tu)
 }
 
-// jsonLevel reports whether a TupleDecoder error is JSON-level (the
-// element is not an object of strings) rather than the schema's.
-func jsonLevel(err error) bool {
-	var se *json.SyntaxError
-	var te *json.UnmarshalTypeError
-	return errors.As(err, &se) || errors.As(err, &te)
-}
-
-// skipRest reads the rest of the top-level value after a JSON-level
-// error at the given nesting depth. It answers the first syntax or read
-// error it meets, so the -max-body cap still answers 413, and cause
-// otherwise.
-func skipRest(dec *json.Decoder, depth int, cause error) error {
-	for depth > 0 {
-		tok, err := dec.Token()
-		if err != nil {
-			return errBody{err}
-		}
-		switch tok {
-		case json.Delim('{'), json.Delim('['):
-			depth++
-		case json.Delim('}'), json.Delim(']'):
-			depth--
-		}
+// Abort implements tupleSink: it abandons an uncommitted submission (a
+// no-op after Commit).
+func (q *jobSubmit) Abort() {
+	if q.sub != nil {
+		q.sub.Abort()
 	}
-	return errBody{cause}
-}
-
-// depthAfter is the nesting depth a token opens: 1 for '{' or '[', 0
-// for a scalar.
-func depthAfter(tok json.Token) int {
-	if tok == json.Delim('{') || tok == json.Delim('[') {
-		return 1
-	}
-	return 0
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {

@@ -56,6 +56,10 @@ func (w *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Unwrap lets http.ResponseController reach the connection: the body
+// reader sets its read deadline through it.
+func (w *statusRecorder) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // requestIDMW assigns each request an ID — honoring a well-formed
 // inbound X-Request-Id so callers can stitch distributed traces —
 // and echoes it in the response header and every error envelope.

@@ -147,11 +147,6 @@ func decodeBody(r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// tupleFromMap builds an input tuple, rejecting unknown attributes.
-func tupleFromMap(sch *cerfix.Schema, m map[string]string) (*cerfix.Tuple, error) {
-	return schemaTupleFromMap(sch, m)
-}
-
 // --- status ------------------------------------------------------------
 
 // admissionStatus reports the front-door configuration and live

@@ -35,14 +35,20 @@ import (
 const submitMaxBody = 2048
 
 // submitHarness is a demo server with a jobs manager over a fresh
-// directory, the submitMaxBody cap and no sheds configured.
+// directory, a -max-body cap (submitMaxBody unless given) and no sheds
+// configured.
 type submitHarness struct {
-	h   http.Handler
-	mgr *jobs.Manager
-	dir string
+	h       http.Handler
+	mgr     *jobs.Manager
+	dir     string
+	maxBody int64
 }
 
 func newSubmitHarness(tb testing.TB) *submitHarness {
+	return newCappedSubmitHarness(tb, submitMaxBody)
+}
+
+func newCappedSubmitHarness(tb testing.TB, maxBody int64) *submitHarness {
 	tb.Helper()
 	sys, err := cerfix.New(dataset.CustSchema(), dataset.PersonSchema(), dataset.DemoRulesDSL)
 	if err != nil {
@@ -54,7 +60,7 @@ func newSubmitHarness(tb testing.TB) *submitHarness {
 		}
 	}
 	srv := New(sys)
-	srv.SetLimits(Limits{MaxBody: submitMaxBody})
+	srv.SetLimits(Limits{MaxBody: maxBody})
 	dir := tb.TempDir()
 	mgr, err := jobs.Open(jobs.Config{Dir: dir, Schema: sys.InputSchema(), Snapshot: srv.SnapshotEngine})
 	if err != nil {
@@ -62,13 +68,18 @@ func newSubmitHarness(tb testing.TB) *submitHarness {
 	}
 	tb.Cleanup(func() { mgr.Close(context.Background()) })
 	srv.AttachJobs(mgr)
-	return &submitHarness{h: srv.Handler(), mgr: mgr, dir: dir}
+	return &submitHarness{h: srv.Handler(), mgr: mgr, dir: dir, maxBody: maxBody}
 }
 
 // post submits body through ServeHTTP.
 func (h *submitHarness) post(body []byte) *httptest.ResponseRecorder {
+	return h.send(bytes.NewReader(body))
+}
+
+// send submits the body r yields through ServeHTTP.
+func (h *submitHarness) send(r io.Reader) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	h.h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/jobs", bytes.NewReader(body)))
+	h.h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/jobs", r))
 	return rec
 }
 
@@ -335,14 +346,14 @@ func refDecodeBody(r *http.Request, v any) error {
 }
 
 // refSubmit is the status the old handler answered for body under the
-// harness's cap, with no sheds configured and no input root (so every
+// cap maxBody, with no sheds configured and no input root (so every
 // input_path is refused), plus the tuples it queued on 202. It applies
 // SubmitInline's checks as they were, and one rule of its own: a
 // repeated tuples key (folded as encoding/json folds field names) is
 // 400, where the old decode merged the arrays.
-func refSubmit(sch *schema.Schema, body []byte) (int, [][]string) {
+func refSubmit(sch *schema.Schema, body []byte, maxBody int64) (int, [][]string) {
 	r := httptest.NewRequest("POST", "/api/v1/jobs", bytes.NewReader(body))
-	r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, submitMaxBody)
+	r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, maxBody)
 	var req refJobSubmitRequest
 	if err := refDecodeBody(r, &req); err != nil {
 		var mbe *http.MaxBytesError
@@ -406,28 +417,46 @@ func repeatedTuplesKey(body []byte) bool {
 }
 
 // FuzzJobSubmitBody holds the one-pass submit to the whole-body decode
-// it replaced: for any body, the status class equals the reference's,
-// an accepted job's input.jsonl decodes to the reference's tuples, and
-// a refused one leaves no job directory and no reservation.
+// it replaced: for any body, sent by each of bodyReaders, the status
+// class equals the reference's, an accepted job's input.jsonl decodes
+// to the reference's tuples, and a refused one leaves no job directory
+// and no reservation. A body past submitMaxBody is also held to the
+// reference under a cap above the window-edge bodies.
 func FuzzJobSubmitBody(f *testing.F) {
 	for _, tc := range submitEdges {
 		f.Add([]byte(tc.body))
 	}
+	for _, body := range windowEdgeBodies() {
+		f.Add(body)
+	}
 	h := newSubmitHarness(f)
+	wide := newCappedSubmitHarness(f, 2*maxWindow)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		wantStatus, wantTuples := refSubmit(h.mgr.Schema(), body)
-		rec := h.post(body)
+		h.check(t, body)
+		if len(body) > submitMaxBody {
+			wide.check(t, body)
+		}
+	})
+}
+
+// check submits body by each of bodyReaders and holds every answer to
+// refSubmit's under the harness's cap.
+func (h *submitHarness) check(t *testing.T, body []byte) {
+	t.Helper()
+	wantStatus, wantTuples := refSubmit(h.mgr.Schema(), body, h.maxBody)
+	for _, br := range bodyReaders {
+		rec := h.send(br.wrap(body))
 		if rec.Code != wantStatus {
-			t.Fatalf("status %d (%s), reference %d, body %q", rec.Code, rec.Body, wantStatus, body)
+			t.Fatalf("%s: status %d (%s), reference %d, body %.300q", br.name, rec.Code, rec.Body, wantStatus, body)
 		}
 		if rec.Code != http.StatusAccepted {
 			if got := h.entries(t); len(got) != 0 {
-				t.Fatalf("refused submit left %v in the jobs directory, body %q", got, body)
+				t.Fatalf("%s: refused submit left %v in the jobs directory, body %.300q", br.name, got, body)
 			}
 			if q := h.mgr.Stats().Queued; q != 0 {
-				t.Fatalf("refused submit left %d backlog reservations, body %q", q, body)
+				t.Fatalf("%s: refused submit left %d backlog reservations, body %.300q", br.name, q, body)
 			}
-			return
+			continue
 		}
 		var j jobJSON
 		if err := json.Unmarshal(rec.Body.Bytes(), &j); err != nil {
@@ -436,12 +465,12 @@ func FuzzJobSubmitBody(f *testing.F) {
 		got := h.inputTuples(t, j.ID)
 		h.purge(t, j.ID)
 		if len(got) != len(wantTuples) {
-			t.Fatalf("input.jsonl has %d tuples, reference %d, body %q", len(got), len(wantTuples), body)
+			t.Fatalf("%s: input.jsonl has %d tuples, reference %d, body %.300q", br.name, len(got), len(wantTuples), body)
 		}
 		for i := range got {
 			if strings.Join(got[i], "\x00") != strings.Join(wantTuples[i], "\x00") {
-				t.Fatalf("tuple %d = %q, reference %q, body %q", i, got[i], wantTuples[i], body)
+				t.Fatalf("%s: tuple %d = %q, reference %q, body %.300q", br.name, i, got[i], wantTuples[i], body)
 			}
 		}
-	})
+	}
 }
