@@ -50,6 +50,7 @@ package cerfix
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"cerfix/internal/audit"
 	"cerfix/internal/core"
@@ -124,6 +125,12 @@ type System struct {
 	engine *core.Engine
 	log    *audit.Log
 	mon    *monitor.Monitor
+	// ranking is every certain region of the current engine under
+	// regionOpts with K = 0, in TopK order. K only cuts that ranking
+	// short, so the monitor holds its first regionOpts.K regions and
+	// Regions(k) serves its first k. monitorInstance builds both, and
+	// dropMonitor drops both.
+	ranking []*region.Region
 	// regionOpts is used when (re)computing regions for the monitor.
 	regionOpts *region.Options
 	// walCursor lets Save prove pure-append windows and go to the WAL
@@ -216,7 +223,7 @@ func (s *System) SnapshotEngine() *core.Engine { return s.engine.Snapshot() }
 func (s *System) AddMasterRow(vals ...string) error {
 	_, err := s.store.InsertValues(value.FromStrings(vals)...)
 	if err == nil {
-		s.mon = nil // regions derive from master data
+		s.dropMonitor() // regions derive from master data
 	}
 	return err
 }
@@ -230,7 +237,7 @@ func (s *System) LoadMasterCSV(r io.Reader) error {
 	if err := s.store.PrepareForRules(s.rules); err != nil {
 		return err
 	}
-	s.mon = nil
+	s.dropMonitor()
 	return nil
 }
 
@@ -282,7 +289,7 @@ func (s *System) rebuild(rs *rule.Set) error {
 	}
 	s.rules = rs
 	s.engine = eng
-	s.mon = nil
+	s.dropMonitor()
 	return nil
 }
 
@@ -290,7 +297,7 @@ func (s *System) rebuild(rs *rule.Set) error {
 // computes its initial-suggestion regions (nil reverts to defaults).
 func (s *System) SetRegionOptions(o *RegionOptions) {
 	s.regionOpts = o
-	s.mon = nil
+	s.dropMonitor()
 }
 
 // CheckConsistency runs the rule engine's static analysis (§2: whether
@@ -299,14 +306,13 @@ func (s *System) CheckConsistency() *ConsistencyReport {
 	return s.engine.CheckConsistency()
 }
 
-// Regions computes the top-k certain regions (k <= 0 returns all).
+// Regions returns the top-k certain regions (k <= 0 returns all) under
+// the region options: the first k of the ranking the monitor was built
+// with, computed only when a master insert, a rule change or
+// SetRegionOptions dropped it.
 func (s *System) Regions(k int) []*Region {
-	opts := region.Options{}
-	if s.regionOpts != nil {
-		opts = *s.regionOpts
-	}
-	opts.K = k
-	return region.NewFinder(s.engine).TopK(&opts)
+	s.monitorInstance()
+	return slices.Clone(firstRegions(s.ranking, k))
 }
 
 // monitorInstance lazily builds the data monitor (regions are
@@ -314,15 +320,35 @@ func (s *System) Regions(k int) []*Region {
 // cheap).
 func (s *System) monitorInstance() *monitor.Monitor {
 	if s.mon == nil {
-		var regs []*region.Region
+		opts := region.Options{}
 		if s.regionOpts != nil {
-			regs = region.NewFinder(s.engine).TopK(s.regionOpts)
-		} else {
-			regs = region.NewFinder(s.engine).TopK(nil)
+			opts = *s.regionOpts
 		}
+		k := opts.K
+		opts.K = 0
+		s.ranking = region.NewFinder(s.engine).TopK(&opts)
+		// Never nil: a nil Regions would make the monitor compute its
+		// own under the default options.
+		regs := append([]*region.Region{}, firstRegions(s.ranking, k)...)
 		s.mon = monitor.New(s.engine, &monitor.Options{Regions: regs, Log: s.log})
 	}
 	return s.mon
+}
+
+// dropMonitor discards the monitor and its ranking after a change the
+// regions derive from.
+func (s *System) dropMonitor() {
+	s.mon = nil
+	s.ranking = nil
+}
+
+// firstRegions returns the first k regions of a ranking, or all of them
+// when k <= 0.
+func firstRegions(ranking []*region.Region, k int) []*region.Region {
+	if k > 0 && k < len(ranking) {
+		return ranking[:k]
+	}
+	return ranking
 }
 
 // Monitor exposes the data monitor.

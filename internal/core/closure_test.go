@@ -28,7 +28,7 @@ func TestClosureZipUnlocksAddress(t *testing.T) {
 	sch := dataset.CustSchema()
 	rules := demoRuleList()
 	seed := schema.SetOfNames(sch, "zip")
-	got := Closure(sch, rules, seed, AllRules)
+	got := NewDerivation(sch, rules, AllRules).Closure(seed)
 	// zip -> AC (phi1), str (phi2), city (phi3); then AC -> city (phi9,
 	// pattern attr AC already in set). FN/LN need phn+type; item dead.
 	want := schema.SetOfNames(sch, "zip", "AC", "str", "city")
@@ -43,7 +43,7 @@ func TestClosureMobileCell(t *testing.T) {
 	// In the type=2 cell with {zip, phn, type} validated, everything
 	// except item is derivable.
 	seed := schema.SetOfNames(sch, "zip", "phn", "type")
-	got := Closure(sch, rules, seed, typeEq(sch, "2"))
+	got := NewDerivation(sch, rules, typeEq(sch, "2")).Closure(seed)
 	want := schema.FullSet(sch).Without(sch.MustIndex("item"))
 	if got != want {
 		t.Fatalf("closure = %v, want %v", got.Format(sch), want.Format(sch))
@@ -56,7 +56,7 @@ func TestClosureHomeCellNeedsNames(t *testing.T) {
 	// type=1: phi4/phi5 are inactive, so FN/LN are not derivable even
 	// from a large seed.
 	seed := schema.SetOfNames(sch, "AC", "phn", "type", "zip")
-	got := Closure(sch, rules, seed, typeEq(sch, "1"))
+	got := NewDerivation(sch, rules, typeEq(sch, "1")).Closure(seed)
 	if got.Has(sch.MustIndex("FN")) || got.Has(sch.MustIndex("LN")) {
 		t.Fatalf("FN/LN derivable in home cell: %v", got.Format(sch))
 	}
@@ -77,17 +77,17 @@ func TestClosureMonotoneAndIdempotent(t *testing.T) {
 		schema.FullSet(sch),
 	}
 	for _, s := range seeds {
-		c := Closure(sch, rules, s, AllRules)
+		c := NewDerivation(sch, rules, AllRules).Closure(s)
 		if !c.ContainsAll(s) {
 			t.Fatalf("closure not extensive for %v", s.Format(sch))
 		}
-		if Closure(sch, rules, c, AllRules) != c {
+		if NewDerivation(sch, rules, AllRules).Closure(c) != c {
 			t.Fatalf("closure not idempotent for %v", s.Format(sch))
 		}
 	}
 	// Monotone: seed1 ⊆ seed2 ⇒ closure1 ⊆ closure2.
-	c1 := Closure(sch, rules, seeds[1], AllRules)
-	c2 := Closure(sch, rules, seeds[1].Union(seeds[2]), AllRules)
+	c1 := NewDerivation(sch, rules, AllRules).Closure(seeds[1])
+	c2 := NewDerivation(sch, rules, AllRules).Closure(seeds[1].Union(seeds[2]))
 	if !c2.ContainsAll(c1) {
 		t.Fatal("closure not monotone")
 	}
@@ -108,7 +108,7 @@ func TestMinimalExtensionAlreadyCovered(t *testing.T) {
 	sch := dataset.CustSchema()
 	rules := demoRuleList()
 	seed := schema.FullSet(sch)
-	got := MinimalExtension(sch, rules, seed, schema.FullSet(sch), AllRules)
+	got := NewDerivation(sch, rules, AllRules).MinimalExtension(seed, schema.FullSet(sch))
 	if !got.IsEmpty() {
 		t.Fatalf("extension = %v, want empty", got.Format(sch))
 	}
@@ -121,7 +121,7 @@ func TestMinimalExtensionFig3SuggestsZip(t *testing.T) {
 	sch := dataset.CustSchema()
 	rules := demoRuleList()
 	seed := schema.SetOfNames(sch, "AC", "phn", "type", "item", "FN", "LN", "city")
-	delta := MinimalExtension(sch, rules, seed, schema.FullSet(sch), typeEq(sch, "2"))
+	delta := NewDerivation(sch, rules, typeEq(sch, "2")).MinimalExtension(seed, schema.FullSet(sch))
 	want := schema.SetOfNames(sch, "zip")
 	if delta != want {
 		t.Fatalf("suggestion = %v, want {zip}", delta.Format(sch))
@@ -131,13 +131,13 @@ func TestMinimalExtensionFig3SuggestsZip(t *testing.T) {
 func TestMinimalExtensionFromScratchMobile(t *testing.T) {
 	sch := dataset.CustSchema()
 	rules := demoRuleList()
-	delta := MinimalExtension(sch, rules, schema.EmptySet, schema.FullSet(sch), typeEq(sch, "2"))
+	delta := NewDerivation(sch, rules, typeEq(sch, "2")).MinimalExtension(schema.EmptySet, schema.FullSet(sch))
 	// Minimum covering seed in the mobile cell: {zip, phn, type, item}
 	// (4 attributes). Any 3-attribute seed misses FN/LN or item.
 	if delta.Count() != 4 {
 		t.Fatalf("suggestion size = %d (%v), want 4", delta.Count(), delta.Format(sch))
 	}
-	cl := Closure(sch, rules, delta, typeEq(sch, "2"))
+	cl := NewDerivation(sch, rules, typeEq(sch, "2")).Closure(delta)
 	if cl != schema.FullSet(sch) {
 		t.Fatalf("suggested set does not cover: %v", cl.Format(sch))
 	}
@@ -148,13 +148,13 @@ func TestGreedyExtensionCovers(t *testing.T) {
 	rules := demoRuleList()
 	for _, cellType := range []value.V{"1", "2"} {
 		admit := typeEq(sch, cellType)
-		delta := GreedyExtension(sch, rules, schema.EmptySet, schema.FullSet(sch), admit)
-		cl := Closure(sch, rules, delta, admit)
+		delta := NewDerivation(sch, rules, admit).GreedyExtension(schema.EmptySet, schema.FullSet(sch))
+		cl := NewDerivation(sch, rules, admit).Closure(delta)
 		if cl != schema.FullSet(sch) {
 			t.Fatalf("cell type=%s: greedy set %v does not cover (%v)",
 				cellType, delta.Format(sch), cl.Format(sch))
 		}
-		exact := MinimalExtension(sch, rules, schema.EmptySet, schema.FullSet(sch), admit)
+		exact := NewDerivation(sch, rules, admit).MinimalExtension(schema.EmptySet, schema.FullSet(sch))
 		if delta.Count() < exact.Count() {
 			t.Fatalf("greedy (%d) beat exact (%d)?", delta.Count(), exact.Count())
 		}
@@ -165,7 +165,7 @@ func TestGreedyExtensionUnreachableGoal(t *testing.T) {
 	sch := dataset.CustSchema()
 	// No rules at all: greedy must fall back to validating the goal
 	// attributes directly.
-	delta := GreedyExtension(sch, nil, schema.EmptySet, schema.SetOfNames(sch, "FN", "zip"), AllRules)
+	delta := NewDerivation(sch, nil, AllRules).GreedyExtension(schema.EmptySet, schema.SetOfNames(sch, "FN", "zip"))
 	if delta != schema.SetOfNames(sch, "FN", "zip") {
 		t.Fatalf("fallback = %v", delta.Format(sch))
 	}

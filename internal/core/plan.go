@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cerfix/internal/rule"
 	"cerfix/internal/schema"
 )
 
@@ -38,46 +37,25 @@ func (s PlanStep) String() string {
 // in set order per round (the chase's order), so the plan mirrors what
 // the engine will actually do; steps that validate nothing new are
 // omitted.
-func Plan(input *schema.Schema, rules []*rule.Rule, seed, goal schema.AttrSet, admit RuleFilter) ([]PlanStep, bool) {
-	cur := seed
+func (d *Derivation) Plan(seed, goal schema.AttrSet) ([]PlanStep, bool) {
 	var steps []PlanStep
-	for {
-		progressed := false
-		for _, r := range rules {
-			if admit != nil && !admit(r) {
-				continue
-			}
-			premise := r.PremiseAttrs(input)
-			if !cur.ContainsAll(premise) {
-				continue
-			}
-			targets := r.TargetAttrs(input)
-			gives := targets.Minus(cur)
-			if gives.IsEmpty() {
-				continue
-			}
-			steps = append(steps, PlanStep{
-				RuleID: r.ID,
-				Needs:  premise.SortedNames(input),
-				Gives:  gives.SortedNames(input),
-			})
-			cur = cur.Union(targets)
-			progressed = true
-		}
-		if !progressed {
-			break
-		}
-	}
+	cur := d.fixpoint(seed, func(r *derivationRule, gives schema.AttrSet) {
+		steps = append(steps, PlanStep{
+			RuleID: r.id,
+			Needs:  r.premise.SortedNames(d.input),
+			Gives:  gives.SortedNames(d.input),
+		})
+	})
 	return steps, cur.ContainsAll(goal)
 }
 
 // ExplainSuggestion renders why validating the suggested attributes
 // completes a tuple: the suggestion itself plus the plan that follows.
 // Used by the CLI's regions/monitor views.
-func ExplainSuggestion(input *schema.Schema, rules []*rule.Rule, validated, suggestion schema.AttrSet, admit RuleFilter) string {
+func (d *Derivation) ExplainSuggestion(validated, suggestion schema.AttrSet) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "validate %s", suggestion.Format(input))
-	steps, complete := Plan(input, rules, validated.Union(suggestion), schema.FullSet(input), admit)
+	fmt.Fprintf(&b, "validate %s", suggestion.Format(d.input))
+	steps, complete := d.Plan(validated.Union(suggestion), schema.FullSet(d.input))
 	for _, s := range steps {
 		fmt.Fprintf(&b, "\n  then %s", s)
 	}

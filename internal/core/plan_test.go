@@ -12,7 +12,7 @@ func TestPlanMobileRegion(t *testing.T) {
 	sch := dataset.CustSchema()
 	rules := dataset.DemoRules().Rules()
 	seed := schema.SetOfNames(sch, "zip", "phn", "type", "item")
-	steps, complete := Plan(sch, rules, seed, schema.FullSet(sch), typeEq(sch, "2"))
+	steps, complete := NewDerivation(sch, rules, typeEq(sch, "2")).Plan(seed, schema.FullSet(sch))
 	if !complete {
 		t.Fatal("mobile region plan incomplete")
 	}
@@ -47,7 +47,7 @@ func TestPlanMultiHop(t *testing.T) {
 	// Seed {zip, type} in the home cell: φ1 gives AC, which then (with
 	// phn missing) cannot unlock φ6 — plan must stop incomplete.
 	seed := schema.SetOfNames(sch, "zip", "type")
-	steps, complete := Plan(sch, rules, seed, schema.FullSet(sch), typeEq(sch, "1"))
+	steps, complete := NewDerivation(sch, rules, typeEq(sch, "1")).Plan(seed, schema.FullSet(sch))
 	if complete {
 		t.Fatal("plan cannot be complete without phn/item")
 	}
@@ -75,7 +75,7 @@ func TestExplainSuggestion(t *testing.T) {
 	rules := dataset.DemoRules().Rules()
 	validated := schema.SetOfNames(sch, "AC", "phn", "type", "item", "FN", "LN", "city")
 	suggestion := schema.SetOfNames(sch, "zip")
-	out := ExplainSuggestion(sch, rules, validated, suggestion, typeEq(sch, "2"))
+	out := NewDerivation(sch, rules, typeEq(sch, "2")).ExplainSuggestion(validated, suggestion)
 	if !strings.Contains(out, "validate {zip}") {
 		t.Fatalf("explanation = %q", out)
 	}
@@ -86,7 +86,7 @@ func TestExplainSuggestion(t *testing.T) {
 		t.Fatalf("explanation claims incomplete: %q", out)
 	}
 	// An insufficient suggestion is flagged.
-	bad := ExplainSuggestion(sch, rules, schema.EmptySet, schema.SetOfNames(sch, "zip"), typeEq(sch, "2"))
+	bad := NewDerivation(sch, rules, typeEq(sch, "2")).ExplainSuggestion(schema.EmptySet, schema.SetOfNames(sch, "zip"))
 	if !strings.Contains(bad, "does not complete") {
 		t.Fatalf("incomplete plan not flagged: %q", bad)
 	}

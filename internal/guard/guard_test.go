@@ -171,6 +171,19 @@ func TestHeapSampler(t *testing.T) {
 	}
 }
 
+// A heap sample of 0 is no reading: the sampler falls back to
+// runtime.ReadMemStats, so the monitor still sees the live heap.
+func TestMemMonitorZeroHeapSampleFallsBack(t *testing.T) {
+	read := readHeapObjects
+	readHeapObjects = func() uint64 { return 0 }
+	defer func() { readHeapObjects = read }()
+	m := NewMemMonitor(MemConfig{Soft: 1 << 40})
+	m.Poll()
+	if st := m.Status(); st.HeapBytes == 0 {
+		t.Fatal("a zero runtime/metrics heap sample reached the monitor")
+	}
+}
+
 func TestParseBytes(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -2,6 +2,7 @@ package guard
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/metrics"
 	"strconv"
 	"strings"
@@ -124,8 +125,25 @@ func NewMemMonitor(cfg MemConfig) *MemMonitor {
 
 // heapInUse reads the bytes occupied by live heap objects — the
 // runtime/metrics successor to MemStats.HeapAlloc, sampled without a
-// stop-the-world.
+// stop-the-world. The runtime adds small objects to that count only
+// when their span leaves a P's cache, so the reading lags, and it has
+// been seen to read 0. A live Go process always has heap objects, so 0
+// means no reading: runtime.ReadMemStats, which flushes every cache
+// (and stops the world briefly), answers instead, and the monitor
+// never takes a missing reading for an empty heap.
 func heapInUse() uint64 {
+	if n := readHeapObjects(); n > 0 {
+		return n
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// readHeapObjects reads /memory/classes/heap/objects:bytes, or 0 when
+// the runtime does not report it. A variable, so that a test can make
+// it read 0.
+var readHeapObjects = func() uint64 {
 	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 	metrics.Read(s)
 	if s[0].Value.Kind() == metrics.KindUint64 {

@@ -159,13 +159,12 @@ func (s *Session) Suggestion() []string {
 // suggestionSet computes the next validation set (exact or greedy per
 // the monitor's configuration).
 func (s *Session) suggestionSet() schema.AttrSet {
-	input := s.m.eng.InputSchema()
-	rules := s.m.eng.Rules().Rules()
+	d := s.derivation()
 	goal := schema.FullSet(s.Tuple.Schema)
 	if s.m.greedy {
-		return core.GreedyExtension(input, rules, s.Validated, goal, s.patternFilter())
+		return d.GreedyExtension(s.Validated, goal)
 	}
-	return core.MinimalExtension(input, rules, s.Validated, goal, s.patternFilter())
+	return d.MinimalExtension(s.Validated, goal)
 }
 
 // ExplainSuggestion renders why the current suggestion completes the
@@ -177,17 +176,16 @@ func (s *Session) ExplainSuggestion() string {
 		return "all attributes validated"
 	}
 	sug := schema.SetOfNames(s.Tuple.Schema, s.Suggestion()...)
-	return core.ExplainSuggestion(
-		s.m.eng.InputSchema(), s.m.eng.Rules().Rules(), s.Validated, sug, s.patternFilter())
+	return s.derivation().ExplainSuggestion(s.Validated, sug)
 }
 
-// patternFilter admits rules whose pattern matches the session's
+// derivation resolves the rules whose pattern matches the session's
 // current tuple values: the concrete analogue of the region finder's
 // pattern cells.
-func (s *Session) patternFilter() core.RuleFilter {
-	return func(r *rule.Rule) bool {
+func (s *Session) derivation() *core.Derivation {
+	return s.m.eng.Derivation(func(r *rule.Rule) bool {
 		return r.When.Matches(s.Tuple)
-	}
+	})
 }
 
 // Validate is step 2: the user asserts correct values for the given

@@ -120,34 +120,42 @@ func (a *attrConstraint) inInterval(v value.V) bool {
 	return true
 }
 
+// excluded reports whether a != condition rules v out.
+func (a *attrConstraint) excluded(v value.V) bool {
+	for _, n := range a.ne {
+		if value.Equal(v, n, a.domain) {
+			return true
+		}
+	}
+	return false
+}
+
+// admitsForced reports whether v, forced as the attribute's value, meets
+// the exclusions, the interval and the IN set.
+func (a *attrConstraint) admitsForced(v value.V) bool {
+	if a.excluded(v) || !a.inInterval(v) {
+		return false
+	}
+	if a.allow == nil {
+		return true
+	}
+	for _, w := range a.allow {
+		if value.Equal(w, v, a.domain) {
+			return true
+		}
+	}
+	return false
+}
+
 // satisfiable decides whether at least one value meets the accumulated
 // constraints, under the infinite-domain convention described above.
 func (a *attrConstraint) satisfiable() bool {
-	excluded := func(v value.V) bool {
-		for _, n := range a.ne {
-			if value.Equal(v, n, a.domain) {
-				return true
-			}
-		}
-		return false
-	}
 	if a.eq != nil {
-		if excluded(*a.eq) || !a.inInterval(*a.eq) {
-			return false
-		}
-		if a.allow != nil {
-			for _, v := range a.allow {
-				if value.Equal(v, *a.eq, a.domain) {
-					return true
-				}
-			}
-			return false
-		}
-		return true
+		return a.admitsForced(*a.eq)
 	}
 	if a.allow != nil {
 		for _, v := range a.allow {
-			if !excluded(v) && a.inInterval(v) {
+			if !a.excluded(v) && a.inInterval(v) {
 				return true
 			}
 		}
@@ -166,10 +174,51 @@ func (a *attrConstraint) satisfiable() bool {
 			if a.loOpen || a.hiOpen {
 				return false
 			}
-			return !excluded(*a.lo)
+			return !a.excluded(*a.lo)
 		}
 	}
 	return true
+}
+
+// PinCheck is one attribute's static conditions folded once, so that
+// pinning the attribute to a value is one check instead of a fresh
+// satisfiability test: Admits(v) is Satisfiable(conds ∧ attr = v) for
+// the conditions it was folded from. The region finder folds a cell's
+// conditions on each attribute a tableau row pins to master values.
+type PinCheck struct {
+	c attrConstraint
+	// ok is false when the conditions alone fail while being folded
+	// (two different = constants, an empty IN intersection, an
+	// unknown operator): no value can pass then.
+	ok bool
+}
+
+// FoldPin folds conds, which must all constrain attr, under attr's
+// domain in sch. Order matters as it does for Satisfiable: under DInt
+// and DFloat, value.Equal is not transitive ("NaN" equals every
+// number), so a later = constant is checked against the one before it.
+func FoldPin(attr string, conds []Condition, sch *schema.Schema) PinCheck {
+	p := PinCheck{c: attrConstraint{domain: sch.Domain(attr)}, ok: true}
+	for _, c := range conds {
+		if !p.c.add(c) {
+			p.ok = false
+			break
+		}
+	}
+	return p
+}
+
+// Admits reports whether the folded conditions stay satisfiable with
+// the attribute pinned to v. It neither allocates nor changes p.
+func (p *PinCheck) Admits(v value.V) bool {
+	if !p.ok {
+		return false
+	}
+	// add(Eq(attr, v)) followed by satisfiable(), without the write.
+	if p.c.eq != nil && !value.Equal(*p.c.eq, v, p.c.domain) {
+		return false
+	}
+	return p.c.admitsForced(v)
 }
 
 // Satisfiable reports whether some tuple over sch can match p, i.e. the

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -190,5 +191,50 @@ func TestTableau(t *testing.T) {
 	empty := NewTableau(sch, []string{"a"})
 	if empty.Matches(tu) {
 		t.Error("empty tableau must match nothing")
+	}
+}
+
+// The folded pin check is Satisfiable(conds ∧ attr = v): over random
+// condition lists of every operator on one attribute of each domain
+// (the same list repeated, as the region finder folds it, included),
+// and over values that are equal as numbers but not as bytes, "NaN"
+// (equal to every number under DFloat) and unparsable strings.
+func TestPinCheckMatchesSatisfiable(t *testing.T) {
+	vals := []value.V{"02005", "2005", "NaN", "nan", "1e3", "1000", "-1", "3.5", "junk-1", "a", "b", ""}
+	rng := rand.New(rand.NewPCG(11, 7))
+	pick := func() value.V { return vals[rng.IntN(len(vals))] }
+	for _, d := range []value.Domain{value.DString, value.DInt, value.DFloat} {
+		sch := schema.MustNew("R", schema.Attribute{Name: "x", Domain: d})
+		for n := 0; n < 4000; n++ {
+			var conds []Condition
+			for i, k := 0, rng.IntN(5); i < k; i++ {
+				switch rng.IntN(7) {
+				case 0:
+					conds = append(conds, Eq("x", pick()))
+				case 1:
+					conds = append(conds, Ne("x", pick()))
+				case 2:
+					conds = append(conds, Lt("x", pick()))
+				case 3:
+					conds = append(conds, Le("x", pick()))
+				case 4:
+					conds = append(conds, Gt("x", pick()))
+				case 5:
+					conds = append(conds, Ge("x", pick()))
+				default:
+					conds = append(conds, In("x", pick(), pick(), pick()))
+				}
+			}
+			if rng.IntN(2) == 0 {
+				conds = append(conds, conds...)
+			}
+			check := FoldPin("x", conds, sch)
+			for _, v := range vals {
+				want := Satisfiable(NewPattern(append(append([]Condition(nil), conds...), Eq("x", v))...), sch)
+				if got := check.Admits(v); got != want {
+					t.Fatalf("%s: FoldPin(%v).Admits(%q) = %v, Satisfiable = %v", d, NewPattern(conds...), v, got, want)
+				}
+			}
+		}
 	}
 }

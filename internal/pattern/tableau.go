@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cerfix/internal/schema"
@@ -41,9 +42,12 @@ type Tableau struct {
 
 	keyable map[string]bool // Z attributes of domain DString
 	seed    maphash.Seed
-	byText  map[uint64]int32 // hash of a row's String() → newest row
+	byConds map[uint64]int32 // hash of a row's condition key → newest row
 	groups  []*rowGroup
 	links   []rowLinks // per row
+	// AddRow's scratch: the key being hashed and the row's pins.
+	keyBuf []byte
+	pinBuf []Condition
 }
 
 // rowGroup indexes the rows that pin the same keyable attributes.
@@ -56,12 +60,13 @@ type rowGroup struct {
 	byKey map[uint64]int32
 }
 
-// rowLinks chain a row to the previous row with the same String() hash
-// and the previous row of its group with the same key hash; -1 ends a
-// chain. Equal hashes mostly mean equal text or values, but a chain may
-// hold colliding rows, so every walk checks each row it visits.
+// rowLinks chain a row to the previous row with the same condition
+// key hash and the previous row of its group with the same key hash;
+// -1 ends a chain. Equal hashes mostly mean equal conditions or values,
+// but a chain may hold colliding rows, so every walk checks each row
+// it visits.
 type rowLinks struct {
-	sameText, sameKey int32
+	sameConds, sameKey int32
 }
 
 // NewTableau builds a tableau over attrs (copied, sorted). sch supplies
@@ -76,21 +81,28 @@ func NewTableau(sch *schema.Schema, attrs []string) *Tableau {
 			keyable[a] = true
 		}
 	}
-	return &Tableau{Z: z, keyable: keyable, seed: maphash.MakeSeed(), byText: make(map[uint64]int32)}
+	return &Tableau{Z: z, keyable: keyable, seed: maphash.MakeSeed(), byConds: make(map[uint64]int32)}
 }
 
 // AddRow appends a row after checking its scope is within Z. Duplicate
-// rows (same string form) are dropped but still reported as accepted.
+// rows (the same conditions in the same order, so the same string
+// form) are dropped but still reported as accepted. A kept row holds
+// p's condition slice, which the caller must not change afterwards; a
+// dropped one is not retained.
 func (tb *Tableau) AddRow(p Pattern) bool {
 	for _, c := range p.Conds {
 		if !slices.Contains(tb.Z, c.Attr) {
 			return false
 		}
 	}
-	text := p.String()
-	textHash := maphash.String(tb.seed, text)
-	for i := chainHead(tb.byText, textHash); i >= 0; i = tb.links[i].sameText {
-		if tb.Rows[i].String() == text {
+	key := tb.keyBuf[:0]
+	for _, c := range p.Conds {
+		key = appendCondKey(key, c)
+	}
+	condsHash := maphash.Bytes(tb.seed, key)
+	for i := chainHead(tb.byConds, condsHash); i >= 0; i = tb.links[i].sameConds {
+		if sameConds(tb.Rows[i].Conds, p.Conds) {
+			tb.keyBuf = key
 			return true
 		}
 	}
@@ -99,30 +111,75 @@ func (tb *Tableau) AddRow(p Pattern) bool {
 	// one attribute twice keys it twice; the probe repeats the tuple's
 	// value, so the row stays reachable whenever the scan could match
 	// it.
-	var pinned []Condition
+	pinned := tb.pinBuf[:0]
 	for _, c := range p.Conds {
 		if c.Op == OpEq && tb.keyable[c.Attr] {
 			pinned = append(pinned, c)
 		}
 	}
 	slices.SortFunc(pinned, func(a, b Condition) int { return strings.Compare(a.Attr, b.Attr) })
-	attrs := make([]string, len(pinned))
-	var key []byte
-	for i, c := range pinned {
-		attrs[i] = c.Attr
+	key = key[:0]
+	for _, c := range pinned {
 		key = value.AppendKeyV(key, c.Const)
 	}
-	g := tb.group(attrs)
+	g := tb.group(pinned)
 	keyHash := maphash.Bytes(tb.seed, key)
+	tb.keyBuf, tb.pinBuf = key, pinned
 
 	row := int32(len(tb.Rows))
 	tb.Rows = append(tb.Rows, p)
 	tb.links = append(tb.links, rowLinks{
-		sameText: chainHead(tb.byText, textHash),
-		sameKey:  chainHead(g.byKey, keyHash),
+		sameConds: chainHead(tb.byConds, condsHash),
+		sameKey:   chainHead(g.byKey, keyHash),
 	})
-	tb.byText[textHash] = row
+	tb.byConds[condsHash] = row
 	g.byKey[keyHash] = row
+	return true
+}
+
+// appendCondKey appends the typed key of c: its attribute, operator
+// and the operands that operator reads (none for the wildcard, the set
+// for IN, the constant otherwise), length-prefixed — the information
+// String renders, without formatting it.
+func appendCondKey(dst []byte, c Condition) []byte {
+	dst = value.AppendKeyV(dst, value.V(c.Attr))
+	dst = append(strconv.AppendInt(dst, int64(c.Op), 10), '|')
+	switch c.Op {
+	case OpAny:
+	case OpIn:
+		dst = append(strconv.AppendInt(dst, int64(len(c.Set)), 10), '|')
+		for _, v := range c.Set {
+			dst = value.AppendKeyV(dst, v)
+		}
+	default:
+		dst = value.AppendKeyV(dst, c.Const)
+	}
+	return dst
+}
+
+// sameConds reports whether a and b hold the same conditions in the
+// same order, comparing what appendCondKey encodes.
+func sameConds(a, b []Condition) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Attr != y.Attr || x.Op != y.Op {
+			return false
+		}
+		switch x.Op {
+		case OpAny:
+		case OpIn:
+			if !slices.Equal(x.Set, y.Set) {
+				return false
+			}
+		default:
+			if x.Const != y.Const {
+				return false
+			}
+		}
+	}
 	return true
 }
 
@@ -134,12 +191,17 @@ func chainHead(heads map[uint64]int32, h uint64) int32 {
 	return -1
 }
 
-// group returns the row group for attrs, creating it on first use.
-func (tb *Tableau) group(attrs []string) *rowGroup {
+// group returns the row group for the attributes of pinned, creating
+// it on first use.
+func (tb *Tableau) group(pinned []Condition) *rowGroup {
 	for _, g := range tb.groups {
-		if slices.Equal(g.attrs, attrs) {
+		if slices.EqualFunc(g.attrs, pinned, func(a string, c Condition) bool { return a == c.Attr }) {
 			return g
 		}
+	}
+	attrs := make([]string, len(pinned))
+	for i, c := range pinned {
+		attrs[i] = c.Attr
 	}
 	g := &rowGroup{attrs: attrs, byKey: make(map[uint64]int32)}
 	tb.groups = append(tb.groups, g)

@@ -144,9 +144,10 @@ func TestCoversConcurrentReaders(t *testing.T) {
 }
 
 // BenchmarkTopK times the whole region precompute on CustomerGen
-// masters with the demo rules φ1–φ9.
+// masters with the demo rules φ1–φ9, from bench's churn and entry
+// sizes up to bulk_fix's 20,000 entities.
 func BenchmarkTopK(b *testing.B) {
-	for _, n := range []int{100, 500, 1000} {
+	for _, n := range []int{100, 500, 2000, 20000} {
 		b.Run(fmt.Sprintf("entities=%d", n), func(b *testing.B) {
 			eng, _, _ := custEngine(b, 1, n)
 			for b.Loop() {

@@ -10,7 +10,7 @@
 //     true/false to each distinct rule pattern, conjunctively
 //     satisfiable), the validated-attribute closure of Z under the
 //     cell's active rules must cover the whole schema. This is the
-//     symbolic part (core.Closure), independent of master data.
+//     symbolic part (core.Derivation), independent of master data.
 //
 //   - coverage: a matching master tuple must exist for every rule
 //     application along the derivation. Tableau rows are instantiated
@@ -33,6 +33,7 @@ package region
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cerfix/internal/core"
@@ -114,13 +115,6 @@ type Finder struct {
 	eng *core.Engine
 }
 
-// rowBinding pins one Z attribute of a tableau row to a master
-// attribute's value.
-type rowBinding struct {
-	inputIdx   int
-	masterAttr string
-}
-
 // NewFinder wraps an engine.
 func NewFinder(eng *core.Engine) *Finder { return &Finder{eng: eng} }
 
@@ -134,11 +128,16 @@ type cell struct {
 
 // TopK computes regions and returns the k best (ascending |Z|, ties by
 // attribute names). These are the monitor's pre-computed initial
-// suggestions.
+// suggestions. K only cuts the ranking short: distinct Z sets never
+// tie, so the first k regions of a run with K = 0 are a run with K = k.
 func (f *Finder) TopK(opts *Options) []*Region {
 	o := opts.withDefaults()
 	input := f.eng.InputSchema()
 	rules := f.eng.Rules().Rules()
+	// One chaser verifies every row of the run; each verification reads
+	// its scratch result before the next chase.
+	ch := f.eng.AcquireChaser()
+	defer ch.Release()
 
 	byZ := make(map[schema.AttrSet]*Region)
 	for _, c := range f.enumerateCells(o) {
@@ -148,8 +147,7 @@ func (f *Finder) TopK(opts *Options) []*Region {
 			}
 			return c.active[r.ID]
 		}
-		zs := f.minimalZSets(c, admit, o)
-		for _, z := range zs {
+		for _, z := range f.minimalZSets(f.eng.Derivation(admit), o) {
 			reg, ok := byZ[z]
 			if !ok {
 				reg = &Region{
@@ -159,8 +157,7 @@ func (f *Finder) TopK(opts *Options) []*Region {
 				}
 				byZ[z] = reg
 			}
-			added := f.instantiateRows(reg, z, c, admit, rules)
-			if added > 0 {
+			if f.instantiateRows(reg, f.newRowPlan(z, c, admit, rules, ch)) > 0 {
 				reg.Cells = append(reg.Cells, c.name)
 			}
 		}
@@ -264,25 +261,15 @@ func markActive(active map[string]bool, rulePat map[string]int, patIdx int, val 
 }
 
 // minimalZSets finds minimal attribute sets whose closure under the
-// cell's active rules covers the schema. Every Z must contain the
+// cell's active rules (d) covers the schema. Every Z must contain the
 // cell-dead attributes (those no active rule targets).
-func (f *Finder) minimalZSets(c cell, admit core.RuleFilter, o Options) []schema.AttrSet {
-	input := f.eng.InputSchema()
-	rules := f.eng.Rules().Rules()
-	full := schema.FullSet(input)
-
-	// Attributes targeted by active rules.
-	fixable := schema.EmptySet
-	for _, r := range rules {
-		if admit(r) {
-			fixable = fixable.Union(r.TargetAttrs(input))
-		}
-	}
+func (f *Finder) minimalZSets(d *core.Derivation, o Options) []schema.AttrSet {
+	full := schema.FullSet(f.eng.InputSchema())
+	fixable := d.Targets()
 	dead := full.Minus(fixable)
 
 	if o.Greedy {
-		delta := core.GreedyExtension(input, rules, dead, full, admit)
-		return []schema.AttrSet{dead.Union(delta)}
+		return []schema.AttrSet{dead.Union(d.GreedyExtension(dead, full))}
 	}
 
 	// Exact: enumerate subsets of fixable attributes ascending by size,
@@ -295,15 +282,15 @@ func (f *Finder) minimalZSets(c cell, admit core.RuleFilter, o Options) []schema
 	}
 	var found []schema.AttrSet
 	for size := 0; size <= maxSize && len(found) < o.MaxRegionsPerCell; size++ {
-		forEachSubset(candidates, size, func(sub schema.AttrSet) bool {
+		core.ForEachSubset(candidates, size, func(sub schema.AttrSet) bool {
 			z := dead.Union(sub)
-			if core.Closure(input, rules, z, admit) != full {
+			if d.Closure(z) != full {
 				return true
 			}
 			// Inclusion-minimality: removing any single element of sub
 			// must break coverage (dead elements are mandatory).
 			for _, p := range sub.Positions() {
-				if core.Closure(input, rules, z.Without(p), admit) == full {
+				if d.Closure(z.Without(p)) == full {
 					return true
 				}
 			}
@@ -314,51 +301,73 @@ func (f *Finder) minimalZSets(c cell, admit core.RuleFilter, o Options) []schema
 	return found
 }
 
-// forEachSubset enumerates size-k subsets of candidates; fn returning
-// false stops the enumeration.
-func forEachSubset(candidates []int, k int, fn func(schema.AttrSet) bool) {
-	if k > len(candidates) {
-		return
-	}
-	if k == 0 {
-		fn(schema.EmptySet)
-		return
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	for {
-		s := schema.EmptySet
-		for _, i := range idx {
-			s = s.With(candidates[i])
-		}
-		if !fn(s) {
-			return
-		}
-		i := k - 1
-		for i >= 0 && idx[i] == len(candidates)-k+i {
-			i--
-		}
-		if i < 0 {
-			return
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
+// rowPlan is what verifying the tableau rows of one (cell, Z) needs
+// and no master row changes, built once before the master scan. A row
+// is kept iff it stays satisfiable with the cell, its canonical probe
+// satisfies every cell condition, and chasing the probe with Z
+// validated validates every attribute without a conflict. Per master
+// row, verify only reads the bound values, checks them, writes them
+// into the one probe and chases it.
+type rowPlan struct {
+	z schema.AttrSet
+	// rowConds are the cell's conditions on Z attributes, in cell
+	// order: every row's pattern starts with them.
+	rowConds []pattern.Condition
+	bindings []rowBinding
+	// probe is the rows' canonical tuple. Every unbound attribute
+	// already holds its value, a junk marker or a constant that
+	// satisfies the cell, and has been checked; verify writes the
+	// bound values over the rest.
+	probe schema.Tuple
+	// none is set when no master row can pass: the cell's conditions
+	// on some attribute other than the first bound one are
+	// unsatisfiable, a condition names an attribute outside the input
+	// schema, or the probe fails a condition on an unbound attribute.
+	none bool
+	ch   *core.Chaser
+	// buf holds the conditions of the row being added.
+	buf []pattern.Condition
 }
 
-// instantiateRows adds one tableau row per master tuple whose
-// row-canonical tuple chases to a full validation. Returns the number
-// of rows added.
-func (f *Finder) instantiateRows(reg *Region, z schema.AttrSet, c cell, admit core.RuleFilter, rules []*rule.Rule) int {
+// rowBinding pins one Z attribute of a tableau row to a master
+// attribute's value.
+type rowBinding struct {
+	inputIdx, masterIdx int
+	attr                string
+	dom                 value.Domain
+	// admits is the cell's conditions on the attribute folded into
+	// one check: Satisfiable(cell ∧ row conditions ∧ attr = v),
+	// restricted to the attribute.
+	admits pattern.PinCheck
+	// conds are the row conditions on the attribute; the probe must
+	// match each of them with the bound value.
+	conds []pattern.Condition
+}
+
+// newRowPlan builds the plan of (cell c, Z). Attributes of Z bound by
+// active-rule match correspondences become bindings: a row pins them
+// to the master tuple's values. Cell conditions on Z become row
+// conditions; the others constrain the canonical probe only.
+//
+// Satisfiable(cell ∧ row conditions ∧ pins 1..k) must hold after each
+// pin k. It decomposes per attribute, so it reduces to two checks:
+// every attribute but the first bound one is satisfiable unpinned,
+// checked here, and each bound value passes its attribute's folded
+// PinCheck. The folded lists keep the row conditions' second copy in
+// cell order, because under DInt and DFloat the order of = constants
+// matters ("NaN" equals every number).
+//
+// The probe starts with junk-i in every attribute; the row and probe
+// conditions then set each = constant and, over a junk value, each
+// IN's first member. A bound attribute ends with its master value,
+// because its pin comes last, so the template built and checked here
+// covers every unbound attribute, and verify checks each bound value
+// against its row conditions. The pin itself always matches: a value
+// equals itself in every domain.
+func (f *Finder) newRowPlan(z schema.AttrSet, c cell, admit core.RuleFilter, rules []*rule.Rule, ch *core.Chaser) *rowPlan {
 	input := f.eng.InputSchema()
-	added := 0
-	// Attributes of Z bound by active-rule match correspondences: the
-	// row pins them to the master tuple's values.
-	var bindings []rowBinding
+	masterSch := f.eng.Master().Schema()
+	p := &rowPlan{z: z, ch: ch}
 	bound := schema.EmptySet
 	for _, r := range rules {
 		if !admit(r) {
@@ -367,71 +376,57 @@ func (f *Finder) instantiateRows(reg *Region, z schema.AttrSet, c cell, admit co
 		for _, corr := range r.Match {
 			if i, ok := input.Index(corr.Input); ok && z.Has(i) && !bound.Has(i) {
 				bound = bound.With(i)
-				bindings = append(bindings, rowBinding{inputIdx: i, masterAttr: corr.Master})
+				p.bindings = append(p.bindings, rowBinding{
+					inputIdx:  i,
+					masterIdx: masterSch.MustIndex(corr.Master),
+					attr:      input.Attr(i).Name,
+					dom:       input.Attr(i).Domain,
+				})
 			}
 		}
 	}
-	// Cell constraints restricted to Z become row conditions; cell
-	// constraints outside Z are applied to the canonical probe only.
-	var rowConds, probeConds []pattern.Condition
+	var probeConds []pattern.Condition
 	for _, cond := range c.constraint.Conds {
 		if i, ok := input.Index(cond.Attr); ok && z.Has(i) {
-			rowConds = append(rowConds, cond)
+			p.rowConds = append(p.rowConds, cond)
 		} else {
 			probeConds = append(probeConds, cond)
 		}
 	}
-	// Stored rows are immutable, so they are read in place: a tableau
-	// row keeps their values, never the tuple.
-	f.eng.Master().Table().ScanShared(func(s *schema.Tuple) bool {
-		conds := append([]pattern.Condition{}, rowConds...)
-		for _, b := range bindings {
-			v := s.Get(b.masterAttr)
-			conds = append(conds, pattern.Eq(input.Attr(b.inputIdx).Name, v))
-			// The row must stay satisfiable together with the cell
-			// constraint (e.g. AC=0800 cell with a master AC of 131
-			// cannot produce a row).
-			if !pattern.Satisfiable(pattern.NewPattern(append(append([]pattern.Condition{}, c.constraint.Conds...), conds...)...), input) {
-				return true
+
+	static := append(append([]pattern.Condition(nil), c.constraint.Conds...), p.rowConds...)
+	if len(p.bindings) > 0 {
+		first := p.bindings[0].attr
+		var rest []pattern.Condition
+		for _, cond := range static {
+			if cond.Attr != first {
+				rest = append(rest, cond)
 			}
 		}
-		probe, built := f.canonicalProbe(z, s, bindings, probeConds, conds)
-		if !built {
-			return true
+		if !pattern.Satisfiable(pattern.Pattern{Conds: rest}, input) {
+			p.none = true
+			return p
 		}
-		res := f.eng.Chase(probe, z)
-		if !res.AllValidated() || len(res.Conflicts) > 0 {
-			return true
-		}
-		if reg.Tableau.AddRow(pattern.NewPattern(conds...)) {
-			added++
-		}
-		return true
-	})
-	return added
-}
+	}
+	for i := range p.bindings {
+		b := &p.bindings[i]
+		b.admits = pattern.FoldPin(b.attr, condsOn(static, b.attr), input)
+		b.conds = condsOn(p.rowConds, b.attr)
+	}
 
-// canonicalProbe builds the representative tuple of a row: bound Z
-// attributes take the master values, pattern-constrained attributes
-// take satisfying constants, everything else a junk marker.
-func (f *Finder) canonicalProbe(z schema.AttrSet, s *schema.Tuple,
-	bindings []rowBinding,
-	probeConds, rowConds []pattern.Condition) (*schema.Tuple, bool) {
-
-	input := f.eng.InputSchema()
 	vals := make(value.List, input.Len())
 	for i := range vals {
-		vals[i] = value.V(fmt.Sprintf("junk-%d", i))
+		vals[i] = value.V("junk-" + strconv.Itoa(i))
 	}
-	for _, b := range bindings {
-		vals[b.inputIdx] = s.Get(b.masterAttr)
-	}
-	// Satisfy equality/inequality conditions (row + probe) on
-	// still-junk attributes.
-	for _, cond := range append(append([]pattern.Condition{}, rowConds...), probeConds...) {
+	probeAll := append(append([]pattern.Condition(nil), p.rowConds...), probeConds...)
+	for _, cond := range probeAll {
 		i, ok := input.Index(cond.Attr)
 		if !ok {
-			return nil, false
+			p.none = true
+			return p
+		}
+		if bound.Has(i) {
+			continue
 		}
 		switch cond.Op {
 		case pattern.OpEq:
@@ -442,15 +437,91 @@ func (f *Finder) canonicalProbe(z schema.AttrSet, s *schema.Tuple,
 			}
 		}
 	}
-	probe := &schema.Tuple{Schema: input, Vals: vals}
-	// Verify all conditions actually hold on the probe (inequalities
-	// hold against junk values by construction; equality conflicts
-	// surface here).
-	for _, cond := range append(append([]pattern.Condition{}, rowConds...), probeConds...) {
+	for _, cond := range probeAll {
 		i, _ := input.Index(cond.Attr)
-		if !cond.Matches(vals[i], input.Attr(i).Domain) {
-			return nil, false
+		if !bound.Has(i) && !cond.Matches(vals[i], input.Attr(i).Domain) {
+			p.none = true
+			return p
 		}
 	}
-	return probe, true
+	p.probe = schema.Tuple{Schema: input, Vals: vals}
+	return p
+}
+
+// condsOn returns the conditions of conds on attr, in order.
+func condsOn(conds []pattern.Condition, attr string) []pattern.Condition {
+	var out []pattern.Condition
+	for _, c := range conds {
+		if c.Attr == attr {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// verify reports whether master tuple s yields a row of the plan's
+// (cell, Z): its bound values pass the folded satisfiability check and
+// the probe's row conditions, and the probe carrying them chases to a
+// full validation without a conflict. It allocates nothing in steady
+// state.
+func (p *rowPlan) verify(s *schema.Tuple) bool {
+	if p.none {
+		return false
+	}
+	for i := range p.bindings {
+		b := &p.bindings[i]
+		v := s.Vals[b.masterIdx]
+		if !b.admits.Admits(v) {
+			return false
+		}
+		for _, cond := range b.conds {
+			if !cond.Matches(v, b.dom) {
+				return false
+			}
+		}
+		p.probe.Vals[b.inputIdx] = v
+	}
+	res := p.ch.ChaseScratch(&p.probe, p.z)
+	return res.AllValidated() && len(res.Conflicts) == 0
+}
+
+// row writes the tableau row s yields, the row conditions and then one
+// = pin per binding, into the plan's row buffer. The buffer is reused
+// until a tableau keeps a row, which then owns it.
+func (p *rowPlan) row(s *schema.Tuple) pattern.Pattern {
+	if p.buf == nil {
+		p.buf = make([]pattern.Condition, 0, len(p.rowConds)+len(p.bindings))
+	}
+	conds := append(p.buf[:0], p.rowConds...)
+	for _, b := range p.bindings {
+		conds = append(conds, pattern.Eq(b.attr, s.Vals[b.masterIdx]))
+	}
+	p.buf = conds
+	return pattern.Pattern{Conds: conds}
+}
+
+// instantiateRows adds one tableau row per master tuple the plan
+// verifies, in master scan order. Returns the number of rows verified,
+// duplicates of rows already in the tableau included.
+func (f *Finder) instantiateRows(reg *Region, p *rowPlan) int {
+	if p.none {
+		return 0
+	}
+	added := 0
+	// Stored rows are immutable, so they are read in place: a tableau
+	// row keeps their values, never the tuple.
+	f.eng.Master().Table().ScanShared(func(s *schema.Tuple) bool {
+		if !p.verify(s) {
+			return true
+		}
+		n := len(reg.Tableau.Rows)
+		if reg.Tableau.AddRow(p.row(s)) {
+			added++
+		}
+		if len(reg.Tableau.Rows) > n {
+			p.buf = nil // kept: the tableau holds the slice now
+		}
+		return true
+	})
+	return added
 }
