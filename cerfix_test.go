@@ -8,7 +8,7 @@ import (
 	"cerfix/internal/dataset"
 )
 
-func demoSystem(t *testing.T) *System {
+func demoSystem(t testing.TB) *System {
 	t.Helper()
 	sys, err := New(dataset.CustSchema(), dataset.PersonSchema(), dataset.DemoRulesDSL)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestRuleIndexesResolveEveryRule(t *testing.T) {
 					}
 					for _, r := range rules {
 						h := eng.Master().Handle(r.MatchMasterAttrs(), r.SetMasterAttrs())
-						if _, _, _, ok := h.Lookup(nil, false); !ok {
+						if _, _, _, ok := h.Lookup(nil); !ok {
 							t.Errorf("%s (frozen %v): rule %s has no registered rule index", stage, eng.Master().Frozen(), r.ID)
 						}
 					}

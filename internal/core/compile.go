@@ -199,7 +199,7 @@ func compileProgram(input *schema.Schema, rules []*rule.Rule) *chaseProgram {
 
 // Chaser executes the compiled chase program against one engine view,
 // reusing all scratch state (ready bitsets, missing-premise counters,
-// the key-encode buffer, the per-chase probe memos and — via
+// the key-encode buffer, the per-chase probe memo and — via
 // ChaseScratch — the result itself)
 // across calls, so tight fixing loops run
 // allocation-free per tuple in steady state. A Chaser is NOT safe for
@@ -229,23 +229,17 @@ type Chaser struct {
 	// (reported in ChaseResult.Stats).
 	skipped, evaluated int
 
-	// keyBuf is the probe key-encode scratch; dict is the bound
-	// store's interning dictionary (probe keys are sym-encoded).
+	// keyBuf is the probe key-encode scratch (master.AppendKey).
 	keyBuf []byte
-	dict   *value.Dict
 
-	// Per-chase memos, sized once here and cleared by run. syms[p] is
-	// input position p's dictionary sym, valid where symKnown has bit
-	// p and symAbsent does not (symAbsent: the value is not in the
-	// dictionary). entries[g] is probe group g's index entry, valid
-	// where probed[g] is set. Both are exact on every view: the agenda
-	// evaluates a rule only once its premise X ∪ Xp is validated, a
-	// validated cell never changes within a chase, and the Engine
-	// contract forbids mutating a view during one.
-	syms                []value.Sym
-	symKnown, symAbsent uint64
-	entries             []master.Entry
-	probed              []bool
+	// The per-chase probe memo, sized once here and cleared by run:
+	// entries[g] is probe group g's index entry, valid where probed[g]
+	// is set. It is exact on every view: the agenda evaluates a rule
+	// only once its premise X ∪ Xp is validated, a validated cell never
+	// changes within a chase, and the Engine contract forbids mutating
+	// a view during one.
+	entries []master.Entry
+	probed  []bool
 
 	// ChaseScratch's reusable result (tuple values, change/conflict
 	// slices keep their capacity across calls).
@@ -266,7 +260,6 @@ func (e *Engine) NewChaser() *Chaser {
 		missing: make([]int32, len(p.rules)),
 		cur:     make([]uint64, p.words),
 		next:    make([]uint64, p.words),
-		syms:    make([]value.Sym, p.input.Len()),
 		entries: make([]master.Entry, p.groups),
 		probed:  make([]bool, p.groups),
 	}
@@ -297,7 +290,6 @@ func (e *Engine) AcquireChaser() *Chaser {
 // snapshot's store.
 func (c *Chaser) Release() {
 	c.eng = nil
-	c.dict = nil // don't pin a dead snapshot's dictionary arena
 	for i := range c.handles {
 		c.handles[i] = master.RuleHandle{}
 	}
@@ -310,7 +302,6 @@ func (c *Chaser) Release() {
 // snapshots of one engine do); scratch state carries over untouched.
 func (c *Chaser) rebind(e *Engine) {
 	c.eng = e
-	c.dict = e.store.Dict()
 	for i := range c.prog.rules {
 		c.handles[i] = e.store.HandleByKey(c.prog.rules[i].handleKey)
 	}
@@ -390,7 +381,6 @@ func (c *Chaser) run(res *ChaseResult) {
 		c.cur[i], c.next[i] = 0, 0
 	}
 	c.skipped, c.evaluated = 0, 0
-	c.symKnown, c.symAbsent = 0, 0
 	clear(c.probed)
 	// Seed: per-rule missing-premise counts under the initial
 	// validated set; rules already satisfied form round 1's agenda —
@@ -515,13 +505,12 @@ func (c *Chaser) evaluate(ri, round int, res *ChaseResult) bool {
 
 // lookup performs the rule's unique-RHS probe. On the rule-index
 // access path each probe group's key is probed at most once per chase:
-// the first rule of a group to evaluate sym-encodes t[X] into the
+// the first rule of a group to evaluate encodes t[X] into the
 // Chaser's scratch buffer and probes its pre-resolved handle, and
 // every later rule of the group reads its own Bm off the remembered
-// entry. No step allocates. A probe value the dictionary has never
-// seen answers NoMatch for registered pairs (no master tuple carries
-// it); ModeScan and unregistered ad-hoc pairs take the store's scan,
-// byte-identical to the legacy engine's.
+// entry. No step allocates. A key no master tuple carries finds no
+// entry and answers NoMatch; ModeScan and unregistered ad-hoc pairs
+// take the store's scan, byte-identical to the legacy engine's.
 func (c *Chaser) lookup(ri int, cr *compiledRule, t *schema.Tuple) master.Answer {
 	if c.eng.store.Mode() == master.ModeRuleIndex {
 		h, g := &c.handles[ri], cr.group
@@ -531,8 +520,7 @@ func (c *Chaser) lookup(ri int, cr *compiledRule, t *schema.Tuple) master.Answer
 			ans, ok = h.Read(c.entries[g])
 		} else {
 			var e master.Entry
-			key, encoded := c.encodeKey(t, cr.matchInputPos)
-			if e, ans, ok = h.Probe(key, encoded); ok {
+			if e, ans, ok = h.Probe(c.encodeKey(t, cr.matchInputPos)); ok {
 				c.entries[g], c.probed[g] = e, true
 			}
 		}
@@ -543,27 +531,13 @@ func (c *Chaser) lookup(ri int, cr *compiledRule, t *schema.Tuple) master.Answer
 	return master.ListAnswer(c.eng.store.UniqueRHS(cr.matchMasterAttrs, t.ProjectAt(cr.matchInputPos), cr.rhsMasterAttrs))
 }
 
-// encodeKey sym-encodes t's projection on positions into the key
-// scratch, looking each position's value up in the dictionary at most
-// once per chase. encoded=false means some value is absent from the
-// dictionary, so no master tuple carries the key.
-func (c *Chaser) encodeKey(t *schema.Tuple, positions []int) (key []byte, encoded bool) {
+// encodeKey writes t's projection on positions into the key scratch
+// as a rule-index key.
+func (c *Chaser) encodeKey(t *schema.Tuple, positions []int) []byte {
 	kb := c.keyBuf[:0]
 	for _, p := range positions {
-		bit := uint64(1) << uint(p)
-		if c.symKnown&bit == 0 {
-			c.symKnown |= bit
-			if sym, found := c.dict.LookupV(t.Vals[p]); found {
-				c.syms[p] = sym
-			} else {
-				c.symAbsent |= bit
-			}
-		}
-		if c.symAbsent&bit != 0 {
-			return kb, false
-		}
-		kb = value.AppendSym(kb, c.syms[p])
+		kb = master.AppendKey(kb, t.Vals[p])
 	}
 	c.keyBuf = kb // keep any growth for the next chase
-	return kb, true
+	return kb
 }

@@ -377,7 +377,7 @@ func craftedEngine(t *testing.T, rows [][]string, rules ...*rule.Rule) (*Engine,
 // The per-tuple premise prefilter suite. The compiled chase has no
 // per-tuple premise prefilter: a premise-ready rule whose pattern can
 // be satisfied is always evaluated, and a failing condition or a
-// master-dictionary miss rejects it inside the agenda. The worlds below
+// match key no master row carries rejects it inside the agenda. The worlds below
 // are the cases such a prefilter would reject before evaluation; each
 // pins the result against the legacy oracle and a known fixed value,
 // and pins the counters: only compile-time static skips are counted.
@@ -442,9 +442,9 @@ func TestPrefilterOnOffParityRandom(t *testing.T) {
 }
 
 // TestPrefilterSkips pins the two per-tuple reject paths — a failing
-// pattern condition on a validated attribute, and a match-key value the
-// master dictionary has never seen — as agenda evaluations that fire
-// nothing, not as skips.
+// pattern condition on a validated attribute, and a match-key value no
+// master row carries — as agenda evaluations that fire nothing, not as
+// skips.
 func TestPrefilterSkips(t *testing.T) {
 	// r0 fixes a1 from a0 gated on a0 = "go"; r1 fixes a2 from a0
 	// unconditionally. Master knows the a0 values "go" and "stop" only.
@@ -475,8 +475,8 @@ func TestPrefilterSkips(t *testing.T) {
 		t.Fatalf("cond reject: a2 = %q, want fixed to %q", got, "y2")
 	}
 
-	// a0 = "unknown": absent from the master dictionary, so neither
-	// rule's probe can match and nothing is fixed.
+	// a0 = "unknown": no master row carries it, so neither rule's
+	// probe can match and nothing is fixed.
 	in = &schema.Tuple{Schema: input, Vals: value.List{value.V("unknown"), value.V(""), value.V("")}}
 	res = ch.Chase(in, seed)
 	assertSameResult(t, "dict miss", res, eng.ChaseLegacy(in, seed))
@@ -493,7 +493,7 @@ func TestPrefilterSkips(t *testing.T) {
 // after r0 rewrites a1, so the chain must still complete.
 func TestPrefilterUnstableAttrNotFiltered(t *testing.T) {
 	// r0 rewrites a1; r1's gate and match key are on a1. The seed value
-	// "WRONG" fails the gate and is absent from the dictionary, but the
+	// "WRONG" fails the gate and no master row carries it, but the
 	// value r1 actually sees is r0's "x".
 	eng, input := craftedEngine(t, [][]string{{"go", "x", "y"}},
 		&rule.Rule{

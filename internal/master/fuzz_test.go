@@ -133,8 +133,7 @@ func FuzzRuleIndex(f *testing.F) {
 						t.Fatalf("%s: rule index (%v,%d,%v) != scan (%v,%d,%v)",
 							label, gotRHS, gotWitness, gotStatus, wantRHS, wantWitness, wantStatus)
 					}
-					kb, enc := encodeProbe(view, key)
-					hRHS, hWitness, hStatus, ok := view.Handle(xm, bm).Lookup(kb, enc)
+					hRHS, hWitness, hStatus, ok := view.Handle(xm, bm).Lookup(encodeProbe(key))
 					if !ok {
 						continue // registered after this view: UniqueRHS took the group path
 					}

@@ -11,11 +11,10 @@
 // access path production reads; the scan (ModeScan) answers the same
 // question from the rows and is the reference the tests hold it to.
 //
-// The store owns the interning dictionary (Store.Dict). The rule
-// indexes intern each row's match values as they add it, and the
-// compiled chase and the WAL writer encode against the same
-// dictionary. The table underneath stores plain rows and interns
-// nothing.
+// A rule-index key is the match values themselves, each written by
+// AppendKey; the index build, its lookups and the compiled chase's
+// probes all encode through that one function. The table underneath
+// stores plain rows.
 package master
 
 import (
@@ -70,9 +69,6 @@ type Store struct {
 	mu     sync.RWMutex
 	frozen bool
 	table  *storage.Table
-	// dict is the interning dictionary (see Dict). Append-only and
-	// shared with every snapshot.
-	dict *value.Dict
 	// mode selects the lookup access path; see LookupMode. It is an
 	// atomic so mode flips (the E5 ablation knob, SetMode) are
 	// race-free against concurrent lookups, on live stores and
@@ -96,7 +92,7 @@ type Store struct {
 
 // New wraps an empty master relation under sch.
 func New(sch *schema.Schema) *Store {
-	m := &Store{table: storage.NewTable(sch), dict: value.NewDict(), ruleIdx: newRuleIndexes()}
+	m := &Store{table: storage.NewTable(sch), ruleIdx: newRuleIndexes()}
 	m.mode.Store(int32(ModeRuleIndex))
 	return m
 }
@@ -160,7 +156,6 @@ func (m *Store) Snapshot() *Store {
 	cp := &Store{
 		frozen:  true,
 		table:   tsnap,
-		dict:    m.dict,
 		ruleIdx: m.snapRuleIdx,
 	}
 	cp.mode.Store(m.mode.Load())
@@ -204,7 +199,7 @@ func (m *Store) Insert(tu *schema.Tuple) (int64, error) {
 	}
 	// The indexes copy what they keep, so tu's values serve as the
 	// stored row's without re-reading (and cloning) it.
-	m.ruleIdx.insert(&schema.Tuple{Schema: tu.Schema, ID: id, Vals: tu.Vals}, m.dict)
+	m.ruleIdx.insert(&schema.Tuple{Schema: tu.Schema, ID: id, Vals: tu.Vals})
 	m.version++
 	return id, nil
 }
@@ -270,7 +265,7 @@ func (m *Store) Lookup(attrs []string, key value.List) []*schema.Tuple {
 func (m *Store) UniqueRHS(matchAttrs []string, key value.List, rhsAttrs []string) (value.List, int64, LookupStatus) {
 	if m.Mode() == ModeRuleIndex {
 		m.rlock()
-		rhs, witness, status, ok := m.ruleIdx.lookup(matchAttrs, key, rhsAttrs, m.dict)
+		rhs, witness, status, ok := m.ruleIdx.lookup(matchAttrs, key, rhsAttrs)
 		m.runlock()
 		if ok {
 			return rhs, witness, status
@@ -299,21 +294,13 @@ func (m *Store) UniqueRHSForRule(r *rule.Rule, input *schema.Tuple) (value.List,
 	return m.UniqueRHS(r.MatchMasterAttrs(), key, r.SetMasterAttrs())
 }
 
-// Dict returns the store's interning dictionary. Append-only and
-// shared with every snapshot, so probe-key encoders may use it
-// lock-free.
-func (m *Store) Dict() *value.Dict { return m.dict }
-
 // MemStats is the store's memory account: the table's (rows, shards,
-// COW debt), the interning dictionary's, and an estimate of the
-// unique-RHS rule indexes. The dictionary is shared by every snapshot
-// and reported once.
+// COW debt) and an estimate of the unique-RHS rule indexes.
 type MemStats struct {
 	Table storage.TableMem `json:"table"`
-	Dict  value.DictStats  `json:"dict"`
 	// RuleIndexKeys counts entries across all rule indexes (one per
 	// key per master match list); RuleIndexBytes estimates their
-	// footprint (sym-encoded keys, map entries, and the value headers
+	// footprint (the key bytes, map entries, and the value headers
 	// each entry retains on its index's U).
 	RuleIndexKeys  int   `json:"rule_index_keys"`
 	RuleIndexBytes int64 `json:"rule_index_bytes"`
@@ -321,22 +308,25 @@ type MemStats struct {
 
 // TotalBytes sums the account.
 func (s MemStats) TotalBytes() int64 {
-	return s.Table.TotalBytes() + s.Dict.Bytes + s.RuleIndexBytes
+	return s.Table.TotalBytes() + s.RuleIndexBytes
 }
 
-// MemStats returns the store's memory account.
+// MemStats returns the store's memory account. It reads each index's
+// running key-byte total and its shard sizes, never the keys.
 func (m *Store) MemStats() MemStats {
 	m.rlock()
 	defer m.runlock()
-	out := MemStats{Table: m.table.MemStats(), Dict: m.dict.Stats()}
+	out := MemStats{Table: m.table.MemStats()}
 	for _, ix := range m.ruleIdx.indexes {
-		keyBytes := int64(4*len(ix.matchAttrs)) + 16 // sym key + string header
-		entryBytes := keyBytes + 48 + 40 + int64(16*len(ix.unionAttrs))
+		// Per entry: the key's string header, map entry, rhsEntry and
+		// the value headers of U; the key bytes come from the total.
+		entryBytes := 16 + 48 + 40 + int64(16*len(ix.unionAttrs))
 		for _, sh := range &ix.shards {
 			n := len(sh.m)
 			out.RuleIndexKeys += n
 			out.RuleIndexBytes += int64(n) * entryBytes
 		}
+		out.RuleIndexBytes += ix.keyBytes
 	}
 	return out
 }

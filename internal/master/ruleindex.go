@@ -1,6 +1,7 @@
 package master
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -115,35 +116,47 @@ func mutShard(slot **entryShard) *entryShard {
 	return sh
 }
 
-// entryShardOf routes a sym-encoded key to its shard by the FNV-1a
-// hash of its bytes. Build and probe both route the key bytes, so a
-// scratch-encoded probe key lands on the shard its string form was
-// stored in without converting (and allocating) the string.
+// entryShardOf routes a key to its shard by the FNV-1a hash of its
+// bytes. Build and probe both route the key bytes, so a scratch-encoded
+// probe key lands on the shard its string form was stored in without
+// converting (and allocating) the string.
 func entryShardOf(k []byte) int { return int(simd.HashBytes(k) & (entryShardCount - 1)) }
+
+// AppendKey appends one match value to a rule-index key: its length as
+// a uvarint, then its bytes. An entry key and a probe key are the
+// AppendKey of each Xm value in order, so the index build, its
+// lookups and the compiled chase's probes all encode through here.
+// The length prefix makes a composite key decode one way: ("12", "3")
+// and ("1", "23") are two keys, although their bytes concatenate
+// alike.
+func AppendKey(dst []byte, v value.V) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(v)))
+	return append(dst, v...)
+}
 
 // ruleIndex holds the unique-RHS map of one master match list Xm. The
 // header follows the shared/copy-on-write discipline: once a snapshot
 // references it, the live store copies the header before replacing
 // any shard pointer.
 //
-// Entry keys are sym-encoded: the fixed-width dictionary ids of the
-// projected match values (value.AppendSym), 4 bytes per attribute
-// instead of a length-prefixed copy of every string. Build and probe
-// sides MUST use the same dictionary — the store's (Store.Dict) —
-// and the encoding makes the dictionary a sound prefilter: every key
-// in the index interned its values at add time, so a probe value the
-// dictionary has never seen cannot match any key (a certain NoMatch).
+// Entry keys are the projected match values themselves (AppendKey).
+// Only a master row's values make a key, so a probe key that no row
+// carries finds no entry: a certain NoMatch in one map probe.
 type ruleIndex struct {
 	matchAttrs []string // Xm
 	unionAttrs []string // U, in registration order
 	matchPos   []int    // schema positions of matchAttrs
 	unionPos   []int    // schema positions of unionAttrs
-	shared     bool
-	shards     [entryShardCount]*entryShard
+	// keyBytes totals the bytes of the entry keys, kept by add so that
+	// MemStats need not walk the keys. It rides along with the header
+	// copy, so each snapshot keeps the total of its own entries.
+	keyBytes int64
+	shared   bool
+	shards   [entryShardCount]*entryShard
 }
 
 // build fills a fresh index from the rows scan visits, in table order.
-func (ix *ruleIndex) build(sch *schema.Schema, scan func(func(*schema.Tuple) bool), dict *value.Dict) {
+func (ix *ruleIndex) build(sch *schema.Schema, scan func(func(*schema.Tuple) bool)) {
 	ix.matchPos = make([]int, len(ix.matchAttrs))
 	for i, a := range ix.matchAttrs {
 		ix.matchPos[i] = sch.MustIndex(a)
@@ -157,23 +170,24 @@ func (ix *ruleIndex) build(sch *schema.Schema, scan func(func(*schema.Tuple) boo
 	}
 	var buf []byte
 	scan(func(s *schema.Tuple) bool {
-		buf = ix.add(s, dict, buf)
+		buf = ix.add(s, buf)
 		return true
 	})
 }
 
-// add folds one master tuple into the index, interning its match
-// values into dict. It keeps only copies (ProjectAt), so s may be a
-// shared scan row or scratch. buf is key scratch, returned for reuse.
-func (ix *ruleIndex) add(s *schema.Tuple, dict *value.Dict, buf []byte) []byte {
+// add folds one master tuple into the index. It keeps only copies
+// (ProjectAt), so s may be a shared scan row or scratch. buf is key
+// scratch, returned for reuse.
+func (ix *ruleIndex) add(s *schema.Tuple, buf []byte) []byte {
 	kb := buf[:0]
 	for _, p := range ix.matchPos {
-		kb = value.AppendSym(kb, dict.InternV(s.Vals[p]))
+		kb = AppendKey(kb, s.Vals[p])
 	}
 	sh := mutShard(&ix.shards[entryShardOf(kb)])
 	e, ok := sh.m[string(kb)]
 	if !ok {
 		sh.m[string(kb)] = &rhsEntry{vals: s.ProjectAt(ix.unionPos), witness: s.ID}
+		ix.keyBytes += int64(len(kb))
 		return kb
 	}
 	conflict := e.conflict
@@ -189,9 +203,9 @@ func (ix *ruleIndex) add(s *schema.Tuple, dict *value.Dict, buf []byte) []byte {
 	return kb
 }
 
-// get probes a sym-encoded key. The string conversion in the map
-// index expression does not allocate (compiler-recognized pattern),
-// so a probe against a reused []byte buffer is allocation-free.
+// get probes a key. The string conversion in the map index expression
+// does not allocate (compiler-recognized pattern), so a probe against a
+// reused []byte buffer is allocation-free.
 func (ix *ruleIndex) get(k []byte) *rhsEntry {
 	return ix.shards[entryShardOf(k)].m[string(k)]
 }
@@ -250,7 +264,7 @@ func (ri *ruleIndexes) mut() {
 // that gains Bm attributes appends them to its U. A rule naming an
 // attribute sch lacks is an error, reported before anything is
 // registered.
-func (ri *ruleIndexes) prepare(sch *schema.Schema, rules []*rule.Rule, scan func(func(*schema.Tuple) bool), dict *value.Dict) error {
+func (ri *ruleIndexes) prepare(sch *schema.Schema, rules []*rule.Rule, scan func(func(*schema.Tuple) bool)) error {
 	for _, r := range rules {
 		for _, a := range slices.Concat(r.MatchMasterAttrs(), r.SetMasterAttrs()) {
 			if !sch.Has(a) {
@@ -291,13 +305,13 @@ func (ri *ruleIndexes) prepare(sch *schema.Schema, rules []*rule.Rule, scan func
 		ri.pairs[key] = p
 	}
 	for _, slot := range rebuild {
-		ri.indexes[slot].build(sch, scan, dict)
+		ri.indexes[slot].build(sch, scan)
 	}
 	return nil
 }
 
 // insert maintains every registered index for a new master tuple.
-func (ri *ruleIndexes) insert(s *schema.Tuple, dict *value.Dict) {
+func (ri *ruleIndexes) insert(s *schema.Tuple) {
 	if len(ri.indexes) == 0 {
 		return
 	}
@@ -310,7 +324,7 @@ func (ri *ruleIndexes) insert(s *schema.Tuple, dict *value.Dict) {
 			ix = &cp
 			ri.indexes[i] = ix
 		}
-		buf = ix.add(s, dict, buf)
+		buf = ix.add(s, buf)
 	}
 }
 
@@ -329,21 +343,15 @@ func (ri *ruleIndexes) snapshot() *ruleIndexes {
 }
 
 // lookup answers the unique-RHS question for a registered pair; the
-// final result reports whether the pair has an index. A key value the
-// dictionary has never seen is a certain NoMatch for a registered
-// pair — no master tuple carries it (see ruleIndex).
-func (ri *ruleIndexes) lookup(matchAttrs []string, key value.List, rhsAttrs []string, dict *value.Dict) (value.List, int64, LookupStatus, bool) {
+// final result reports whether the pair has an index.
+func (ri *ruleIndexes) lookup(matchAttrs []string, key value.List, rhsAttrs []string) (value.List, int64, LookupStatus, bool) {
 	p, ok := ri.pairs[HandleKey(matchAttrs, rhsAttrs)]
 	if !ok {
 		return nil, 0, NoMatch, false
 	}
-	kb := make([]byte, 0, 4*len(key))
+	var kb []byte
 	for _, v := range key {
-		sym, found := dict.LookupV(v)
-		if !found {
-			return nil, 0, NoMatch, true
-		}
-		kb = value.AppendSym(kb, sym)
+		kb = AppendKey(kb, v)
 	}
 	a := p.answer(ri.indexes[p.slot].get(kb))
 	return a.List(), a.Witness, a.Status, true
@@ -444,18 +452,13 @@ func (m *Store) HandleByKey(key string) RuleHandle {
 	return h
 }
 
-// Probe looks up a sym-encoded composite key (value.AppendSym of each
-// t[X] value's dictionary sym) on the pair's index. It returns the
-// entry, which any handle of a pair with the same Xm on the same
-// store view may Read, and this pair's answer. encoded=false means the
-// key could not be encoded because some value is absent from the
-// dictionary: for a registered pair that is a certain NoMatch (every
-// key in the index interned its values when its row was added), so
-// the handle answers without touching the shards. The final result
-// reports whether a rule index is registered for the pair — false
-// means the caller must fall back to the scan (Store.UniqueRHS),
-// exactly as an unregistered pair does there.
-func (h *RuleHandle) Probe(encKey []byte, encoded bool) (Entry, Answer, bool) {
+// Probe looks up a composite key (AppendKey of each t[X] value) on the
+// pair's index. It returns the entry, which any handle of a pair with
+// the same Xm on the same store view may Read, and this pair's answer.
+// The final result reports whether a rule index is registered for the
+// pair — false means the caller must fall back to the scan
+// (Store.UniqueRHS), exactly as an unregistered pair does there.
+func (h *RuleHandle) Probe(key []byte) (Entry, Answer, bool) {
 	m, p := h.store, h.pair
 	if p == nil {
 		if m.frozen {
@@ -467,10 +470,7 @@ func (h *RuleHandle) Probe(encKey []byte, encoded bool) (Entry, Answer, bool) {
 			return Entry{}, Answer{}, false
 		}
 	}
-	var e *rhsEntry
-	if encoded {
-		e = m.ruleIdx.indexes[p.slot].get(encKey)
-	}
+	e := m.ruleIdx.indexes[p.slot].get(key)
 	return Entry{e}, p.answer(e), true
 }
 
@@ -491,8 +491,8 @@ func (h *RuleHandle) Read(e Entry) (Answer, bool) {
 }
 
 // Lookup is Probe returning the answer in the UniqueRHS result shape.
-func (h *RuleHandle) Lookup(encKey []byte, encoded bool) (value.List, int64, LookupStatus, bool) {
-	_, a, ok := h.Probe(encKey, encoded)
+func (h *RuleHandle) Lookup(key []byte) (value.List, int64, LookupStatus, bool) {
+	_, a, ok := h.Probe(key)
 	return a.List(), a.Witness, a.Status, ok
 }
 
@@ -515,7 +515,7 @@ func (ri *ruleIndexes) registered() []string {
 func (m *Store) PrepareRuleIndexes(rs *rule.Set) error {
 	m.lock()
 	defer m.unlock()
-	if err := m.ruleIdx.prepare(m.table.Schema(), rs.Rules(), m.table.ScanShared, m.dict); err != nil {
+	if err := m.ruleIdx.prepare(m.table.Schema(), rs.Rules(), m.table.ScanShared); err != nil {
 		return err
 	}
 	m.version++

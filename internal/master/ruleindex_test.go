@@ -85,6 +85,40 @@ func TestRuleIndexIncrementalInsert(t *testing.T) {
 	}
 }
 
+// A composite key writes each value with its length, so rows whose
+// (AC, Hphn) values concatenate to the same bytes are two keys: each
+// answers its own FN, and neither reads as a conflict.
+func TestRuleIndexKeysInjective(t *testing.T) {
+	m := New(personSchema(t))
+	rs := rule.MustSet(mustParse(t, `r1: match AC~AC, Hphn~Hphn set FN := FN`))
+	if err := m.PrepareForRules(rs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.InsertValues("Ann", "Lee", "12", "3", "1", "2", "3", "ZZ1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.InsertValues("Bob", "Lee", "1", "23", "1", "2", "3", "ZZ1"); err != nil {
+		t.Fatal(err)
+	}
+	xm, bm := []string{"AC", "Hphn"}, []string{"FN"}
+	want := map[string]value.List{"Ann": {"12", "3"}, "Bob": {"1", "23"}}
+	for _, view := range []*Store{m, m.Snapshot()} {
+		for fn, key := range want {
+			rhs, _, st := view.UniqueRHS(xm, key, bm)
+			if st != Unique || rhs[0] != value.V(fn) {
+				t.Fatalf("frozen %v: key %v: UniqueRHS = %v %v, want unique %s", view.Frozen(), key, rhs, st, fn)
+			}
+			rhs, _, st, ok := view.Handle(xm, bm).Lookup(encodeProbe(key))
+			if !ok || st != Unique || rhs[0] != value.V(fn) {
+				t.Fatalf("frozen %v: key %v: handle = %v %v ok=%v, want unique %s", view.Frozen(), key, rhs, st, ok, fn)
+			}
+		}
+		if n := view.MemStats().RuleIndexKeys; n != 2 {
+			t.Fatalf("frozen %v: %d index keys, want 2", view.Frozen(), n)
+		}
+	}
+}
+
 // An unregistered (ad-hoc) pair falls back to the group path.
 func TestRuleIndexFallback(t *testing.T) {
 	m := demoStore(t)
@@ -152,20 +186,14 @@ func TestRegisteredRuleIndexesSorted(t *testing.T) {
 	}
 }
 
-// encodeProbe sym-encodes a probe key against the store's dictionary,
-// as the compiled chase does (core's Chaser.encodeKey). The
-// second result reports whether every value was already interned; a
-// miss means no registered index can contain the key.
-func encodeProbe(st *Store, key value.List) ([]byte, bool) {
-	kb := make([]byte, 0, 4*len(key))
+// encodeProbe encodes a probe key as the compiled chase does (core's
+// Chaser.encodeKey): AppendKey of each value in order.
+func encodeProbe(key value.List) []byte {
+	var kb []byte
 	for _, v := range key {
-		sym, ok := st.Dict().LookupV(v)
-		if !ok {
-			return nil, false
-		}
-		kb = value.AppendSym(kb, sym)
+		kb = AppendKey(kb, v)
 	}
-	return kb, true
+	return kb
 }
 
 // The pre-resolved handle must agree with Store.UniqueRHS on every
@@ -181,8 +209,7 @@ func TestRuleHandleAgreesWithUniqueRHS(t *testing.T) {
 	probe := func(t *testing.T, st *Store, h *RuleHandle, key value.List) {
 		t.Helper()
 		wantRHS, wantWitness, wantStatus := st.UniqueRHS(match, key, rhs)
-		kb, enc := encodeProbe(st, key)
-		gotRHS, gotWitness, gotStatus, ok := h.Lookup(kb, enc)
+		gotRHS, gotWitness, gotStatus, ok := h.Lookup(encodeProbe(key))
 		if !ok {
 			t.Fatalf("key %v: handle reports no index", key)
 		}
@@ -208,15 +235,14 @@ func TestRuleHandleAgreesWithUniqueRHS(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe(t, m, live, value.List{"ZZ9 9ZZ"})
-	// The dictionary is shared and append-only, so the snapshot handle
-	// can encode the new value — its frozen index simply lacks the key.
-	if _, _, st, _ := snapH.Lookup(encodeProbe(snap, value.List{"ZZ9 9ZZ"})); st != NoMatch {
+	// The snapshot's frozen index lacks the new key.
+	if _, _, st, _ := snapH.Lookup(encodeProbe(value.List{"ZZ9 9ZZ"})); st != NoMatch {
 		t.Fatalf("snapshot handle sees post-snapshot row: %v", st)
 	}
 	if _, err := m.InsertValues("Other", "Person", "888", "1", "2", "3", "4", "ZZ9 9ZZ"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, st, _ := live.Lookup(encodeProbe(m, value.List{"ZZ9 9ZZ"})); st != Conflict {
+	if _, _, st, _ := live.Lookup(encodeProbe(value.List{"ZZ9 9ZZ"})); st != Conflict {
 		t.Fatalf("live handle missed incremental conflict: %v", st)
 	}
 	for _, k := range keys {
@@ -230,11 +256,11 @@ func TestRuleHandleAgreesWithUniqueRHS(t *testing.T) {
 func TestRuleHandleUnregisteredPair(t *testing.T) {
 	m := demoStore(t)
 	h := m.Handle([]string{"zip"}, []string{"AC"})
-	if _, _, _, ok := h.Lookup(encodeProbe(m, value.List{"EH8 4AH"})); ok {
+	if _, _, _, ok := h.Lookup(encodeProbe(value.List{"EH8 4AH"})); ok {
 		t.Fatal("handle claims an index that was never built")
 	}
 	snapH := m.Snapshot().Handle([]string{"zip"}, []string{"AC"})
-	if _, _, _, ok := snapH.Lookup(encodeProbe(m, value.List{"EH8 4AH"})); ok {
+	if _, _, _, ok := snapH.Lookup(encodeProbe(value.List{"EH8 4AH"})); ok {
 		t.Fatal("snapshot handle claims an index that was never built")
 	}
 	// Once built, the same live handle resolves on its next probe.
@@ -242,7 +268,7 @@ func TestRuleHandleUnregisteredPair(t *testing.T) {
 	if err := m.PrepareForRules(rs); err != nil {
 		t.Fatal(err)
 	}
-	rhs, _, st, ok := h.Lookup(encodeProbe(m, value.List{"EH8 4AH"}))
+	rhs, _, st, ok := h.Lookup(encodeProbe(value.List{"EH8 4AH"}))
 	if !ok || st != Unique || rhs[0] != "131" {
 		t.Fatalf("live handle did not pick up the new index: %v %v ok=%v", rhs, st, ok)
 	}

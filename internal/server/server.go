@@ -182,8 +182,7 @@ type statusResponse struct {
 	// without -jobs-dir).
 	Jobs *jobs.QueueStats `json:"jobs,omitempty"`
 	// Memory is the master data manager's byte accounting: rows,
-	// snapshot-shared bytes and COW debt, interning dictionary, rule
-	// indexes.
+	// snapshot-shared bytes and COW debt, rule indexes.
 	Memory *master.MemStats `json:"memory,omitempty"`
 	// Persistence reports where the instance was loaded from and the
 	// live durability health (absent for in-memory systems with no

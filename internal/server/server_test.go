@@ -73,8 +73,8 @@ func TestStatus(t *testing.T) {
 	if st.Memory == nil || st.Memory.Table.Rows != 3 || st.Memory.TotalBytes() <= 0 {
 		t.Fatalf("memory status = %+v", st.Memory)
 	}
-	if st.Memory.Dict.Syms == 0 {
-		t.Fatalf("dictionary not surfaced: %+v", st.Memory)
+	if st.Memory.RuleIndexKeys == 0 || st.Memory.RuleIndexBytes <= 0 {
+		t.Fatalf("rule-index accounting not surfaced: %+v", st.Memory)
 	}
 	if st.Persistence != nil {
 		t.Fatalf("persistence = %+v for an in-memory system", st.Persistence)

@@ -9,7 +9,7 @@ import (
 
 // The hash is pinned bit for bit to the standard library's FNV-1a
 // across every short length, random contents and input placements:
-// rule-index shard routing and interner slots depend on it never moving.
+// rule-index shard routing depends on it never moving.
 
 func refHash(s string) uint32 {
 	h := fnv.New32a()
@@ -35,13 +35,6 @@ func placed(b []byte, off int) []byte {
 	return buf[off : off+copy(buf[off:], b)]
 }
 
-// placedString is placed for a string: a substring of a word-aligned
-// concatenation.
-func placedString(s string, off int) string {
-	buf := strings.Repeat(".", off) + s + strings.Repeat(".", 16)
-	return buf[off : off+len(s)]
-}
-
 func TestHashDifferential(t *testing.T) {
 	withPlacements(t, func(t *testing.T, offs []int) {
 		// Exhaustive over every length 0..64 with fixed content, then
@@ -50,9 +43,6 @@ func TestHashDifferential(t *testing.T) {
 		for n := 0; n <= 64; n++ {
 			for _, off := range offs {
 				s := base[:n]
-				if got, want := Hash(placedString(s, off)), refHash(s); got != want {
-					t.Fatalf("Hash(len %d, off %d) = %#x, want %#x", n, off, got, want)
-				}
 				if got, want := HashBytes(placed([]byte(s), off)), refHash(s); got != want {
 					t.Fatalf("HashBytes(len %d, off %d) = %#x, want %#x", n, off, got, want)
 				}
@@ -70,18 +60,15 @@ func TestHashDifferential(t *testing.T) {
 			if got := HashBytes(placed(src[:n], off)); got != want {
 				t.Fatalf("trial %d: HashBytes = %#x, want %#x", trial, got, want)
 			}
-			if got := Hash(placedString(string(src[:n]), off)); got != want {
-				t.Fatalf("trial %d: Hash = %#x, want %#x", trial, got, want)
-			}
 		}
 	})
 }
 
 func BenchmarkHash(b *testing.B) {
-	s := strings.Repeat("key-material/", 8)
+	s := []byte(strings.Repeat("key-material/", 8))
 	b.SetBytes(int64(len(s)))
 	for i := 0; i < b.N; i++ {
-		if Hash(s) == 0 {
+		if HashBytes(s) == 0 {
 			b.Fatal("unexpected zero hash")
 		}
 	}

@@ -9,7 +9,7 @@ package cerfix
 //	rules.txt     — the editing rules in DSL form
 //	master.csv    — the master relation checkpoint
 //	wal.jsonl     — append-only log of master rows added since the
-//	                checkpoint (interned ids + dictionary deltas)
+//	                checkpoint, each row as its cell strings
 //
 // Load rebuilds the System (and its indexes) from the checkpoint and
 // replays the WAL on top.
@@ -22,14 +22,13 @@ package cerfix
 // its last checkpoint (table generation, next row id, row count, rules
 // text) and proves whether the window since then was pure-append: k
 // inserts move all three table counters by exactly k and leave the
-// rules untouched. If so, Save appends the new rows to dir/wal.jsonl
-// as interned-id records — each cell a dense dictionary id, with any
-// ids not yet defined in this WAL written as a dictionary-delta record
-// first, so the log is self-contained — and fsyncs. Updates, deletes,
-// rule edits, a different target directory, or a fresh process (no
-// cursor) fall back to the full checkpoint, which atomically replaces
-// the directory (including the WAL) via the staging/backup dance
-// below.
+// rules untouched. If so, Save appends the new rows to dir/wal.jsonl,
+// one record per row holding its cells as JSON strings, and fsyncs.
+// Updates, deletes, rule edits, a new cell that is not valid UTF-8
+// (JSON strings cannot carry it), a different target directory, or a
+// fresh process (no cursor) fall back to the full checkpoint, which
+// atomically replaces the directory (including the WAL) via the
+// staging/backup dance below.
 //
 // # Crash safety
 //
@@ -42,7 +41,10 @@ package cerfix
 // there, preserves the unapplied tail in wal.jsonl.corrupt for
 // inspection, and reports it in LoadInfo rather than failing the load.
 // Every log opens with a version header record; a log without one is
-// corruption too, quarantined whole rather than applied or dropped.
+// corruption too, quarantined whole rather than applied or dropped. A
+// log whose header names another version fails the load instead: its
+// batches may be acknowledged rows, and a quarantine would not keep
+// them in the instance.
 // Before appending, Save compares the file size against its cursor and
 // truncates any torn tail a previous failed append left behind, so one
 // bad save can never corrupt the next one.
@@ -61,6 +63,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"unicode/utf8"
 
 	"cerfix/internal/faultfs"
 	"cerfix/internal/schema"
@@ -105,32 +108,35 @@ func schemaFromJSON(j schemaJSON) (*Schema, error) {
 	return schema.New(j.Name, attrs...)
 }
 
-// walFile is the append-only log name inside an instance directory.
-const walFile = "wal.jsonl"
+// walFile is the append-only log name inside an instance directory,
+// and walQuarantineFile the name replay preserves a corrupt log's
+// unapplied tail under.
+const (
+	walFile           = "wal.jsonl"
+	walQuarantineFile = walFile + ".corrupt"
+)
 
 // walVersion is written in the header record of every WAL; replay
-// treats a log that does not open with it as corrupt.
-const walVersion = 2
+// treats a log that does not open with a header as corrupt, and fails
+// on a header of another version.
+const walVersion = 3
 
 // walRecord is one line of wal.jsonl. Ops:
 //
-//	{"op":"wal","v":2}                      — header, first line of every log
-//	{"op":"dict","defs":[...]}              — dictionary-delta for later rows
-//	{"op":"ins","row":<id>,"cells":[...]}   — one master row, interned ids
+//	{"op":"wal","v":3}                      — header, first line of every log
+//	{"op":"ins","row":<id>,"cells":[...]}   — one master row, its cell strings
 //	{"op":"commit","n":K,"crc":C}           — seals the previous K records;
 //	                                          C is CRC32-IEEE over their bytes
 //
 // The writer row id is informational (replay assigns fresh ids in
-// record order); cells are resolved against the defs seen so far,
-// which Save guarantees is always sufficient.
+// record order).
 type walRecord struct {
-	Op    string         `json:"op"`
-	Defs  []walDictEntry `json:"defs,omitempty"`
-	Row   int64          `json:"row,omitempty"`
-	Cells []value.Sym    `json:"cells,omitempty"`
-	V     int            `json:"v,omitempty"`
-	N     int            `json:"n,omitempty"`
-	CRC   uint32         `json:"crc,omitempty"`
+	Op    string     `json:"op"`
+	Row   int64      `json:"row,omitempty"`
+	Cells value.List `json:"cells,omitempty"`
+	V     int        `json:"v,omitempty"`
+	N     int        `json:"n,omitempty"`
+	CRC   uint32     `json:"crc,omitempty"`
 }
 
 // walCommit is the writer-side shape of a commit record — a separate
@@ -141,20 +147,11 @@ type walCommit struct {
 	CRC uint32 `json:"crc"`
 }
 
-type walDictEntry struct {
-	ID value.Sym `json:"id"`
-	S  string    `json:"s"`
-}
-
-// walDictBatch caps defs per dict record so WAL lines stay bounded
-// (replay reads line-at-a-time).
-const walDictBatch = 4096
-
 // walCursor is the in-memory state Save keeps after a checkpoint so
 // the next Save can prove pure-append and go to the WAL instead. It
-// is process-local by design: dictionary ids are only meaningful to
-// the process that assigned them, so a fresh process (or a Load) must
-// checkpoint once before it can append.
+// is process-local by design: the table generation it proves
+// pure-append against lives in memory, so a fresh process (or a Load)
+// must checkpoint once before it can append.
 type walCursor struct {
 	dir    string
 	gen    uint64
@@ -165,9 +162,6 @@ type walCursor struct {
 	// successful append — anything beyond it on disk is a torn tail
 	// from a failed save and is truncated before the next append.
 	walSize int64
-	// written holds every dictionary id already defined in the current
-	// WAL; rows appended later only emit defs for ids outside it.
-	written map[value.Sym]struct{}
 }
 
 // Save writes the system's configuration (schemas, rules, master data)
@@ -233,62 +227,39 @@ func (s *System) saveAppendWAL(dir string) (done bool, err error) {
 		return true, nil // nothing changed since the last save
 	}
 
-	// Encode the new rows. Every cell is interned (the index layer has
-	// usually done so already), and ids this WAL has not defined yet
-	// are collected into dict records that precede the rows that need
-	// them. Fresh defs are merged into cur.written only after the
-	// batch is durable — a failed append must re-emit them.
-	dict := s.store.Dict()
+	// Encode the new rows, one ins record each. The pure-append proof
+	// above is exactly the evidence ScanSharedTail needs: the new rows
+	// are the tail of the insertion order, so the scan costs
+	// O(log n + k), not O(n). json.Marshal would replace the bytes of
+	// a cell that is not valid UTF-8, so such a row is left to the
+	// checkpoint, whose CSV keeps every byte.
 	var batch bytes.Buffer
-	var defs []walDictEntry
-	newDefs := make(map[value.Sym]struct{})
-	flushDefs := func() error {
-		for len(defs) > 0 {
-			n := min(len(defs), walDictBatch)
-			if err := walWriteLine(&batch, &walRecord{Op: "dict", Defs: defs[:n]}); err != nil {
-				return err
-			}
-			defs = defs[n:]
-		}
-		return nil
-	}
-	var pending []*walRecord
-	// The pure-append proof above is exactly the evidence
-	// ScanSharedTail needs: the new rows are the tail of the insertion
-	// order, so the scan costs O(log n + k), not O(n).
+	nrec, encodable := 0, true
+	var encErr error
 	t.ScanSharedTail(cur.nextID, func(tu *schema.Tuple) bool {
 		if tu.ID < cur.nextID {
 			return true
 		}
-		rec := &walRecord{Op: "ins", Row: tu.ID, Cells: make([]value.Sym, len(tu.Vals))}
-		for i, v := range tu.Vals {
-			sym := dict.InternV(v)
-			if _, ok := cur.written[sym]; !ok {
-				if _, ok := newDefs[sym]; !ok {
-					newDefs[sym] = struct{}{}
-					defs = append(defs, walDictEntry{ID: sym, S: string(v)})
-				}
+		for _, v := range tu.Vals {
+			if !utf8.ValidString(string(v)) {
+				encodable = false
+				return false
 			}
-			rec.Cells[i] = sym
 		}
-		pending = append(pending, rec)
+		if encErr = walWriteLine(&batch, &walRecord{Op: "ins", Row: tu.ID, Cells: tu.Vals}); encErr != nil {
+			return false
+		}
+		nrec++
 		return true
 	})
-	if len(pending) != int(k) {
-		// The counters said pure-append but the rows disagree; be safe.
+	if encErr != nil {
+		return false, fmt.Errorf("cerfix: wal: %w", encErr)
+	}
+	if !encodable || nrec != int(k) {
+		// A cell JSON cannot carry, or the counters said pure-append
+		// but the rows disagree: checkpoint instead.
 		return false, nil
 	}
-	nrec := 0
-	if err := flushDefs(); err != nil {
-		return false, fmt.Errorf("cerfix: wal: %w", err)
-	}
-	nrec += countLines(&batch)
-	for _, rec := range pending {
-		if err := walWriteLine(&batch, rec); err != nil {
-			return false, fmt.Errorf("cerfix: wal: %w", err)
-		}
-	}
-	nrec += len(pending)
 
 	// Satellite of the batch format: the commit record seals the batch
 	// with its record count and a checksum of the exact bytes above.
@@ -350,9 +321,6 @@ func (s *System) saveAppendWAL(dir string) (done bool, err error) {
 	}
 	cur.gen, cur.nextID, cur.rows = gen, nextID, rows
 	cur.walSize = size + int64(buf.Len())
-	for sym := range newDefs {
-		cur.written[sym] = struct{}{}
-	}
 	return true, nil
 }
 
@@ -367,10 +335,6 @@ func walDiskSize(fsys faultfs.FS, path string) (int64, error) {
 	default:
 		return 0, err
 	}
-}
-
-func countLines(buf *bytes.Buffer) int {
-	return bytes.Count(buf.Bytes(), []byte{'\n'})
 }
 
 // walWriteLine appends rec to buf as one JSON line.
@@ -399,12 +363,11 @@ func (s *System) saveCheckpoint(dir string) error {
 	// twice (cursor behind the CSV) or lost (cursor ahead of it).
 	snap := s.store.Table().Snapshot()
 	cur := &walCursor{
-		dir:     dir,
-		gen:     snap.Generation(),
-		nextID:  snap.NextID(),
-		rows:    snap.Len(),
-		rules:   s.rules.String(),
-		written: make(map[value.Sym]struct{}),
+		dir:    dir,
+		gen:    snap.Generation(),
+		nextID: snap.NextID(),
+		rows:   snap.Len(),
+		rules:  s.rules.String(),
 	}
 	m := manifest{Input: schemaToJSON(s.input), Master: schemaToJSON(s.store.Schema())}
 	data, err := json.MarshalIndent(m, "", "  ")
@@ -433,6 +396,16 @@ func (s *System) saveCheckpoint(dir string) error {
 		return fail(fmt.Errorf("cerfix: %w", err))
 	}
 	if err := writeCSVSync(fsys, filepath.Join(tmp, "master.csv"), snap); err != nil {
+		return fail(fmt.Errorf("cerfix: %w", err))
+	}
+	// A quarantined WAL tail holds the only copy of bytes replay could
+	// not apply, and LoadInfo keeps reporting its path: carry it into
+	// the new instance, or the swap below deletes it with the old one.
+	if q, err := fsys.ReadFile(filepath.Join(dir, walQuarantineFile)); err == nil {
+		if err := faultfs.WriteFileSync(fsys, filepath.Join(tmp, walQuarantineFile), q, 0o644); err != nil {
+			return fail(fmt.Errorf("cerfix: %w", err))
+		}
+	} else if !errors.Is(err, iofs.ErrNotExist) {
 		return fail(fmt.Errorf("cerfix: %w", err))
 	}
 	// The staged entries must be durable before they can be renamed
@@ -496,8 +469,9 @@ type LoadInfo struct {
 	// UsedBackup is true when the requested directory was incomplete
 	// and the .bak sibling was loaded instead.
 	UsedBackup bool `json:"used_backup"`
-	// WALRecords counts replayed wal.jsonl records (dict + ins);
-	// WALRows counts the rows among them; WALBytes is the log size.
+	// WALRecords counts replayed wal.jsonl batch records, which are
+	// ins records, so it equals WALRows, the rows they added; WALBytes
+	// is the log size.
 	WALRecords int   `json:"wal_records"`
 	WALRows    int   `json:"wal_rows"`
 	WALBytes   int64 `json:"wal_bytes"`
@@ -507,7 +481,7 @@ type LoadInfo struct {
 	// the expected residue of a crash mid-append, not corruption.
 	WALTornTail bool `json:"wal_torn_tail,omitempty"`
 	// WALCorrupt is true when a committed batch failed its checksum or
-	// the log lacked its v2 header; replay stopped there and preserved
+	// the log lacked its v3 header; replay stopped there and preserved
 	// the unapplied tail at WALQuarantine for inspection.
 	WALCorrupt    bool   `json:"wal_corrupt,omitempty"`
 	WALQuarantine string `json:"wal_quarantine,omitempty"`
@@ -592,9 +566,10 @@ func loadDir(fsys faultfs.FS, dir string) (*System, error) {
 
 // replayWAL applies wal.jsonl on top of a freshly loaded checkpoint,
 // batch-at-a-time. The first non-blank record must be the header
-// {"op":"wal","v":2}; a log without it is corruption and is
-// quarantined whole. Records buffer until their commit record's count
-// and CRC32 validate, then apply atomically. An uncommitted tail
+// {"op":"wal","v":3}; a log without one is corruption and is
+// quarantined whole, and a header of another version is an error that
+// leaves the file as it is. Records buffer until their commit record's
+// count and CRC32 validate, then apply atomically. An uncommitted tail
 // (crash mid-append) is discarded whole and flagged WALTornTail; a
 // committed batch that fails its checksum is corruption — replay
 // stops, the unapplied tail is preserved at wal.jsonl.corrupt, and the
@@ -609,11 +584,7 @@ func (s *System) replayWAL(fsys faultfs.FS, path string, info *LoadInfo) error {
 	}
 	info.WALBytes = int64(len(data))
 
-	defs := make(map[value.Sym]value.V)
 	arity := s.store.Schema().Len()
-	vals := make(value.List, arity)
-
-	var pendingDefs []walDictEntry
 	var pendingRows []*walRecord
 	var crc uint32
 	count := 0
@@ -626,7 +597,7 @@ func (s *System) replayWAL(fsys faultfs.FS, path string, info *LoadInfo) error {
 			off = batchStart
 		}
 		tail := data[off:]
-		q := path + ".corrupt"
+		q := filepath.Join(filepath.Dir(path), walQuarantineFile)
 		if werr := fsys.WriteFile(q, tail, 0o644); werr != nil {
 			log.Printf("cerfix: wal %s: %s after %d applied records; quarantine write failed: %v", path, why, info.WALRecords, werr)
 			q = ""
@@ -665,8 +636,11 @@ func (s *System) replayWAL(fsys faultfs.FS, path string, info *LoadInfo) error {
 			}
 			return corrupt(lineStart, "undecodable record with data after it")
 		}
-		if !header && (rec.Op != "wal" || rec.V != walVersion) {
-			return corrupt(0, "missing v2 header")
+		if !header && rec.Op == "wal" && rec.V != walVersion {
+			return fmt.Errorf("cerfix: wal %s: log is format v%d, this build reads only v%d", path, rec.V, walVersion)
+		}
+		if !header && rec.Op != "wal" {
+			return corrupt(0, "missing v3 header")
 		}
 		switch rec.Op {
 		case "wal":
@@ -674,46 +648,30 @@ func (s *System) replayWAL(fsys faultfs.FS, path string, info *LoadInfo) error {
 				return corrupt(lineStart, "stray header record")
 			}
 			header = true
-		case "dict", "ins":
+		case "ins":
 			if batchStart < 0 {
 				batchStart = lineStart
 			}
-			end := off
-			crc = crc32.Update(crc, crc32.IEEETable, data[lineStart:end])
+			crc = crc32.Update(crc, crc32.IEEETable, data[lineStart:off])
 			count++
-			if rec.Op == "dict" {
-				pendingDefs = append(pendingDefs, rec.Defs...)
-			} else {
-				pendingRows = append(pendingRows, &rec)
-			}
+			pendingRows = append(pendingRows, &rec)
 		case "commit":
 			if rec.N != count || rec.CRC != crc {
 				return corrupt(lineStart, fmt.Sprintf("batch checksum mismatch (want n=%d crc=%08x, have n=%d crc=%08x)", rec.N, rec.CRC, count, crc))
-			}
-			for _, d := range pendingDefs {
-				defs[d.ID] = value.V(d.S)
 			}
 			for _, row := range pendingRows {
 				if len(row.Cells) != arity {
 					return fmt.Errorf("cerfix: wal %s: row %d has %d cells, schema wants %d",
 						path, row.Row, len(row.Cells), arity)
 				}
-				for i, sym := range row.Cells {
-					v, ok := defs[sym]
-					if !ok {
-						return fmt.Errorf("cerfix: wal %s: row %d references undefined dictionary id %d",
-							path, row.Row, sym)
-					}
-					vals[i] = v
-				}
-				if _, err := s.store.InsertValues(vals...); err != nil {
+				if _, err := s.store.InsertValues(row.Cells...); err != nil {
 					return fmt.Errorf("cerfix: wal %s: row %d: %w", path, row.Row, err)
 				}
 				info.WALRows++
 			}
 			info.WALRecords += count
 			info.WALBatches++
-			pendingDefs, pendingRows = nil, nil
+			pendingRows = nil
 			crc, count, batchStart = 0, 0, -1
 		default:
 			return corrupt(lineStart, fmt.Sprintf("unknown op %q", rec.Op))

@@ -1,9 +1,11 @@
 package cerfix
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cerfix/internal/dataset"
@@ -91,6 +93,30 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Load(dir3); err == nil {
 		t.Fatal("missing master accepted")
+	}
+	// A log of the dictionary format (v2) has no reader: Load fails,
+	// naming the file and both versions, and leaves the log as it was.
+	dir4 := filepath.Join(t.TempDir(), "v2")
+	if err := sys.Save(dir4); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir4, walFile)
+	v2 := []byte(`{"op":"wal","v":2}` + "\n" +
+		`{"op":"dict","defs":[{"id":12,"s":"Walter"}]}` + "\n" +
+		`{"op":"ins","row":4,"cells":[12,12,12,12,12,12,12,12,12,12]}` + "\n" +
+		`{"op":"commit","n":2,"crc":1}` + "\n")
+	if err := os.WriteFile(walPath, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(dir4)
+	if err == nil || !strings.Contains(err.Error(), walPath) || !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), "v3") {
+		t.Fatalf("v2 log: Load error %v, want one naming %s, v2 and v3", err, walPath)
+	}
+	if got, rerr := os.ReadFile(walPath); rerr != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("v2 log changed by the failed load: %q, %v", got, rerr)
+	}
+	if _, serr := os.Stat(walPath + ".corrupt"); !os.IsNotExist(serr) {
+		t.Fatalf("v2 log was quarantined: %v", serr)
 	}
 }
 

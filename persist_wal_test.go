@@ -48,7 +48,7 @@ func TestSaveAppendsWALAfterInserts(t *testing.T) {
 	if len(wal) == 0 {
 		t.Fatal("incremental save wrote no WAL")
 	}
-	if !strings.Contains(string(wal), `"op":"ins"`) || !strings.Contains(string(wal), `"op":"dict"`) {
+	if !strings.Contains(string(wal), `"op":"ins"`) || !strings.Contains(string(wal), `"cells":["Walter","White",`) {
 		t.Fatalf("WAL missing expected records:\n%s", wal)
 	}
 
@@ -112,12 +112,13 @@ func TestSaveAppendsWALAfterInserts(t *testing.T) {
 	if info == nil || info.UsedBackup || info.Dir != dir {
 		t.Fatalf("bad provenance: %+v", info)
 	}
-	if info.WALRows != 3 || info.WALRecords < 4 || info.WALBytes != int64(len(walBefore)) {
+	if info.WALRows != 3 || info.WALRecords != 3 || info.WALBytes != int64(len(walBefore)) {
 		t.Fatalf("bad WAL provenance: %+v", info)
 	}
 
-	// A loaded system has no append cursor (dictionary ids are
-	// process-local): its first save must checkpoint and clear the WAL.
+	// A loaded system has no append cursor (the table generation it
+	// proves pure-append against is process-local): its first save
+	// must checkpoint and clear the WAL.
 	if err := loaded.AddMasterRow("Kim", "Wexler", "505", "5550007", "5550008", "Marble", "Albuquerque", "NM 87102", "13/02/68", "F"); err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +137,8 @@ func TestSaveAppendsWALAfterInserts(t *testing.T) {
 	}
 }
 
-// Systems that apply the same inserts write the same WAL bytes: the
-// rule indexes intern each new row's match values in registration
-// order, so the dictionary ids the WAL records are reproducible.
+// Systems that apply the same inserts write the same WAL bytes: each
+// row is written as its cell strings, in insertion order.
 func TestWALBytesDeterministic(t *testing.T) {
 	var wals [][]byte
 	for run := 0; run < 3; run++ {
@@ -305,9 +305,10 @@ func TestWALCorruptBatchQuarantined(t *testing.T) {
 	}
 }
 
-// A log that does not open with the v2 header is not a WAL this code
-// wrote: replay must neither apply it nor drop it as a torn tail, but
-// report it corrupt and preserve every byte, loading the checkpoint.
+// A log that does not open with a header record is not a WAL this
+// code wrote: replay must neither apply it nor drop it as a torn tail,
+// but report it corrupt and preserve every byte, loading the
+// checkpoint.
 func TestWALMissingHeaderQuarantined(t *testing.T) {
 	sys := demoSystem(t)
 	dir := filepath.Join(t.TempDir(), "instance")
@@ -335,6 +336,68 @@ func TestWALMissingHeaderQuarantined(t *testing.T) {
 	}
 	if q := readFileT(t, info.WALQuarantine); !bytes.Equal(q, headerless) {
 		t.Fatalf("quarantine holds %q, want the whole log", q)
+	}
+}
+
+// A checkpoint that follows a quarantine carries the quarantined tail
+// into the new instance: LoadInfo keeps naming the file, and its bytes
+// are the only copy of what replay could not apply.
+func TestWALQuarantineSurvivesCheckpoint(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "instance")
+	if err := demoSystem(t).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	headerless := []byte(`{"op":"ins","row":4,"cells":["Walter"]}` + "\n" +
+		`{"op":"commit","n":1,"crc":0}` + "\n")
+	if err := os.WriteFile(filepath.Join(dir, walFile), headerless, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := loaded.LoadInfo().WALQuarantine
+	if q != filepath.Join(dir, walFile+".corrupt") || !bytes.Equal(readFileT(t, q), headerless) {
+		t.Fatalf("quarantine at %q, want the whole log at %s.corrupt", q, walFile)
+	}
+	if err := loaded.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFileT(t, q); !bytes.Equal(got, headerless) {
+		t.Fatalf("checkpoint changed the quarantine to %q", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, walFile)); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint left the quarantined log in place: %v", err)
+	}
+}
+
+// JSON strings carry only valid UTF-8, so a new row with a cell that is
+// not valid UTF-8 must reach the checkpoint instead of the WAL: Load
+// then returns its bytes exactly, as it does for a checkpointed row.
+func TestSaveNonUTF8RowRoundTrips(t *testing.T) {
+	sys := demoSystem(t)
+	dir := filepath.Join(t.TempDir(), "instance")
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	csvBefore := readFileT(t, filepath.Join(dir, "master.csv"))
+	const fn = "Ren\xe9e"
+	if err := sys.AddMasterRow(fn, "Roux", "505", "5550001", "5550002", "Rue", "Lyon", "LY1 1AA", "01/01/70", "F"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(csvBefore, readFileT(t, filepath.Join(dir, "master.csv"))) {
+		t.Fatal("save of a non-UTF-8 row did not rewrite master.csv")
+	}
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs, _, st := loaded.Master().UniqueRHS([]string{"zip"}, value.List{"LY1 1AA"}, []string{"FN"})
+	if st.String() != "unique" || rhs[0] != fn {
+		t.Fatalf("reloaded FN = %q (%v), want %q", rhs, st, fn)
 	}
 }
 
