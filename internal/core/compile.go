@@ -338,7 +338,10 @@ func (c *Chaser) ChaseScratch(t *schema.Tuple, validated schema.AttrSet) *ChaseR
 // allocations the same way the Chaser's own scratch does. dst is
 // overwritten wholesale; whatever it references is invalid the moment
 // the caller reuses it. A nil dst.Tuple gets one allocated on first
-// use. Returns dst. Results are byte-identical to Engine.ChaseLegacy.
+// use, and the change list is sized for the most a chase can record,
+// one change per attribute (a change validates its attribute), so a
+// warm dst never grows whichever tuple it chases next. Returns dst.
+// Results are byte-identical to Engine.ChaseLegacy.
 func (c *Chaser) ChaseInto(dst *ChaseResult, t *schema.Tuple, validated schema.AttrSet) *ChaseResult {
 	tu := dst.Tuple
 	if tu == nil {
@@ -353,6 +356,9 @@ func (c *Chaser) ChaseInto(dst *ChaseResult, t *schema.Tuple, validated schema.A
 	tu.Schema = t.Schema
 	tu.ID = t.ID
 	dst.Validated = validated
+	if cap(dst.Changes) < len(t.Vals) {
+		dst.Changes = make([]Change, 0, len(t.Vals))
+	}
 	dst.Changes = dst.Changes[:0]
 	dst.Conflicts = dst.Conflicts[:0]
 	dst.Rounds = 0

@@ -24,19 +24,23 @@ import (
 // tests — a drift here would break the "async output equals sync
 // output" contract loudly.
 //
-// An encoder is bound to one schema and is not safe for concurrent
-// use; each job run and each HTTP request builds its own (two small
-// slices — nothing like the per-record cost it removes).
+// An encoder is bound to one schema. Every attribute name is quoted
+// once, when it is built, and Append keeps no state, so one encoder
+// may serve concurrent calls. Each job run and each HTTP request
+// builds its own, at a few small allocations.
 type ResultEncoder struct {
-	sch      *schema.Schema
-	names    []string
-	keyOrder []int // attribute positions in encoding/json map-key order
+	keys   *jsonenc.MapKeys // the "tuple" object's keys
+	quoted []string         // quoted[pos] is attribute pos's name as a JSON string
 }
 
 // NewResultEncoder builds an encoder for results under sch.
 func NewResultEncoder(sch *schema.Schema) *ResultEncoder {
 	names := sch.AttrNames()
-	return &ResultEncoder{sch: sch, names: names, keyOrder: jsonenc.KeyOrder(names)}
+	quoted := make([]string, len(names))
+	for pos, n := range names {
+		quoted[pos] = string(jsonenc.AppendString(nil, n))
+	}
+	return &ResultEncoder{keys: jsonenc.NewMapKeys(names), quoted: quoted}
 }
 
 // Append appends the record for r (no trailing newline) and returns
@@ -44,13 +48,13 @@ func NewResultEncoder(sch *schema.Schema) *ResultEncoder {
 func (e *ResultEncoder) Append(dst []byte, r *pipeline.Result) []byte {
 	// "tuple": every attribute, in sorted-key order (the map shape).
 	dst = append(dst, `{"tuple":`...)
-	dst = jsonenc.AppendStringMap(dst, e.names, e.keyOrder, r.Fixed.Vals)
+	dst = jsonenc.AppendStringMap(dst, e.keys, r.Fixed.Vals)
 	// "validated": names in schema order (AttrSet.Names), always
 	// present — [] when empty, exactly like the non-nil empty slice
 	// NewTupleResult builds.
 	dst = append(dst, `,"validated":[`...)
 	first := true
-	for pos := 0; pos < e.sch.Len(); pos++ {
+	for pos, name := range e.quoted {
 		if !r.Chase.Validated.Has(pos) {
 			continue
 		}
@@ -58,7 +62,7 @@ func (e *ResultEncoder) Append(dst []byte, r *pipeline.Result) []byte {
 			dst = append(dst, ',')
 		}
 		first = false
-		dst = jsonenc.AppendString(dst, e.names[pos])
+		dst = append(dst, name...)
 	}
 	dst = append(dst, `],"done":`...)
 	dst = jsonenc.AppendBool(dst, r.Chase.AllValidated())

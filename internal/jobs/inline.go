@@ -18,16 +18,15 @@ import (
 // progress counts against Config.MaxQueued. An Inline belongs to one
 // goroutine.
 type Inline struct {
-	m     *Manager
-	dir   string
-	id    string
-	f     faultfs.File
-	bw    *bufio.Writer
-	names []string
-	order []int  // jsonenc.KeyOrder(names)
-	line  []byte // reused line buffer
-	n     int    // tuples added
-	done  bool   // committed or aborted
+	m    *Manager
+	dir  string
+	id   string
+	f    faultfs.File
+	bw   *bufio.Writer
+	keys *jsonenc.MapKeys
+	line []byte // reused line buffer
+	n    int    // tuples added
+	done bool   // committed or aborted
 }
 
 // Schema returns the input schema every job's tuples live under — the
@@ -49,13 +48,10 @@ func (m *Manager) BeginInline() (*Inline, error) {
 		m.reportHealth(err)
 		return nil, fmt.Errorf("jobs: %w", err)
 	}
-	names := m.cfg.Schema.AttrNames()
 	return &Inline{
 		m: m, dir: dir, id: id, f: f,
-		// One write(2) per few hundred lines rather than one per line.
-		bw:    bufio.NewWriterSize(f, 64<<10),
-		names: names,
-		order: jsonenc.KeyOrder(names),
+		bw:   bufio.NewWriterSize(f, fileBufSize),
+		keys: jsonenc.NewMapKeys(m.cfg.Schema.AttrNames()),
 	}, nil
 }
 
@@ -64,7 +60,7 @@ func (m *Manager) BeginInline() (*Inline, error) {
 // encoders use, every attribute present (null as ""), so the run's
 // JSONLSource decodes it back to the same values.
 func (s *Inline) Add(tu *schema.Tuple) error {
-	s.line = jsonenc.AppendStringMap(s.line[:0], s.names, s.order, tu.Vals)
+	s.line = jsonenc.AppendStringMap(s.line[:0], s.keys, tu.Vals)
 	s.line = append(s.line, '\n')
 	if _, err := s.bw.Write(s.line); err != nil {
 		s.m.reportHealth(err)

@@ -1018,6 +1018,11 @@ func (m *Manager) safeRunPipeline(ctx context.Context, j *job) (err error) {
 	return m.runPipeline(ctx, j)
 }
 
+// fileBufSize is the write buffer of a job's input.jsonl and
+// results.jsonl: one write(2) per few hundred lines, not one per line
+// or per 4 KiB.
+const fileBufSize = 64 << 10
+
 // runPipeline opens the source, streams results to the artifact, and
 // returns the pipeline's error (nil on full completion).
 func (m *Manager) runPipeline(ctx context.Context, j *job) error {
@@ -1048,7 +1053,7 @@ func (m *Manager) runPipeline(ctx context.Context, j *job) error {
 		return err
 	}
 	defer out.Close()
-	bw := bufio.NewWriter(out)
+	bw := bufio.NewWriterSize(out, fileBufSize)
 	// Results are rendered through the append-style encoder — byte-
 	// identical to json.Encoder encoding a TupleResult, but through one
 	// buffer recycled per record, honoring the pipeline's contract that

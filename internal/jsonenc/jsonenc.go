@@ -96,8 +96,6 @@ func AppendBool(dst []byte, v bool) []byte {
 
 // KeyOrder returns the indices of names in the order encoding/json
 // would emit them as map keys: ascending byte-wise string order.
-// Shape encoders that render an attribute→value map from a fixed
-// schema compute this once and reuse it per record.
 func KeyOrder(names []string) []int {
 	order := make([]int, len(names))
 	for i := range order {
@@ -107,23 +105,45 @@ func KeyOrder(names []string) []int {
 	return order
 }
 
-// AppendStringMap appends the {"name":"value",...} object
-// encoding/json would produce for a map of names to vals — braces
-// included, keys emitted in the precomputed KeyOrder(names) order —
-// indexing vals by position so string-kind value slices encode
-// without conversion. This is THE tuple-object encoder: every record
-// shape that embeds a tuple map (the jobs/HTTP TupleResult, the JSONL
-// sink record) renders it through this one copy, so the byte-parity
-// contract with encoding/json's sorted map output lives in a single
-// place.
-func AppendStringMap[S ~string](dst []byte, names []string, order []int, vals []S) []byte {
-	dst = append(dst, '{')
-	for i, pos := range order {
+// MapKeys is a fixed key set of string maps, encoded once: the keys in
+// KeyOrder, each rendered with its quotes, its colon and, after the
+// first, the comma that precedes it. Shape encoders that render an
+// attribute→value map from a fixed schema build it once and reuse it
+// per record, so no key is escaped per record. It is immutable once
+// built.
+type MapKeys struct {
+	order []int    // KeyOrder(names)
+	keys  []string // keys[i] is member i's `,"name":` (no comma for i == 0)
+}
+
+// NewMapKeys encodes the keys of maps over names.
+func NewMapKeys(names []string) *MapKeys {
+	k := &MapKeys{order: KeyOrder(names), keys: make([]string, len(names))}
+	var b []byte
+	for i, pos := range k.order {
+		b = b[:0]
 		if i > 0 {
-			dst = append(dst, ',')
+			b = append(b, ',')
 		}
-		dst = AppendString(dst, names[pos])
-		dst = append(dst, ':')
+		b = AppendString(b, names[pos])
+		k.keys[i] = string(append(b, ':'))
+	}
+	return k
+}
+
+// AppendStringMap appends the {"name":"value",...} object
+// encoding/json would produce for a map of k's names to vals — braces
+// included, keys emitted in KeyOrder — indexing vals by name position
+// so string-kind value slices encode without conversion. This is THE
+// tuple-object encoder: every record shape that embeds a tuple map
+// (the jobs/HTTP TupleResult, the JSONL sink record, a job's
+// input.jsonl line) renders it through this one copy, so the
+// byte-parity contract with encoding/json's sorted map output lives in
+// a single place.
+func AppendStringMap[S ~string](dst []byte, k *MapKeys, vals []S) []byte {
+	dst = append(dst, '{')
+	for i, pos := range k.order {
+		dst = append(dst, k.keys[i]...)
 		dst = AppendString(dst, string(vals[pos]))
 	}
 	return append(dst, '}')

@@ -17,28 +17,31 @@ func marshalString(t *testing.T, s string) string {
 	return string(data)
 }
 
+// stringEdgeCases are the hand-picked escaping corners: quotes,
+// backslashes, every control character, the HTML set, multi-byte
+// UTF-8, invalid UTF-8 and the JSONP separators. They also seed
+// FuzzAppendString.
+var stringEdgeCases = []string{
+	"",
+	"plain ascii",
+	`quote " and backslash \`,
+	"tab\tnewline\ncarriage\rbackspace\bformfeed\f",
+	"<script>alert('x')&amp;</script>",
+	"naïve café — ünïcödé 漢字 🚀",
+	"line\u2028and\u2029separators",
+	"\x00\x01\x02\x1e\x1f control runs",
+	"\x7f del is unescaped",
+	"invalid \xff\xfe utf8 \xc3\x28 seq",
+	"truncated multibyte \xe2\x82",
+	"1.5e-10", "-0.0", "3.141592653589793", "NaN", "1e309",
+	"07", "0x1f", "998244353",
+	strings.Repeat("é", 100) + "\"" + strings.Repeat("\x01", 3),
+}
+
 // TestAppendStringEdgeCases pins AppendString against encoding/json on
-// the hand-picked escaping corners: quotes, backslashes, every control
-// character, the HTML set, multi-byte UTF-8, invalid UTF-8 and the
-// JSONP separators.
+// stringEdgeCases.
 func TestAppendStringEdgeCases(t *testing.T) {
-	cases := []string{
-		"",
-		"plain ascii",
-		`quote " and backslash \`,
-		"tab\tnewline\ncarriage\rbackspace\bformfeed\f",
-		"<script>alert('x')&amp;</script>",
-		"naïve café — ünïcödé 漢字 🚀",
-		"line\u2028and\u2029separators",
-		"\x00\x01\x02\x1e\x1f control runs",
-		"\x7f del is unescaped",
-		"invalid \xff\xfe utf8 \xc3\x28 seq",
-		"truncated multibyte \xe2\x82",
-		"1.5e-10", "-0.0", "3.141592653589793", "NaN", "1e309",
-		"07", "0x1f", "998244353",
-		strings.Repeat("é", 100) + "\"" + strings.Repeat("\x01", 3),
-	}
-	for _, s := range cases {
+	for _, s := range stringEdgeCases {
 		want := marshalString(t, s)
 		got := string(AppendString(nil, s))
 		if got != want {

@@ -12,13 +12,14 @@ import (
 )
 
 // The steady-state allocation contract of the recycled pipeline: a
-// batch run over N tuples allocates O(window) — per-run channels,
-// goroutines and arenas — NOT O(N). Amortized over a few thousand
-// tuples that must stay under a small constant per tuple on the slice
-// and JSONL paths (the acceptance gate: ≤ 2 allocs/tuple; the chase
-// itself contributes zero once arenas are warm, the JSONL decoder one
-// backing string per line). Excluded under the race detector, whose
-// instrumentation allocates.
+// batch run over N tuples allocates a constant — per-run channels,
+// goroutines and closures; the batch arenas come warm from the
+// previous run — NOT O(N). Amortized over a few thousand tuples that
+// must stay under a small constant per tuple on the slice and JSONL
+// paths (the acceptance gate: ≤ 2 allocs/tuple; the chase itself
+// contributes zero once arenas are warm, the JSONL decoder one backing
+// string per line), and a short run must stay under a small constant.
+// Excluded under the race detector, whose instrumentation allocates.
 
 // mallocs reads the cumulative heap-allocation count.
 func mallocs() uint64 {
@@ -54,6 +55,32 @@ func TestPipelineSteadyStateAllocsSlice(t *testing.T) {
 		}
 		if avg := measureAllocsPerTuple(t, len(dirty), run); avg > allocsPerTupleBudget {
 			t.Errorf("slice path, %d workers: %.2f allocs/tuple, budget %.1f", workers, avg, allocsPerTupleBudget)
+		}
+	}
+}
+
+// TestPipelineShortRunAllocs gates a short run, where the per-tuple
+// average above cannot hide a per-run cost: batch arenas outlive their
+// run, so a 256-tuple slice run after a warm-up run allocates only its
+// channels, goroutines and closures — at most 32 times, whatever the
+// worker count — and its chases write into warm slots. The count is
+// the mean over 20 runs: the runtime's own caches (sudogs for blocked
+// channel operations, goroutine structs, sync.Pool chain links) refill
+// now and then, and a collection leaves a batch or two out of reach.
+func TestPipelineShortRunAllocs(t *testing.T) {
+	const tuples, budget = 256, 32
+	eng, dirty, seed := workloadEngine(t, 50, tuples)
+	for _, workers := range []int{1, 2, 4} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Run(context.Background(), eng, seed, NewSliceSource(dirty), Discard,
+				&Options{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d workers: %.0f allocs per %d-tuple run", workers, allocs, tuples)
+		if allocs > budget {
+			t.Errorf("a %d-tuple run at %d workers allocates %.0f times after a warm-up run, budget %d",
+				tuples, workers, allocs, budget)
 		}
 	}
 }

@@ -608,12 +608,11 @@ type jsonlRecord struct {
 type JSONLSink struct {
 	w   io.Writer
 	buf []byte
-	// Key order and names are bound to the first result's schema
+	// The encoded keys are bound to the first result's schema
 	// (re-bound if it ever changes): encoding/json emits map keys
-	// sorted, so the attribute order is computed once.
-	sch      *schema.Schema
-	keyOrder []int
-	names    []string
+	// sorted, so the attribute order and key bytes are computed once.
+	sch  *schema.Schema
+	keys *jsonenc.MapKeys
 }
 
 // NewJSONLSink wraps w.
@@ -624,8 +623,7 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 // bind computes the schema-derived encoding state.
 func (s *JSONLSink) bind(sch *schema.Schema) {
 	s.sch = sch
-	s.names = sch.AttrNames()
-	s.keyOrder = jsonenc.KeyOrder(s.names)
+	s.keys = jsonenc.NewMapKeys(sch.AttrNames())
 }
 
 // Write implements Sink.
@@ -634,7 +632,7 @@ func (s *JSONLSink) Write(r *Result) error {
 		s.bind(r.Fixed.Schema)
 	}
 	b := append(s.buf[:0], `{"tuple":`...)
-	b = jsonenc.AppendStringMap(b, s.names, s.keyOrder, r.Fixed.Vals)
+	b = jsonenc.AppendStringMap(b, s.keys, r.Fixed.Vals)
 	b = append(b, `,"done":`...)
 	b = jsonenc.AppendBool(b, r.Chase.AllValidated() && len(r.Chase.Conflicts) == 0)
 	if len(r.Chase.Conflicts) > 0 {

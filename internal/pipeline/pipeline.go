@@ -16,14 +16,14 @@
 // exactly the order — and exactly the bytes — the sequential path
 // would have produced.
 //
-// Memory stays flat regardless of input size, and in steady state the
-// run allocates O(window), not O(tuples): tuples, Result structs and
+// Memory stays flat regardless of input size, and once warm a run
+// allocates a constant, not O(tuples): tuples, Result structs and
 // ChaseResults live in batch arenas that recycle through the in-flight
-// window (see the memory-model section below), the resequencer is a
-// ring buffer sized by that window, and an in-flight token cap bounds
-// how far the reader may run ahead of the slowest unfinished tuple, so
-// a slow sink (or one pathological tuple) stalls the source instead of
-// ballooning the resequencing buffer.
+// window and across runs (see the memory-model section below), the
+// resequencer is a ring buffer sized by that window, and an in-flight
+// token cap bounds how far the reader may run ahead of the slowest
+// unfinished tuple, so a slow sink (or one pathological tuple) stalls
+// the source instead of ballooning the resequencing buffer.
 //
 // # Memory model
 //
@@ -36,12 +36,22 @@
 //
 // with ownership handed off at each arrow, so no batch is ever shared
 // between stages. Recycling piggybacks on the admission tokens: a
-// batch returns to the pool only after every one of its results has
-// been written and its tokens released, which is exactly when nothing
-// in the run can still reference it. The corollary is the package's
-// recycling contract: a *Result (its Input, Fixed and Chase included)
-// is valid only until Sink.Write returns — sinks that retain results
-// must Clone them (SliceSink does).
+// batch returns to the free pool only after every one of its results
+// has been written and its tokens released, which is exactly when
+// nothing in the run can still reference it. The corollary is the
+// package's recycling contract: a *Result (its Input, Fixed and Chase
+// included) is valid only until Sink.Write returns — sinks that retain
+// results must Clone them (SliceSink does). A sink that breaks it reads
+// a later chunk's data, or a later run's.
+//
+// The batches outlive the run: a run takes them from a process-wide
+// sync.Pool and, when it ends, gives back those in its free pool, their
+// values, changes and conflicts cleared so that nothing pins the run's
+// strings. After a clean run that is every batch; after a failed or
+// cancelled one the reader may still hold one, so only the batches in
+// the free pool go back and the rest are left to the collector. A warm
+// run therefore allocates only its channels, goroutines and closures,
+// and its chases write into warm slots from the first tuple on.
 //
 // Sources and sinks are small interfaces; CSV and JSONL streaming
 // implementations live in io.go, and slice-backed ones serve the HTTP
@@ -181,10 +191,10 @@ type Stats struct {
 
 // batch is one work unit AND its arena: up to ChunkSize consecutive
 // tuples with their input storage, Result structs and ChaseResults.
-// Batches are recycled through the free pool for the lifetime of one
-// Run; inner buffers (value slices, change/conflict capacity) warm up
-// on first use and persist across recycles, so a steady-state run
-// allocates nothing per tuple.
+// Batches are recycled through a run's free pool and, between runs,
+// through arenas; inner buffers (value slices, change/conflict
+// capacity) warm up on first use and persist across recycles, so a
+// warm run allocates nothing per tuple.
 type batch struct {
 	startSeq int
 	n        int
@@ -199,6 +209,34 @@ func newBatch(chunkSize int) *batch {
 		results: make([]Result, chunkSize),
 		chase:   make([]core.ChaseResult, chunkSize),
 	}
+}
+
+// arenas holds the batches of finished runs for the next run to take.
+var arenas sync.Pool
+
+// takeBatch returns a pooled batch of chunkSize slots, or a new one. A
+// pooled batch of another chunk size is dropped, not resized.
+func takeBatch(chunkSize int) *batch {
+	if b, ok := arenas.Get().(*batch); ok && len(b.in) == chunkSize {
+		return b
+	}
+	return newBatch(chunkSize)
+}
+
+// giveBack clears every value, change and conflict the batch holds,
+// over their whole capacity so that no earlier chunk's strings stay
+// pinned either, and pools the batch. The caller must own it outright.
+func (b *batch) giveBack() {
+	for i := range b.in {
+		clear(b.in[i].Vals[:cap(b.in[i].Vals)])
+		c := &b.chase[i]
+		if c.Tuple != nil {
+			clear(c.Tuple.Vals[:cap(c.Tuple.Vals)])
+		}
+		clear(c.Changes[:cap(c.Changes)])
+		clear(c.Conflicts[:cap(c.Conflicts)])
+	}
+	arenas.Put(b)
 }
 
 // testWorkerHook, when non-nil, runs in each worker after a batch is
@@ -250,7 +288,7 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 		runErr   error
 	)
 	for i := 0; i < nBatches; i++ {
-		free <- newBatch(chunkSize)
+		free <- takeBatch(chunkSize)
 	}
 	fail := func(err error) {
 		errOnce.Do(func() {
@@ -494,6 +532,19 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 	// cancellation that lost the race with a completed run can no
 	// longer write.
 	errOnce.Do(func() {})
+	// Give back what is provably idle: the batches in free. After a
+	// clean run that is all of them; after a failure the reader, which
+	// Run does not wait for, may still take or hold one, and what it
+	// takes, or what was abandoned in a channel or the ring, is left to
+	// the collector.
+	for drained := false; !drained; {
+		select {
+		case b := <-free:
+			b.giveBack()
+		default:
+			drained = true
+		}
+	}
 	if runErr != nil {
 		return stats, runErr
 	}

@@ -47,18 +47,54 @@ type batchResponse struct {
 	CellsRewritten int `json:"cells_rewritten"`
 }
 
-// fixBatch is the tuple sink of one POST /api/v1/fix: it keeps a copy
-// of each tuple, taken out of the decoder's reused one.
-type fixBatch struct{ tuples []*schema.Tuple }
+// fixBatch is the tuple sink of one POST /api/v1/fix: it copies each
+// tuple out of the decoder's reused one into tuples[:n], which it keeps
+// across requests through fixBatches, so a request allocates only the
+// backing string the decoder makes per tuple.
+type fixBatch struct {
+	tuples []*schema.Tuple
+	n      int
+}
 
 // Add implements tupleSink.
 func (f *fixBatch) Add(tu *schema.Tuple) error {
-	f.tuples = append(f.tuples, tu.Clone())
+	if f.n == len(f.tuples) {
+		f.tuples = append(f.tuples, new(schema.Tuple))
+	}
+	dst := f.tuples[f.n]
+	dst.Schema, dst.ID = tu.Schema, tu.ID
+	dst.Vals = append(dst.Vals[:0], tu.Vals...)
+	f.n++
 	return nil
 }
 
 // Abort implements tupleSink.
-func (f *fixBatch) Abort() { f.tuples = nil }
+func (f *fixBatch) Abort() { f.reset() }
+
+// reset empties the batch, clearing the values of the tuples it took so
+// that it does not pin the request's strings.
+func (f *fixBatch) reset() {
+	for _, tu := range f.tuples[:f.n] {
+		clear(tu.Vals)
+	}
+	f.n = 0
+}
+
+// fixBatches recycles fixBatch tuples across requests. A batch goes
+// back only when no pipeline reader can still read it; one that grew
+// past maxPooledFixTuples is left to the collector.
+var fixBatches = sync.Pool{New: func() any { return new(fixBatch) }}
+
+const maxPooledFixTuples = 1 << 12
+
+// release empties the batch and pools it.
+func (f *fixBatch) release() {
+	if len(f.tuples) > maxPooledFixTuples {
+		return
+	}
+	f.reset()
+	fixBatches.Put(f)
+}
 
 // fixBufs recycles /fix response buffers. One that grew past
 // maxPooledFixBuf is left to the collector, so a rare huge batch does
@@ -72,8 +108,16 @@ func (s *Server) handleBatchFix(w http.ResponseWriter, r *http.Request) {
 	// The input schema is fixed when the system is built, so the body
 	// is read before the server lock is taken.
 	input := s.sys.InputSchema()
-	var batch fixBatch
-	req := bodyReader{body: r.Body, dec: pipeline.NewTupleDecoder(input), sink: &batch}
+	batch := fixBatches.Get().(*fixBatch)
+	// The batch goes back unless a pipeline run failed: Run does not
+	// wait for its reader then, which may still be reading the tuples.
+	pooled := true
+	defer func() {
+		if pooled {
+			batch.release()
+		}
+	}()
+	req := bodyReader{body: r.Body, dec: pipeline.NewTupleDecoder(input), sink: batch}
 	if err := req.read(w, r); err != nil {
 		writeDecodeErr(w, r, err) // the sink never fails: a body error
 		return
@@ -128,8 +172,9 @@ func (s *Server) handleBatchFix(w http.ResponseWriter, r *http.Request) {
 		buf = enc.Append(buf, res)
 		return nil
 	})
-	stats, err := pipeline.Run(r.Context(), eng, seed, pipeline.NewSliceSource(batch.tuples), sink, nil)
+	stats, err := pipeline.Run(r.Context(), eng, seed, pipeline.NewSliceSource(batch.tuples[:batch.n]), sink, nil)
 	if err != nil {
+		pooled = false
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			// The per-request deadline (-request-timeout) expired

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"cerfix/internal/pipeline"
@@ -41,6 +42,12 @@ const (
 // Only a single member or element larger than half the window grows it,
 // by doubling, and -max-body bounds that.
 const maxWindow = 64 << 10
+
+// windows recycles the fast walk's maxWindow-byte windows across
+// requests. A window is taken for each read and given back when the
+// read ends; a larger one that a doubling made is left to the
+// collector, as fixBufs leaves an outgrown response buffer.
+var windows = sync.Pool{New: func() any { return new([maxWindow]byte) }}
 
 // tupleSink takes the tuples of a body as the reader decodes them.
 type tupleSink interface {
@@ -114,7 +121,15 @@ func (b *bodyReader) read(w http.ResponseWriter, r *http.Request) error {
 	if n := r.ContentLength; n > 0 && n < maxWindow {
 		size = int(n)
 	}
-	b.win = make([]byte, size)
+	// Nothing read from the body keeps a reference into the window: the
+	// decoder copies each tuple's values into a string of its own, and
+	// names and paths are copied too.
+	pw := windows.Get().(*[maxWindow]byte)
+	defer func() {
+		b.win, b.buf = nil, nil
+		windows.Put(pw)
+	}()
+	b.win = pw[:size]
 	dl, ok := r.Context().Deadline()
 	if ok && b.stall > 0 {
 		dl = time.Now().Add(b.stall)

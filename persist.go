@@ -469,12 +469,10 @@ type LoadInfo struct {
 	// UsedBackup is true when the requested directory was incomplete
 	// and the .bak sibling was loaded instead.
 	UsedBackup bool `json:"used_backup"`
-	// WALRecords counts replayed wal.jsonl batch records, which are
-	// ins records, so it equals WALRows, the rows they added; WALBytes
-	// is the log size.
-	WALRecords int   `json:"wal_records"`
-	WALRows    int   `json:"wal_rows"`
-	WALBytes   int64 `json:"wal_bytes"`
+	// WALRows counts the master rows replayed from wal.jsonl, one per
+	// ins record; WALBytes is the log size.
+	WALRows  int   `json:"wal_rows"`
+	WALBytes int64 `json:"wal_bytes"`
 	// WALBatches counts committed (checksum-verified) batches applied.
 	WALBatches int `json:"wal_batches"`
 	// WALTornTail is true when replay discarded an uncommitted tail —
@@ -599,10 +597,10 @@ func (s *System) replayWAL(fsys faultfs.FS, path string, info *LoadInfo) error {
 		tail := data[off:]
 		q := filepath.Join(filepath.Dir(path), walQuarantineFile)
 		if werr := fsys.WriteFile(q, tail, 0o644); werr != nil {
-			log.Printf("cerfix: wal %s: %s after %d applied records; quarantine write failed: %v", path, why, info.WALRecords, werr)
+			log.Printf("cerfix: wal %s: %s after %d applied rows; quarantine write failed: %v", path, why, info.WALRows, werr)
 			q = ""
 		} else {
-			log.Printf("cerfix: wal %s: %s after %d applied records; unapplied tail (%d bytes) preserved at %s", path, why, info.WALRecords, len(tail), q)
+			log.Printf("cerfix: wal %s: %s after %d applied rows; unapplied tail (%d bytes) preserved at %s", path, why, info.WALRows, len(tail), q)
 		}
 		info.WALCorrupt = true
 		info.WALQuarantine = q
@@ -631,7 +629,7 @@ func (s *System) replayWAL(fsys faultfs.FS, path string, info *LoadInfo) error {
 				// append. The uncommitted batch it belongs to is
 				// discarded whole.
 				info.WALTornTail = true
-				log.Printf("cerfix: wal %s: discarding uncommitted torn tail after %d records", path, info.WALRecords)
+				log.Printf("cerfix: wal %s: discarding uncommitted torn tail after %d rows", path, info.WALRows)
 				return nil
 			}
 			return corrupt(lineStart, "undecodable record with data after it")
@@ -669,7 +667,6 @@ func (s *System) replayWAL(fsys faultfs.FS, path string, info *LoadInfo) error {
 				}
 				info.WALRows++
 			}
-			info.WALRecords += count
 			info.WALBatches++
 			pendingRows = nil
 			crc, count, batchStart = 0, 0, -1

@@ -112,7 +112,7 @@ func TestSaveAppendsWALAfterInserts(t *testing.T) {
 	if info == nil || info.UsedBackup || info.Dir != dir {
 		t.Fatalf("bad provenance: %+v", info)
 	}
-	if info.WALRows != 3 || info.WALRecords != 3 || info.WALBytes != int64(len(walBefore)) {
+	if info.WALRows != 3 || info.WALBytes != int64(len(walBefore)) {
 		t.Fatalf("bad WAL provenance: %+v", info)
 	}
 
@@ -331,7 +331,7 @@ func TestWALMissingHeaderQuarantined(t *testing.T) {
 		t.Fatalf("headerless WAL applied: %d rows, want %d", loaded.Master().Len(), baseRows)
 	}
 	info := loaded.LoadInfo()
-	if !info.WALCorrupt || info.WALTornTail || info.WALQuarantine == "" || info.WALRecords != 0 {
+	if !info.WALCorrupt || info.WALTornTail || info.WALQuarantine == "" || info.WALRows != 0 {
 		t.Fatalf("headerless WAL misreported: %+v", info)
 	}
 	if q := readFileT(t, info.WALQuarantine); !bytes.Equal(q, headerless) {
