@@ -199,10 +199,9 @@ func compileProgram(input *schema.Schema, rules []*rule.Rule) *chaseProgram {
 
 // Chaser executes the compiled chase program against one engine view,
 // reusing all scratch state (ready bitsets, missing-premise counters,
-// the key-encode buffer, the per-chase probe memo and — via
-// ChaseScratch — the result itself)
-// across calls, so tight fixing loops run
-// allocation-free per tuple in steady state. A Chaser is NOT safe for
+// the per-chase probe memo and — via ChaseScratch — the result itself)
+// across calls, so tight fixing loops run allocation-free per tuple in
+// steady state. A Chaser is NOT safe for
 // concurrent use — create one per goroutine; the batch pipeline gives
 // each worker its own. The engine's rules and master data must not be
 // mutated while chases run (snapshot the engine first when mutation
@@ -228,9 +227,6 @@ type Chaser struct {
 	// staticSkip kept off the agenda and that the agenda evaluated
 	// (reported in ChaseResult.Stats).
 	skipped, evaluated int
-
-	// keyBuf is the probe key-encode scratch (master.AppendKey).
-	keyBuf []byte
 
 	// The per-chase probe memo, sized once here and cleared by run:
 	// entries[g] is probe group g's index entry, valid where probed[g]
@@ -271,7 +267,7 @@ func (e *Engine) NewChaser() *Chaser {
 // idle one from the compiled program's pool when available. The pool
 // is shared by every snapshot of the engine (snapshots share the
 // program), so a chaser released after one batch run serves the next
-// run's snapshot with all its scratch — agenda bitsets, key buffer,
+// run's snapshot with all its scratch — agenda bitsets, probe memo,
 // warmed result capacities — intact; only the per-rule master handles
 // are re-resolved against this view's store. Release the chaser with
 // Chaser.Release when done; like NewChaser's, the returned chaser is
@@ -511,12 +507,12 @@ func (c *Chaser) evaluate(ri, round int, res *ChaseResult) bool {
 
 // lookup performs the rule's unique-RHS probe. On the rule-index
 // access path each probe group's key is probed at most once per chase:
-// the first rule of a group to evaluate encodes t[X] into the
-// Chaser's scratch buffer and probes its pre-resolved handle, and
-// every later rule of the group reads its own Bm off the remembered
-// entry. No step allocates. A key no master tuple carries finds no
-// entry and answers NoMatch; ModeScan and unregistered ad-hoc pairs
-// take the store's scan, byte-identical to the legacy engine's.
+// the first rule of a group to evaluate probes its pre-resolved handle
+// with t's values at X, read in place, and every later rule of the
+// group reads its own Bm off the remembered entry. No step allocates.
+// A key no master tuple carries finds no entry and answers NoMatch;
+// ModeScan and unregistered ad-hoc pairs take the store's scan,
+// byte-identical to the legacy engine's.
 func (c *Chaser) lookup(ri int, cr *compiledRule, t *schema.Tuple) master.Answer {
 	if c.eng.store.Mode() == master.ModeRuleIndex {
 		h, g := &c.handles[ri], cr.group
@@ -526,7 +522,7 @@ func (c *Chaser) lookup(ri int, cr *compiledRule, t *schema.Tuple) master.Answer
 			ans, ok = h.Read(c.entries[g])
 		} else {
 			var e master.Entry
-			if e, ans, ok = h.Probe(c.encodeKey(t, cr.matchInputPos)); ok {
+			if e, ans, ok = h.Probe(t.Vals, cr.matchInputPos); ok {
 				c.entries[g], c.probed[g] = e, true
 			}
 		}
@@ -535,15 +531,4 @@ func (c *Chaser) lookup(ri int, cr *compiledRule, t *schema.Tuple) master.Answer
 		}
 	}
 	return master.ListAnswer(c.eng.store.UniqueRHS(cr.matchMasterAttrs, t.ProjectAt(cr.matchInputPos), cr.rhsMasterAttrs))
-}
-
-// encodeKey writes t's projection on positions into the key scratch
-// as a rule-index key.
-func (c *Chaser) encodeKey(t *schema.Tuple, positions []int) []byte {
-	kb := c.keyBuf[:0]
-	for _, p := range positions {
-		kb = master.AppendKey(kb, t.Vals[p])
-	}
-	c.keyBuf = kb // keep any growth for the next chase
-	return kb
 }

@@ -11,9 +11,13 @@
 // access path production reads; the scan (ModeScan) answers the same
 // question from the rows and is the reference the tests hold it to.
 //
-// A rule-index key is the match values themselves, each written by
-// AppendKey; the index build, its lookups and the compiled chase's
-// probes all encode through that one function. The table underneath
+// An index entry is one slot of a flat open-addressing table: the
+// key's hash, its witness row (the first stored row with the key) and
+// conflict bits. It keeps no key bytes and no values: stored rows are
+// immutable, so a probe compares the tuple's values with the witness's
+// and reads the answer off the witness. A table write that bypasses
+// the Store leaves stale entries until PrepareForRules runs again, and
+// a stale entry keeps its old row reachable. The table underneath
 // stores plain rows.
 package master
 
@@ -193,15 +197,14 @@ func (m *Store) Insert(tu *schema.Tuple) (int64, error) {
 	}
 	m.lock()
 	defer m.unlock()
-	id, err := m.table.Insert(tu)
+	row, err := m.table.InsertRow(tu)
 	if err != nil {
 		return 0, err
 	}
-	// The indexes copy what they keep, so tu's values serve as the
-	// stored row's without re-reading (and cloning) it.
-	m.ruleIdx.insert(&schema.Tuple{Schema: tu.Schema, ID: id, Vals: tu.Vals})
+	// The indexes keep the table's own copy as a new key's witness.
+	m.ruleIdx.insert(row)
 	m.version++
-	return id, nil
+	return row.ID, nil
 }
 
 // InsertValues adds a master tuple from values.
@@ -295,13 +298,14 @@ func (m *Store) UniqueRHSForRule(r *rule.Rule, input *schema.Tuple) (value.List,
 }
 
 // MemStats is the store's memory account: the table's (rows, shards,
-// COW debt) and an estimate of the unique-RHS rule indexes.
+// COW debt) and the unique-RHS rule indexes'.
 type MemStats struct {
 	Table storage.TableMem `json:"table"`
 	// RuleIndexKeys counts entries across all rule indexes (one per
-	// key per master match list); RuleIndexBytes estimates their
-	// footprint (the key bytes, map entries, and the value headers
-	// each entry retains on its index's U).
+	// key per master match list); RuleIndexBytes is the size of their
+	// slot tables, empty slots included. Those are the indexes' only
+	// per-key memory: a slot points at its witness row, which the
+	// table owns.
 	RuleIndexKeys  int   `json:"rule_index_keys"`
 	RuleIndexBytes int64 `json:"rule_index_bytes"`
 }
@@ -311,22 +315,17 @@ func (s MemStats) TotalBytes() int64 {
 	return s.Table.TotalBytes() + s.RuleIndexBytes
 }
 
-// MemStats returns the store's memory account. It reads each index's
-// running key-byte total and its shard sizes, never the keys.
+// MemStats returns the store's memory account. It reads each shard's
+// key count and table length, never the slots.
 func (m *Store) MemStats() MemStats {
 	m.rlock()
 	defer m.runlock()
 	out := MemStats{Table: m.table.MemStats()}
 	for _, ix := range m.ruleIdx.indexes {
-		// Per entry: the key's string header, map entry, rhsEntry and
-		// the value headers of U; the key bytes come from the total.
-		entryBytes := 16 + 48 + 40 + int64(16*len(ix.unionAttrs))
 		for _, sh := range &ix.shards {
-			n := len(sh.m)
-			out.RuleIndexKeys += n
-			out.RuleIndexBytes += int64(n) * entryBytes
+			out.RuleIndexKeys += sh.n
+			out.RuleIndexBytes += int64(len(sh.slots)) * slotBytes
 		}
-		out.RuleIndexBytes += ix.keyBytes
 	}
 	return out
 }

@@ -1,16 +1,16 @@
 package master
 
 import (
-	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"maps"
 	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"cerfix/internal/rule"
 	"cerfix/internal/schema"
-	"cerfix/internal/simd"
 	"cerfix/internal/value"
 )
 
@@ -26,28 +26,56 @@ import (
 // The rule index precomputes the answer per key, once per master
 // match list Xm rather than once per rule. Every rule registered with
 // the same Xm shares one index over U, the union of their Bm lists. An
-// index maps k to an entry built from the first master tuple with
-// that key (the witness, in table order): the witness's values on U,
-// its ID, and one conflict bit per attribute of U, set once a later
-// tuple disagrees with the witness on that attribute. A pair
-// (Xm, Bm) reads its answer off the entry: no entry is NoMatch, any
-// of Bm's bits set is Conflict, otherwise Unique with the witness's
-// values at Bm's positions in U. Tuples agree on a projection iff
-// they agree on each of its attributes, so this is exactly the
-// per-pair answer. φ1–φ9 match on 4 lists, so 4 indexes serve 9
-// rules. U only grows — registering a new Bm attribute appends it —
-// so a position a handle has resolved never moves; a schema has at
-// most schema.MaxAttrs = 64 attributes, so U's bits fit a uint64.
-// Lookups are O(1) regardless of group size. The index is maintained
-// incrementally on Store inserts (master data is append-mostly); bulk
-// loads that bypass the Store rebuild it via PrepareForRules.
+// index holds one entry per key: its witness, the first stored master
+// row with that key in table order, and one conflict bit per attribute
+// of U, set once a later row disagrees with the witness on that
+// attribute. A pair (Xm, Bm) reads its answer off the entry: no entry
+// is NoMatch, any of Bm's bits set is Conflict, otherwise Unique with
+// the witness's values on Bm. Tuples agree on a projection iff they
+// agree on each of its attributes, so this is exactly the per-pair
+// answer. φ1–φ9 match on 4 lists, so 4 indexes serve 9 rules. U only
+// grows — registering a new Bm attribute appends it — so a bit a pair
+// has resolved never moves; a schema has at most schema.MaxAttrs = 64
+// attributes, so U's bits fit a uint64. Lookups are O(1) regardless of
+// group size. The index is maintained incrementally on Store inserts
+// (master data is append-mostly); bulk loads that bypass the Store
+// rebuild it via PrepareForRules.
+//
+// # Slots point at witness rows
+//
+// An index is 64 shards, each an open-addressing table of slots
+// {hash, witness row, conflict bits}, probed linearly; an empty slot
+// has no row. Stored rows are immutable (package storage), so a slot
+// keeps no key bytes and no values of its own. A probe hashes the
+// tuple's X values in place with hash/maphash, under a process seed
+// that is never persisted, then compares them one by one with the
+// witness's Xm values and reads Bm straight off the witness. The
+// answer is exact whatever the hash does: a collision costs one probe
+// step, never a wrong entry. The hash's top bits pick the shard and its
+// low bits the first slot; a shard doubles at a load of 3/4. A shard's
+// slots are one slice, so the index holds no per-key heap object. The
+// seed differs per process, so nothing may depend on slot order: no
+// output iterates the slots (registered sorts, MemStats only counts).
+//
+// # Copy-on-write
 //
 // Like the storage layer, the registry is versioned copy-on-write:
 // Store.Snapshot marks the registry, every index header and every
-// entry shard shared in O(#indexes) — constant in master size — and
-// the live store copies only what it touches afterwards. Entries are
-// immutable once published (a conflict transition swaps in a fresh
-// entry), so snapshot readers never see a torn record.
+// shard shared in O(#indexes × 64), constant in master size, and the
+// live store copies only what it touches afterwards. A shared shard is
+// immutable forever, so snapshot readers need no synchronization; a
+// live write to one — a new key, a conflict-bit flip, a growth —
+// first copies its slots, one memmove. An unshared shard belongs to the
+// live store alone and changes in place, under Store.mu's write lock,
+// while live probes hold its read lock. A probe returns its entry by
+// value (Entry), so no reader ever aliases a slot.
+//
+// # Staleness
+//
+// Table.Update and Table.Delete bypass the Store and are not reflected
+// in the indexes: callers re-run PrepareForRules. Until they do, an
+// entry whose witness was replaced or deleted answers from the old row
+// and keeps it reachable.
 //
 // Synchronization lives entirely in Store.mu: mutators run under its
 // write lock, live lookups under its read lock, and frozen snapshots
@@ -81,82 +109,120 @@ func (m LookupMode) String() string {
 	}
 }
 
-// rhsEntry is one probe key's precomputed answer for every pair of an
-// index. Entries are immutable after publication: snapshots share
-// them, so a state change replaces the entry instead of flipping
-// fields in place.
-type rhsEntry struct {
-	vals     value.List // the witness's values on the index's U
-	witness  int64
-	conflict uint64 // bit i: a later tuple disagrees with the witness on U[i]
+// slot is one key's entry in a shard's open-addressing table. A slot
+// with no row is empty.
+type slot struct {
+	hash     uint64        // keyHash of the key
+	row      *schema.Tuple // the witness: the first stored row with the key
+	conflict uint64        // bit i: a later row disagrees with the witness on U[i]
 }
 
-// entryShardCount sizes the copy-on-write granularity of one rule
-// index's entry map (power of two).
-const entryShardCount = 64
+// slotBytes is one slot's size, the unit of the memory account.
+const slotBytes = int64(unsafe.Sizeof(slot{}))
 
-// entryShard is one copy-on-write segment of a rule index's entry
-// map. Once a snapshot marks it shared, the live store copies it
-// (mutShard) before the next write; the marked shard itself is then
-// immutable forever, so snapshot readers need no synchronization.
+// Shard geometry: entryShardCount shards (a power of two), picked by
+// the hash's top shardBits bits; a shard's first table has minSlots.
+// A build sizes its shards once it has added presizeSample rows (see
+// presize).
+const (
+	shardBits       = 6
+	entryShardCount = 1 << shardBits
+	minSlots        = 8
+	presizeSample   = 1024
+)
+
+// entryShard is one copy-on-write segment of a rule index: an
+// open-addressing table whose length is zero or a power of two, at
+// most 3/4 full. Once a snapshot marks it shared it never changes
+// again: the live store writes to a copy (mutShard, grow).
 type entryShard struct {
-	m      map[string]*rhsEntry
+	slots  []slot
+	n      int // occupied slots
 	shared bool
 }
 
-// mutShard returns a privately-owned shard for the slot: the shard
-// itself when no snapshot shares it, otherwise a copy stored back
-// through the slot pointer. Callers hold the store's write lock.
-func mutShard(slot **entryShard) *entryShard {
-	sh := *slot
+// mutShard returns a privately-owned shard for ref: the shard itself
+// when no snapshot shares it, otherwise a copy stored back through
+// ref. The copy keeps the slot layout. Callers hold the store's write
+// lock.
+func mutShard(ref **entryShard) *entryShard {
+	sh := *ref
 	if sh.shared {
-		sh = &entryShard{m: maps.Clone(sh.m)}
-		*slot = sh
+		sh = &entryShard{slots: slices.Clone(sh.slots), n: sh.n}
+		*ref = sh
 	}
 	return sh
 }
 
-// entryShardOf routes a key to its shard by the FNV-1a hash of its
-// bytes. Build and probe both route the key bytes, so a scratch-encoded
-// probe key lands on the shard its string form was stored in without
-// converting (and allocating) the string.
-func entryShardOf(k []byte) int { return int(simd.HashBytes(k) & (entryShardCount - 1)) }
-
-// AppendKey appends one match value to a rule-index key: its length as
-// a uvarint, then its bytes. An entry key and a probe key are the
-// AppendKey of each Xm value in order, so the index build, its
-// lookups and the compiled chase's probes all encode through here.
-// The length prefix makes a composite key decode one way: ("12", "3")
-// and ("1", "23") are two keys, although their bytes concatenate
-// alike.
-func AppendKey(dst []byte, v value.V) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	return append(dst, v...)
+// grow gives the shard at ref size slots (a power of two, more than it
+// has), placed by their stored hashes. The old slots are only read, so
+// a shared shard grows into a fresh copy without being copied first.
+// Callers hold the store's write lock.
+func grow(ref **entryShard, size int) *entryShard {
+	sh := *ref
+	slots := make([]slot, size)
+	for _, s := range sh.slots {
+		if s.row != nil {
+			slots[emptySlot(slots, s.hash)] = s
+		}
+	}
+	if sh.shared {
+		sh = &entryShard{n: sh.n}
+		*ref = sh
+	}
+	sh.slots = slots
+	return sh
 }
 
-// ruleIndex holds the unique-RHS map of one master match list Xm. The
-// header follows the shared/copy-on-write discipline: once a snapshot
-// references it, the live store copies the header before replacing
-// any shard pointer.
-//
-// Entry keys are the projected match values themselves (AppendKey).
-// Only a master row's values make a key, so a probe key that no row
-// carries finds no entry: a certain NoMatch in one map probe.
+// emptySlot returns the first empty slot on h's probe chain. slots
+// must have one.
+func emptySlot(slots []slot, h uint64) int {
+	mask := uint64(len(slots) - 1)
+	i := h & mask
+	for slots[i].row != nil {
+		i = (i + 1) & mask
+	}
+	return int(i)
+}
+
+// hashSeed seeds every key hash of this process. It is never
+// persisted: slot positions mean nothing outside the process.
+var hashSeed = maphash.MakeSeed()
+
+// testHashHook, when non-nil, replaces every key hash. Tests use it to
+// force collisions; production never sets it.
+var testHashHook func(uint64) uint64
+
+// keyHash hashes the key whose i-th value is vals[pos[i]]. Each value
+// is hashed whole and folded in by a multiply, so ("12", "3") and
+// ("1", "23") hash apart, although exactness never rests on that.
+func keyHash(vals value.List, pos []int) uint64 {
+	var h uint64
+	for _, p := range pos {
+		h = h*0x9e3779b97f4a7c15 ^ maphash.String(hashSeed, string(vals[p]))
+	}
+	if testHashHook != nil {
+		return testHashHook(h)
+	}
+	return h
+}
+
+// ruleIndex holds the unique-RHS entries of one master match list Xm.
+// The header follows the shared/copy-on-write discipline: once a
+// snapshot references it, the live store copies the header before
+// replacing any shard pointer.
 type ruleIndex struct {
 	matchAttrs []string // Xm
 	unionAttrs []string // U, in registration order
 	matchPos   []int    // schema positions of matchAttrs
 	unionPos   []int    // schema positions of unionAttrs
-	// keyBytes totals the bytes of the entry keys, kept by add so that
-	// MemStats need not walk the keys. It rides along with the header
-	// copy, so each snapshot keeps the total of its own entries.
-	keyBytes int64
-	shared   bool
-	shards   [entryShardCount]*entryShard
+	shared     bool
+	shards     [entryShardCount]*entryShard
 }
 
-// build fills a fresh index from the rows scan visits, in table order.
-func (ix *ruleIndex) build(sch *schema.Schema, scan func(func(*schema.Tuple) bool)) {
+// build fills a fresh index from the stored rows scan visits, in table
+// order; rows is how many there are.
+func (ix *ruleIndex) build(sch *schema.Schema, rows int, scan func(func(*schema.Tuple) bool)) {
 	ix.matchPos = make([]int, len(ix.matchAttrs))
 	for i, a := range ix.matchAttrs {
 		ix.matchPos[i] = sch.MustIndex(a)
@@ -165,70 +231,150 @@ func (ix *ruleIndex) build(sch *schema.Schema, scan func(func(*schema.Tuple) boo
 	for i, a := range ix.unionAttrs {
 		ix.unionPos[i] = sch.MustIndex(a)
 	}
+	shards := make([]entryShard, entryShardCount)
 	for i := range ix.shards {
-		ix.shards[i] = &entryShard{m: make(map[string]*rhsEntry)}
+		ix.shards[i] = &shards[i]
 	}
-	var buf []byte
+	added := 0
 	scan(func(s *schema.Tuple) bool {
-		buf = ix.add(s, buf)
+		ix.add(s)
+		if added++; added == presizeSample && rows >= 2*presizeSample {
+			ix.presize(rows)
+		}
 		return true
 	})
 }
 
-// add folds one master tuple into the index. It keeps only copies
-// (ProjectAt), so s may be a shared scan row or scratch. buf is key
-// scratch, returned for reuse.
-func (ix *ruleIndex) add(s *schema.Tuple, buf []byte) []byte {
-	kb := buf[:0]
-	for _, p := range ix.matchPos {
-		kb = AppendKey(kb, s.Vals[p])
+// presize sizes every shard for all rows' keys when the first
+// presizeSample rows were nearly all distinct keys, as on a key-like Xm
+// (a zip, a phone), so the build reaches the final size without a
+// chain of doublings. An Xm with fewer keys than that keeps growing on
+// demand: sizing φ9's handful of area codes from the row count would
+// waste most of the slots.
+func (ix *ruleIndex) presize(rows int) {
+	keys := 0
+	for _, sh := range &ix.shards {
+		keys += sh.n
 	}
-	sh := mutShard(&ix.shards[entryShardOf(kb)])
-	e, ok := sh.m[string(kb)]
-	if !ok {
-		sh.m[string(kb)] = &rhsEntry{vals: s.ProjectAt(ix.unionPos), witness: s.ID}
-		ix.keyBytes += int64(len(kb))
-		return kb
+	if keys*4 < presizeSample*3 {
+		return
 	}
-	conflict := e.conflict
-	for i, p := range ix.unionPos {
-		if s.Vals[p] != e.vals[i] {
-			conflict |= 1 << uint(i)
+	perShard := rows * keys / presizeSample / entryShardCount
+	perShard += perShard / 8 // headroom for the spread between shards
+	size := minSlots
+	for size*3 < perShard*4 {
+		size *= 2
+	}
+	for i := range ix.shards {
+		if len(ix.shards[i].slots) < size {
+			grow(&ix.shards[i], size)
 		}
 	}
-	if conflict != e.conflict {
-		// Replace, never mutate: snapshots may share the old entry.
-		sh.m[string(kb)] = &rhsEntry{vals: e.vals, witness: e.witness, conflict: conflict}
+}
+
+// shardOf returns the header's reference to the shard of the keys
+// hashing to h.
+func (ix *ruleIndex) shardOf(h uint64) **entryShard {
+	return &ix.shards[h>>(64-shardBits)]
+}
+
+// probe walks h's chain in sh for the key whose i-th value is
+// vals[pos[i]]. It returns the key's slot and true, or the empty slot
+// that ends the chain and false. sh must have slots.
+func (ix *ruleIndex) probe(sh *entryShard, h uint64, vals value.List, pos []int) (int, bool) {
+	mask := uint64(len(sh.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &sh.slots[i]
+		if s.row == nil {
+			return int(i), false
+		}
+		if s.hash == h && ix.carries(s.row, vals, pos) {
+			return int(i), true
+		}
 	}
-	return kb
 }
 
-// get probes a key. The string conversion in the map index expression
-// does not allocate (compiler-recognized pattern), so a probe against a
-// reused []byte buffer is allocation-free.
-func (ix *ruleIndex) get(k []byte) *rhsEntry {
-	return ix.shards[entryShardOf(k)].m[string(k)]
+// carries reports whether row's Xm values equal the key's, one by one.
+func (ix *ruleIndex) carries(row *schema.Tuple, vals value.List, pos []int) bool {
+	for i, mp := range ix.matchPos {
+		if row.Vals[mp] != vals[pos[i]] {
+			return false
+		}
+	}
+	return true
 }
 
-// rulePair resolves one registered (Xm, Bm) pair: the slot of its
-// index in the registry and Bm's positions in that index's U, with
-// their bitmask. Immutable once registered: slots and U positions
-// never move.
+// add folds one master row into the index. A new key keeps s itself as
+// its witness, so s must be a stored row: immutable, and kept by the
+// table.
+func (ix *ruleIndex) add(s *schema.Tuple) {
+	h := keyHash(s.Vals, ix.matchPos)
+	ref := ix.shardOf(h)
+	sh := *ref
+	i := -1
+	if len(sh.slots) > 0 {
+		var found bool
+		if i, found = ix.probe(sh, h, s.Vals, ix.matchPos); found {
+			w := &sh.slots[i]
+			conflict := w.conflict
+			for j, p := range ix.unionPos {
+				if s.Vals[p] != w.row.Vals[p] {
+					conflict |= 1 << uint(j)
+				}
+			}
+			if conflict != w.conflict {
+				mutShard(ref).slots[i].conflict = conflict
+			}
+			return
+		}
+	}
+	if (sh.n+1)*4 > len(sh.slots)*3 {
+		sh = grow(ref, max(minSlots, 2*len(sh.slots)))
+		i = emptySlot(sh.slots, h)
+	} else {
+		sh = mutShard(ref)
+	}
+	sh.slots[i] = slot{hash: h, row: s}
+	sh.n++
+}
+
+// get probes the key whose i-th value is vals[pos[i]]. A key of another
+// arity than Xm matches nothing.
+func (ix *ruleIndex) get(vals value.List, pos []int) Entry {
+	if len(pos) != len(ix.matchPos) {
+		return Entry{}
+	}
+	h := keyHash(vals, pos)
+	sh := *ix.shardOf(h)
+	if sh.n == 0 {
+		return Entry{}
+	}
+	i, ok := ix.probe(sh, h, vals, pos)
+	if !ok {
+		return Entry{}
+	}
+	return Entry{row: sh.slots[i].row, conflict: sh.slots[i].conflict}
+}
+
+// rulePair resolves one registered (Xm, Bm) pair: the position of its
+// index in the registry, Bm's schema positions, where an answer reads
+// the witness row, and Bm's bits in that index's U. Immutable once
+// registered: positions and bits never move.
 type rulePair struct {
-	slot int
-	pos  []int
-	mask uint64
+	index int
+	pos   []int
+	mask  uint64
 }
 
-// answer reads the pair's result off a probed entry (nil: no match).
-func (p *rulePair) answer(e *rhsEntry) Answer {
-	if e == nil {
+// answer reads the pair's result off a probed entry.
+func (p *rulePair) answer(e Entry) Answer {
+	if e.row == nil {
 		return Answer{Status: NoMatch}
 	}
 	if e.conflict&p.mask != 0 {
 		return Answer{Status: Conflict}
 	}
-	return Answer{Status: Unique, Witness: e.witness, vals: e.vals, pos: p.pos}
+	return Answer{Status: Unique, Witness: e.row.ID, vals: e.row.Vals, pos: p.pos}
 }
 
 // ruleIndexes is the Store's registry (separate struct to keep the
@@ -260,11 +406,12 @@ func (ri *ruleIndexes) mut() {
 }
 
 // prepare registers every rule's (Xm, Bm) pair and rebuilds, from
-// the rows scan visits, the index of every Xm the rules use. An index
+// the rows scan visits, rows of them, the index of every Xm the rules
+// use. An index
 // that gains Bm attributes appends them to its U. A rule naming an
 // attribute sch lacks is an error, reported before anything is
 // registered.
-func (ri *ruleIndexes) prepare(sch *schema.Schema, rules []*rule.Rule, scan func(func(*schema.Tuple) bool)) error {
+func (ri *ruleIndexes) prepare(sch *schema.Schema, rules []*rule.Rule, rows int, scan func(func(*schema.Tuple) bool)) error {
 	for _, r := range rules {
 		for _, a := range slices.Concat(r.MatchMasterAttrs(), r.SetMasterAttrs()) {
 			if !sch.Has(a) {
@@ -276,47 +423,46 @@ func (ri *ruleIndexes) prepare(sch *schema.Schema, rules []*rule.Rule, scan func
 	var rebuild []int
 	for _, r := range rules {
 		xm, bm := r.MatchMasterAttrs(), r.SetMasterAttrs()
-		slot := slices.IndexFunc(ri.indexes, func(ix *ruleIndex) bool { return slices.Equal(ix.matchAttrs, xm) })
-		if slot < 0 {
-			slot = len(ri.indexes)
+		at := slices.IndexFunc(ri.indexes, func(ix *ruleIndex) bool { return slices.Equal(ix.matchAttrs, xm) })
+		if at < 0 {
+			at = len(ri.indexes)
 			ri.indexes = append(ri.indexes, &ruleIndex{matchAttrs: xm})
 		}
-		if !slices.Contains(rebuild, slot) {
+		if !slices.Contains(rebuild, at) {
 			// A fresh header, filled below: snapshots keep the old one.
-			old := ri.indexes[slot]
-			ri.indexes[slot] = &ruleIndex{matchAttrs: old.matchAttrs, unionAttrs: slices.Clip(old.unionAttrs)}
-			rebuild = append(rebuild, slot)
+			old := ri.indexes[at]
+			ri.indexes[at] = &ruleIndex{matchAttrs: old.matchAttrs, unionAttrs: slices.Clip(old.unionAttrs)}
+			rebuild = append(rebuild, at)
 		}
 		key := HandleKey(xm, bm)
 		if _, ok := ri.pairs[key]; ok {
 			continue
 		}
-		ix := ri.indexes[slot]
-		p := &rulePair{slot: slot, pos: make([]int, len(bm))}
+		ix := ri.indexes[at]
+		p := &rulePair{index: at, pos: make([]int, len(bm))}
 		for i, a := range bm {
 			j := slices.Index(ix.unionAttrs, a)
 			if j < 0 {
 				j = len(ix.unionAttrs)
 				ix.unionAttrs = append(ix.unionAttrs, a)
 			}
-			p.pos[i] = j
+			p.pos[i] = sch.MustIndex(a)
 			p.mask |= 1 << uint(j)
 		}
 		ri.pairs[key] = p
 	}
-	for _, slot := range rebuild {
-		ri.indexes[slot].build(sch, scan)
+	for _, at := range rebuild {
+		ri.indexes[at].build(sch, rows, scan)
 	}
 	return nil
 }
 
-// insert maintains every registered index for a new master tuple.
+// insert maintains every registered index for a new stored row.
 func (ri *ruleIndexes) insert(s *schema.Tuple) {
 	if len(ri.indexes) == 0 {
 		return
 	}
 	ri.mut()
-	var buf []byte
 	for i, ix := range ri.indexes {
 		if ix.shared {
 			cp := *ix
@@ -324,12 +470,12 @@ func (ri *ruleIndexes) insert(s *schema.Tuple) {
 			ix = &cp
 			ri.indexes[i] = ix
 		}
-		buf = ix.add(s, buf)
+		ix.add(s)
 	}
 }
 
 // snapshot returns a frozen O(1) view: the registry, every index
-// header and every entry shard are marked shared, so the live store
+// header and every shard are marked shared, so the live store
 // copies only what it subsequently touches.
 func (ri *ruleIndexes) snapshot() *ruleIndexes {
 	ri.shared = true
@@ -349,17 +495,23 @@ func (ri *ruleIndexes) lookup(matchAttrs []string, key value.List, rhsAttrs []st
 	if !ok {
 		return nil, 0, NoMatch, false
 	}
-	var kb []byte
-	for _, v := range key {
-		kb = AppendKey(kb, v)
-	}
-	a := p.answer(ri.indexes[p.slot].get(kb))
+	a := p.answer(ri.indexes[p.index].get(key, keyPos(key)))
 	return a.List(), a.Witness, a.Status, true
 }
 
-// Answer is one (Xm, Bm) pair's unique-RHS result, read in place from
-// an index entry: RHS(i) is the witness's value on the pair's i-th Bm
-// attribute, valid when Status is Unique.
+// keyPos returns the positions 0, 1, … at which a key given as its
+// values in Xm order is probed.
+func keyPos(key value.List) []int {
+	pos := make([]int, len(key))
+	for i := range pos {
+		pos[i] = i
+	}
+	return pos
+}
+
+// Answer is one (Xm, Bm) pair's unique-RHS result, read in place off
+// the witness row: RHS(i) is the witness's value on the pair's i-th
+// Bm attribute, valid when Status is Unique.
 type Answer struct {
 	Status  LookupStatus
 	Witness int64
@@ -393,20 +545,25 @@ func (a *Answer) List() value.List {
 	return out
 }
 
-// Entry is a probed key's entry on one index. Every pair registered
-// with that index's Xm reads its own answer from it (RuleHandle.Read),
-// so one probe per key serves them all. The zero Entry is a miss.
-type Entry struct{ e *rhsEntry }
+// Entry is a probed key's entry on one index, by value: the witness
+// row and the conflict bits, copied out of the slot. Every pair
+// registered with that index's Xm reads its own answer from it
+// (RuleHandle.Read), so one probe per key serves them all. The zero
+// Entry is a miss.
+type Entry struct {
+	row      *schema.Tuple
+	conflict uint64
+}
 
 // RuleHandle is a pre-resolved unique-RHS lookup handle for one
 // (Xm, Bm) pair — the compiled chase's direct line to a rule's index.
 // On frozen stores (the batch pipeline's and job runners' view) the
-// pair — its index's slot and Bm's positions — is resolved at handle
-// creation with one registry lookup, so a probe is one shard hash
-// plus one map hit with no locking at all. On live stores the handle keeps the pair key and
-// re-resolves it under the read lock per call, staying correct across
-// copy-on-write registry swaps (Insert after Snapshot replaces shared
-// index headers).
+// pair — its index and Bm's positions — is resolved at handle creation
+// with one registry lookup, so a probe is one hash and a walk of one
+// slot chain with no locking at all. On live stores the handle keeps
+// the pair key and re-resolves it under the read lock per call,
+// staying correct across copy-on-write registry swaps (Insert after
+// Snapshot replaces shared index headers).
 type RuleHandle struct {
 	store *Store
 	key   string
@@ -452,13 +609,15 @@ func (m *Store) HandleByKey(key string) RuleHandle {
 	return h
 }
 
-// Probe looks up a composite key (AppendKey of each t[X] value) on the
-// pair's index. It returns the entry, which any handle of a pair with
-// the same Xm on the same store view may Read, and this pair's answer.
-// The final result reports whether a rule index is registered for the
-// pair — false means the caller must fall back to the scan
-// (Store.UniqueRHS), exactly as an unregistered pair does there.
-func (h *RuleHandle) Probe(key []byte) (Entry, Answer, bool) {
+// Probe looks up the key t[X] on the pair's index, read in place: its
+// i-th value, in Xm order, is vals[pos[i]], so the chase passes a
+// tuple's values and the rule's X positions and nothing is encoded. It
+// returns the entry, which any handle of a pair with the same Xm on the
+// same store view may Read, and this pair's answer. The final result
+// reports whether a rule index is registered for the pair — false
+// means the caller must fall back to the scan (Store.UniqueRHS),
+// exactly as an unregistered pair does there.
+func (h *RuleHandle) Probe(vals value.List, pos []int) (Entry, Answer, bool) {
 	m, p := h.store, h.pair
 	if p == nil {
 		if m.frozen {
@@ -470,8 +629,8 @@ func (h *RuleHandle) Probe(key []byte) (Entry, Answer, bool) {
 			return Entry{}, Answer{}, false
 		}
 	}
-	e := m.ruleIdx.indexes[p.slot].get(key)
-	return Entry{e}, p.answer(e), true
+	e := m.ruleIdx.indexes[p.index].get(vals, pos)
+	return e, p.answer(e), true
 }
 
 // Read answers the pair from an entry that Probe returned for a pair
@@ -487,12 +646,14 @@ func (h *RuleHandle) Read(e Entry) (Answer, bool) {
 	if p == nil {
 		return Answer{}, false
 	}
-	return p.answer(e.e), true
+	return p.answer(e), true
 }
 
-// Lookup is Probe returning the answer in the UniqueRHS result shape.
-func (h *RuleHandle) Lookup(key []byte) (value.List, int64, LookupStatus, bool) {
-	_, a, ok := h.Probe(key)
+// Lookup is Probe for a key given as its values in Xm order, returning
+// the answer in the UniqueRHS result shape. A key of another arity than
+// Xm matches nothing.
+func (h *RuleHandle) Lookup(key value.List) (value.List, int64, LookupStatus, bool) {
+	_, a, ok := h.Probe(key, keyPos(key))
 	return a.List(), a.Witness, a.Status, ok
 }
 
@@ -515,7 +676,7 @@ func (ri *ruleIndexes) registered() []string {
 func (m *Store) PrepareRuleIndexes(rs *rule.Set) error {
 	m.lock()
 	defer m.unlock()
-	if err := m.ruleIdx.prepare(m.table.Schema(), rs.Rules(), m.table.ScanShared); err != nil {
+	if err := m.ruleIdx.prepare(m.table.Schema(), rs.Rules(), m.table.Len(), m.table.ScanShared); err != nil {
 		return err
 	}
 	m.version++

@@ -256,7 +256,10 @@ var testWorkerHook func(startSeq int)
 // workers drain, and Run returns the partial Stats accumulated so far
 // together with ctx's error. Because every stage parks inside the
 // in-flight window, cancellation is observed within at most one
-// window's worth of tuples — it never deadlocks on a full channel.
+// window's worth of tuples — it never deadlocks on a full channel, nor
+// waits on a source blocked in Next: the workers leave on cancellation,
+// and the reader, which Run does not wait for, leaves once Next
+// returns. Run never returns with a worker still running.
 func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src Source, sink Sink, opts *Options) (Stats, error) {
 	workers := opts.workers()
 	chunkSize := opts.chunkSize()
@@ -350,6 +353,13 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 		seq := 0
 		for {
 			tu, err := src.Next()
+			// A run that failed or was cancelled while Next blocked has
+			// already returned: leave before touching anything else.
+			select {
+			case <-done:
+				return
+			default:
+			}
 			if err == io.EOF {
 				if cur != nil && cur.n > 0 {
 					select {
@@ -420,7 +430,19 @@ func Run(ctx context.Context, eng *core.Engine, validated schema.AttrSet, src So
 				}
 			}()
 			chaser = eng.AcquireChaser()
-			for b := range jobs {
+			for {
+				// Leave on done as well as on a closed jobs: the reader
+				// closes jobs only once Next returns, and a source may
+				// block in Next indefinitely.
+				var b *batch
+				select {
+				case b = <-jobs:
+				case <-done:
+					return
+				}
+				if b == nil {
+					return
+				}
 				for i := 0; i < b.n; i++ {
 					in := &b.in[i]
 					if chaos {

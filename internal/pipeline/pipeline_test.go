@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"cerfix/internal/core"
 	"cerfix/internal/dataset"
@@ -281,6 +283,65 @@ func TestPipelineCancelMidStream(t *testing.T) {
 	}
 	if stats.Tuples >= len(dirty) {
 		t.Fatalf("processed all %d tuples despite cancellation", stats.Tuples)
+	}
+}
+
+// blockingSource serves its tuples up to blockAt, then blocks in Next
+// until release is closed, and then reports the end of the stream.
+type blockingSource struct {
+	tuples  []*schema.Tuple
+	next    int
+	blockAt int
+	blocked chan struct{} // closed when Next blocks
+	release chan struct{}
+}
+
+func (s *blockingSource) Next() (*schema.Tuple, error) {
+	if s.next < s.blockAt {
+		s.next++
+		return s.tuples[s.next-1], nil
+	}
+	if s.next == s.blockAt {
+		s.next++
+		close(s.blocked)
+		<-s.release
+	}
+	return nil, io.EOF
+}
+
+// Cancelling a run whose source blocks in Next must not wait on the
+// source: Run returns ctx's error while Next is still blocked, and
+// once the source lets go, the reader exits too and no goroutine of
+// the run is left.
+func TestPipelineCancelBlockedSource(t *testing.T) {
+	eng, dirty, seed := workloadEngine(t, 30, 200)
+	baseline := runtime.NumGoroutine()
+	src := &blockingSource{tuples: dirty, blockAt: 100, blocked: make(chan struct{}), release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Run(ctx, eng, seed, src, Discard, &Options{Workers: 2})
+		errc <- err
+	}()
+	<-src.blocked
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		close(src.release)
+		t.Fatal("Run still waits on a source blocked in Next 1s after cancellation")
+	}
+	close(src.release)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the source was released, %d before the run", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

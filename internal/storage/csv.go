@@ -35,9 +35,13 @@ func (t *Table) WriteCSV(w io.Writer) error {
 
 // ReadCSV loads records from r into the table. The header must list
 // exactly the schema's attributes (any order); columns are mapped by
-// name so files survive schema attribute reordering.
+// name so files survive schema attribute reordering. Each record is
+// stored as the row built from it, with no second copy; the record
+// slice is reused, and its cells, fresh strings per record, are copied
+// out of it at once.
 func (t *Table) ReadCSV(r io.Reader) error {
 	cr := csv.NewReader(r)
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return fmt.Errorf("storage: reading csv header: %w", err)
@@ -71,8 +75,7 @@ func (t *Table) ReadCSV(r io.Reader) error {
 		for i, cell := range rec {
 			vals[colToAttr[i]] = value.V(cell)
 		}
-		tu := &schema.Tuple{Schema: t.sch, Vals: vals}
-		if _, err := t.Insert(tu); err != nil {
+		if _, err := t.insertOwned(&schema.Tuple{Schema: t.sch, Vals: vals}); err != nil {
 			return fmt.Errorf("storage: csv line %d: %w", line, err)
 		}
 	}

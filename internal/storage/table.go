@@ -21,8 +21,9 @@
 // immutable, so snapshot readers take no locks at all.
 //
 // Stored rows are immutable too: Insert and Update store a private
-// copy and later writes replace the row instead of editing it, so a
-// row that a scan hands out never changes underneath its reader.
+// copy (ReadCSV stores the row it built) and later writes replace the
+// row instead of editing it, so a row that a scan or InsertRow hands
+// out never changes underneath its reader.
 package storage
 
 import (
@@ -205,25 +206,43 @@ func (t *Table) Snapshot() *Table {
 // Insert stores a copy of tu, assigns it a fresh ID and returns the ID.
 // The tuple must belong to the table's schema.
 func (t *Table) Insert(tu *schema.Tuple) (int64, error) {
+	row, err := t.InsertRow(tu)
+	if err != nil {
+		return 0, err
+	}
+	return row.ID, nil
+}
+
+// InsertRow is Insert handing back the stored row itself, ID assigned.
+// The row is shared with the table and its snapshots, and immutable
+// like every stored row: callers must treat it as read-only. The
+// master rule indexes keep it as a key's witness.
+func (t *Table) InsertRow(tu *schema.Tuple) (*schema.Tuple, error) {
 	if tu.Schema != t.sch {
-		return 0, fmt.Errorf("storage: tuple schema %s does not match table schema %s",
+		return nil, fmt.Errorf("storage: tuple schema %s does not match table schema %s",
 			tu.Schema.Name(), t.sch.Name())
 	}
+	return t.insertOwned(tu.Clone())
+}
+
+// insertOwned stores row itself, without a copy: the caller hands it
+// over and keeps no reference it would write through. It assigns the
+// row a fresh ID and returns it.
+func (t *Table) insertOwned(row *schema.Tuple) (*schema.Tuple, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.frozen {
-		return 0, ErrFrozen
+		return nil, ErrFrozen
 	}
-	cp := tu.Clone()
-	cp.ID = t.nextID
+	row.ID = t.nextID
 	t.nextID++
 	t.gen++
-	sh := t.rowShardMut(cp.ID)
-	sh.m[cp.ID] = cp
-	sh.bytes += rowBoxedCost(cp)
-	t.order = append(t.order, cp.ID)
+	sh := t.rowShardMut(row.ID)
+	sh.m[row.ID] = row
+	sh.bytes += rowBoxedCost(row)
+	t.order = append(t.order, row.ID)
 	t.count++
-	return cp.ID, nil
+	return row, nil
 }
 
 // InsertValues is a convenience wrapper building the tuple in place.
