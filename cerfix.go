@@ -199,7 +199,7 @@ func (s *System) Master() *MasterStore { return s.store }
 func (s *System) Audit() *AuditLog { return s.log }
 
 // MemStats reports the master data manager's memory accounting: row
-// bytes, snapshot-shared bytes and COW debt, and rule-index footprint.
+// bytes and rule-index footprint.
 // Surfaced on GET /api/v1/status and in the jobs queue stats.
 func (s *System) MemStats() master.MemStats { return s.store.MemStats() }
 

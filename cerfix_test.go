@@ -6,6 +6,7 @@ import (
 
 	"cerfix/internal/core"
 	"cerfix/internal/dataset"
+	"cerfix/internal/master"
 )
 
 func demoSystem(t testing.TB) *System {
@@ -234,6 +235,29 @@ func TestLoadMasterCSV(t *testing.T) {
 	}
 	if err := sys.LoadMasterCSV(strings.NewReader("bad header\nrow\n")); err == nil {
 		t.Fatal("bad CSV accepted")
+	}
+
+	// A bad record after good ones stores none of them, so the rule
+	// indexes and the scan still see the same master data.
+	var bad strings.Builder
+	bad.WriteString("FN,LN,AC,Hphn,Mphn,str,city,zip,DOB,gender\n")
+	for _, row := range dataset.DemoMasterRows() {
+		bad.WriteString(strings.Join(row.Strings(), ",") + "\n")
+	}
+	bad.WriteString("too,few\n")
+	if err := sys.LoadMasterCSV(strings.NewReader(bad.String())); err == nil {
+		t.Fatal("short CSV record accepted")
+	}
+	if sys.Master().Len() != 1 {
+		t.Fatalf("master = %d after a failed load, want 1", sys.Master().Len())
+	}
+	fig3 := []string{"AC", "phn", "type", "item"}
+	byIndex, _ := sys.Fix(dataset.DemoInputFig3(), fig3)
+	sys.Master().SetMode(master.ModeScan)
+	byScan, _ := sys.Fix(dataset.DemoInputFig3(), fig3)
+	sys.Master().SetMode(master.ModeRuleIndex)
+	if !byIndex.Equal(byScan) {
+		t.Fatalf("after a failed load the rule index fixes %v, the scan %v", byIndex, byScan)
 	}
 }
 

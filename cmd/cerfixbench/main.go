@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -39,38 +40,62 @@ func main() {
 	)
 	flag.Parse()
 
-	runners := []struct {
-		name string
-		fn   func() error
-	}{
-		{"e1", runE1},
-		{"e2", runE2},
-		{"e3", func() error { return runE3(*entities, *tuples, *noise, *seed) }},
-		{"e4", func() error { return runE4(*entities, *tuples, *seed) }},
-		{"e5", func() error { return runE5(*tuples, *seed) }},
-		{"e6", func() error { return runE6(*entities, *tuples, *seed) }},
-		{"e7", func() error { return runE7(*seed) }},
-	}
-	names := make([]string, len(runners))
-	for i, r := range runners {
-		names[i] = r.name
-	}
-	want, err := parseExp(*exp, names)
+	rs := runners(*entities, *tuples, *noise, *seed)
+	want, err := parseExp(*exp, runnerNames(rs))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cerfixbench: %v\n", err)
 		os.Exit(2)
 	}
-	for _, r := range runners {
+	if err := run(os.Stdout, rs, want); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// runner is one experiment: its -exp name and the function printing
+// its tables to w.
+type runner struct {
+	name string
+	fn   func(w io.Writer) error
+}
+
+// runners lists E1–E7 in output order under the given workload
+// parameters.
+func runners(entities, tuples int, noise float64, seed uint64) []runner {
+	return []runner{
+		{"e1", runE1},
+		{"e2", runE2},
+		{"e3", func(w io.Writer) error { return runE3(w, entities, tuples, noise, seed) }},
+		{"e4", func(w io.Writer) error { return runE4(w, entities, tuples, seed) }},
+		{"e5", func(w io.Writer) error { return runE5(w, tuples, seed) }},
+		{"e6", func(w io.Writer) error { return runE6(w, entities, tuples, seed) }},
+		{"e7", func(w io.Writer) error { return runE7(w, seed) }},
+	}
+}
+
+func runnerNames(rs []runner) []string {
+	names := make([]string, len(rs))
+	for i, r := range rs {
+		names[i] = r.name
+	}
+	return names
+}
+
+// run prints every selected experiment to w, each under a banner and
+// followed by a blank line. The first failure stops the run; its error
+// names the experiment.
+func run(w io.Writer, rs []runner, want map[string]bool) error {
+	for _, r := range rs {
 		if !want[r.name] {
 			continue
 		}
-		fmt.Printf("=== %s ===\n", strings.ToUpper(r.name))
-		if err := r.fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", r.name, err)
-			os.Exit(1)
+		fmt.Fprintf(w, "=== %s ===\n", strings.ToUpper(r.name))
+		if err := r.fn(w); err != nil {
+			return fmt.Errorf("%s: %w", r.name, err)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 // parseExp turns the -exp spec into the set of experiments to run.
@@ -94,25 +119,25 @@ func parseExp(spec string, valid []string) (map[string]bool, error) {
 	return want, nil
 }
 
-func runE1() error {
+func runE1(w io.Writer) error {
 	res, err := experiments.RunE1()
 	if err != nil {
 		return err
 	}
-	fmt.Println("Fig. 2 — editing-rule management: consistency of φ1–φ9 w.r.t. the demo master data")
+	fmt.Fprintln(w, "Fig. 2 — editing-rule management: consistency of φ1–φ9 w.r.t. the demo master data")
 	tbl := textutil.NewTextTable("rules", "consistent", "errors", "warnings", "CR probes", "elapsed")
 	tbl.AddRowf(res.Rules, res.Consistent, res.Errors, res.Warnings, res.ProbesRun, res.Elapsed.String())
-	fmt.Print(tbl.String())
-	fmt.Println("(cross-entity warnings are expected: they require contradictory user assertions)")
+	fmt.Fprint(w, tbl.String())
+	fmt.Fprintln(w, "(cross-entity warnings are expected: they require contradictory user assertions)")
 	return nil
 }
 
-func runE2() error {
+func runE2(w io.Writer) error {
 	res, err := experiments.RunE2()
 	if err != nil {
 		return err
 	}
-	fmt.Println("Fig. 3 — data monitor walkthrough (input: the M./Mark tuple; user validates AC, phn, type, item first)")
+	fmt.Fprintln(w, "Fig. 3 — data monitor walkthrough (input: the M./Mark tuple; user validates AC, phn, type, item first)")
 	tbl := textutil.NewTextTable("round", "user validates", "CerFix fixes/confirms", "next suggestion")
 	for i, r := range res.Rounds {
 		tbl.AddRow(fmt.Sprint(i+1),
@@ -120,14 +145,14 @@ func runE2() error {
 			strings.Join(r.Fixed, ", "),
 			strings.Join(r.NextSuggestion, ", "))
 	}
-	fmt.Print(tbl.String())
-	fmt.Printf("certain fix: %v; matches ground truth: %v; rounds: %d (paper: \"after two rounds of interactions\")\n",
+	fmt.Fprint(w, tbl.String())
+	fmt.Fprintf(w, "certain fix: %v; matches ground truth: %v; rounds: %d (paper: \"after two rounds of interactions\")\n",
 		res.Certain, res.MatchesGroundTruth, len(res.Rounds))
 	return nil
 }
 
-func runE3(entities, tuples int, noise float64, seed uint64) error {
-	fmt.Printf("Fig. 4 — auditing statistics (%d tuples, %.0f%% cell noise)\n", tuples, noise*100)
+func runE3(w io.Writer, entities, tuples int, noise float64, seed uint64) error {
+	fmt.Fprintf(w, "Fig. 4 — auditing statistics (%d tuples, %.0f%% cell noise)\n", tuples, noise*100)
 	for _, mix := range []struct {
 		name  string
 		share float64
@@ -136,15 +161,15 @@ func runE3(entities, tuples int, noise float64, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("-- %s --\n", mix.name)
+		fmt.Fprintf(w, "-- %s --\n", mix.name)
 		tbl := textutil.NewTextTable("attr", "user", "auto-fixed", "auto-confirmed", "user%", "auto%")
 		for _, s := range res.PerAttr {
 			tbl.AddRowf(s.Attr, s.UserValidated, s.AutoFixed, s.AutoConfirmed, s.UserPct(), s.AutoPct())
 		}
 		o := res.Overall
 		tbl.AddRowf("OVERALL", o.UserValidated, o.AutoFixed, o.AutoConfirmed, o.UserPct(), o.AutoPct())
-		fmt.Print(tbl.String())
-		fmt.Printf("all sessions certain: %v; rewrite share of auto cells: %.1f%%\n",
+		fmt.Fprint(w, tbl.String())
+		fmt.Fprintf(w, "all sessions certain: %v; rewrite share of auto cells: %.1f%%\n",
 			res.AllCertain, res.RewriteShare*100)
 	}
 	// HOSP: richer rule coverage brings the split near the paper's
@@ -153,41 +178,41 @@ func runE3(entities, tuples int, noise float64, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("-- HOSP stream (11-attribute schema, region covers 3) --")
+	fmt.Fprintln(w, "-- HOSP stream (11-attribute schema, region covers 3) --")
 	tbl := textutil.NewTextTable("attr", "user", "auto-fixed", "auto-confirmed", "user%", "auto%")
 	for _, s := range res.PerAttr {
 		tbl.AddRowf(s.Attr, s.UserValidated, s.AutoFixed, s.AutoConfirmed, s.UserPct(), s.AutoPct())
 	}
 	o := res.Overall
 	tbl.AddRowf("OVERALL", o.UserValidated, o.AutoFixed, o.AutoConfirmed, o.UserPct(), o.AutoPct())
-	fmt.Print(tbl.String())
-	fmt.Printf("all sessions certain: %v\n", res.AllCertain)
+	fmt.Fprint(w, tbl.String())
+	fmt.Fprintf(w, "all sessions certain: %v\n", res.AllCertain)
 	// DBLP: the key-determined schema reproduces the paper's headline
 	// split.
 	dblp, err := experiments.RunE3Dblp(entities, tuples, noise, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println("-- DBLP stream (6-attribute schema, region = {key}) --")
+	fmt.Fprintln(w, "-- DBLP stream (6-attribute schema, region = {key}) --")
 	tbl2 := textutil.NewTextTable("attr", "user", "auto-fixed", "auto-confirmed", "user%", "auto%")
 	for _, s := range dblp.PerAttr {
 		tbl2.AddRowf(s.Attr, s.UserValidated, s.AutoFixed, s.AutoConfirmed, s.UserPct(), s.AutoPct())
 	}
 	od := dblp.Overall
 	tbl2.AddRowf("OVERALL", od.UserValidated, od.AutoFixed, od.AutoConfirmed, od.UserPct(), od.AutoPct())
-	fmt.Print(tbl2.String())
-	fmt.Printf("all sessions certain: %v\n", dblp.AllCertain)
-	fmt.Println("(paper claim: ~20% user / ~80% auto on average; DBLP reproduces it at ~19/81)")
+	fmt.Fprint(w, tbl2.String())
+	fmt.Fprintf(w, "all sessions certain: %v\n", dblp.AllCertain)
+	fmt.Fprintln(w, "(paper claim: ~20% user / ~80% auto on average; DBLP reproduces it at ~19/81)")
 	return nil
 }
 
-func runE4(entities, tuples int, seed uint64) error {
+func runE4(w io.Writer, entities, tuples int, seed uint64) error {
 	rates := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
 	rows, err := experiments.RunE4(rates, entities, tuples, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Accuracy vs noise — CerFix certain fixes vs CFD cost-based heuristic repair (Example 1 at scale)")
+	fmt.Fprintln(w, "Accuracy vs noise — CerFix certain fixes vs CFD cost-based heuristic repair (Example 1 at scale)")
 	tbl := textutil.NewTextTable("noise", "CerFix P", "CerFix R", "CerFix F1",
 		"CFD P", "CFD R", "CFD F1", "CFD broke cells")
 	for _, r := range rows {
@@ -196,14 +221,14 @@ func runE4(entities, tuples int, seed uint64) error {
 			r.Baseline.Precision(), r.Baseline.Recall(), r.Baseline.F1(),
 			r.BaselineBroken)
 	}
-	fmt.Print(tbl.String())
-	fmt.Println("(CerFix precision is 1.0 by construction; the heuristic overwrites correct cells)")
+	fmt.Fprint(w, tbl.String())
+	fmt.Fprintln(w, "(CerFix precision is 1.0 by construction; the heuristic overwrites correct cells)")
 
 	hrows, err := experiments.RunE4Hosp(rates, entities/2, tuples/2, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nHOSP table-level variant — plurality FD repair vs CerFix sessions")
+	fmt.Fprintln(w, "\nHOSP table-level variant — plurality FD repair vs CerFix sessions")
 	htbl := textutil.NewTextTable("noise", "CerFix P", "CerFix R", "FD P", "FD R", "FD F1", "FD broke cells")
 	for _, r := range hrows {
 		htbl.AddRowf(r.NoiseRate,
@@ -211,12 +236,12 @@ func runE4(entities, tuples int, seed uint64) error {
 			r.Baseline.Precision(), r.Baseline.Recall(), r.Baseline.F1(),
 			r.BaselineBroken)
 	}
-	fmt.Print(htbl.String())
+	fmt.Fprint(w, htbl.String())
 	return nil
 }
 
-func runE5(tuples int, seed uint64) error {
-	fmt.Println("Scalability (a): certain-fix latency vs master size (access-path ablation)")
+func runE5(w io.Writer, tuples int, seed uint64) error {
+	fmt.Fprintln(w, "Scalability (a): certain-fix latency vs master size (access-path ablation)")
 	sizes := []int{1000, 5000, 20000, 50000}
 	rows, err := experiments.RunE5Master(sizes, tuples/4, 5000, seed)
 	if err != nil {
@@ -231,10 +256,10 @@ func runE5(tuples int, seed uint64) error {
 		tbl.AddRow(fmt.Sprint(r.MasterSize),
 			fmt.Sprintf("%.1f", r.RuleIdxNsPerFix/1000), scan)
 	}
-	fmt.Print(tbl.String())
-	fmt.Println("(rule-index = precomputed unique-RHS maps, O(1)/probe)")
+	fmt.Fprint(w, tbl.String())
+	fmt.Fprintln(w, "(rule-index = precomputed unique-RHS maps, O(1)/probe)")
 
-	fmt.Println("\nScalability (b): certain-fix latency vs number of rules (demo rules replicated)")
+	fmt.Fprintln(w, "\nScalability (b): certain-fix latency vs number of rules (demo rules replicated)")
 	rrows, err := experiments.RunE5Rules([]int{1, 2, 4, 8}, 2000, tuples/4, seed)
 	if err != nil {
 		return err
@@ -243,39 +268,39 @@ func runE5(tuples int, seed uint64) error {
 	for _, r := range rrows {
 		tbl2.AddRow(fmt.Sprint(r.Rules), fmt.Sprintf("%.1f", r.NsPerFix/1000))
 	}
-	fmt.Print(tbl2.String())
+	fmt.Fprint(w, tbl2.String())
 	return nil
 }
 
-func runE6(entities, tuples int, seed uint64) error {
+func runE6(w io.Writer, entities, tuples int, seed uint64) error {
 	rates := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
 	rows, err := experiments.RunE6(rates, entities, tuples, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println("User effort vs noise (oracle follows suggestions; 9-attribute schema)")
+	fmt.Fprintln(w, "User effort vs noise (oracle follows suggestions; 9-attribute schema)")
 	tbl := textutil.NewTextTable("noise", "avg attrs validated", "avg rounds", "user cell fraction", "auto-rewrite share")
 	for _, r := range rows {
 		tbl.AddRowf(r.NoiseRate, r.AvgValidated, r.AvgRounds, r.UserFraction, r.AutoRewriteShare)
 	}
-	fmt.Print(tbl.String())
-	fmt.Println("(suggestions are value-independent: effort tracks region size; rewrites grow with noise)")
+	fmt.Fprint(w, tbl.String())
+	fmt.Fprintln(w, "(suggestions are value-independent: effort tracks region size; rewrites grow with noise)")
 	return nil
 }
 
-func runE7(seed uint64) error {
+func runE7(w io.Writer, seed uint64) error {
 	rows, err := experiments.RunE7([]int{3, 4, 5, 6, 7}, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Region finder — exact vs greedy on pairs(m): 2m attrs, minimal regions have size m")
+	fmt.Fprintln(w, "Region finder — exact vs greedy on pairs(m): 2m attrs, minimal regions have size m")
 	tbl := textutil.NewTextTable("attrs", "exact ms", "greedy ms", "exact best |Z|", "greedy best |Z|", "exact regions")
 	for _, r := range rows {
 		tbl.AddRowf(r.Attrs,
 			float64(r.ExactNs)/1e6, float64(r.GreedyNs)/1e6,
 			r.ExactBestSize, r.GreedyBestSize, r.ExactRegions)
 	}
-	fmt.Print(tbl.String())
-	fmt.Println("(exact enumerates the subset lattice — exponential in m; greedy stays polynomial)")
+	fmt.Fprint(w, tbl.String())
+	fmt.Fprintln(w, "(exact enumerates the subset lattice — exponential in m; greedy stays polynomial)")
 	return nil
 }

@@ -28,7 +28,6 @@ import (
 	"cerfix/internal/pattern"
 	"cerfix/internal/rule"
 	"cerfix/internal/schema"
-	"cerfix/internal/storage"
 	"cerfix/internal/textutil"
 	"cerfix/internal/value"
 )
@@ -198,12 +197,11 @@ func CheckTuple(cfds []*CFD, t *schema.Tuple) []Violation {
 	return out
 }
 
-// CheckTable returns all violations over a table: constant-CFD row
-// violations plus variable-CFD pair violations (first witness pair per
-// (cfd, group, attr)).
-func CheckTable(cfds []*CFD, tbl *storage.Table) []Violation {
+// CheckTable returns all violations over a table's rows: constant-CFD
+// row violations plus variable-CFD pair violations (first witness pair
+// per (cfd, group, attr)).
+func CheckTable(cfds []*CFD, rows []*schema.Tuple) []Violation {
 	var out []Violation
-	rows := tbl.All()
 	for _, c := range cfds {
 		if c.IsConstant() {
 			for _, t := range rows {
@@ -322,14 +320,11 @@ func (r *Repairer) RepairTuple(t *schema.Tuple) (*schema.Tuple, int) {
 	out := t.Clone()
 	changed := 0
 	for pass := 0; pass < r.maxPasses(); pass++ {
-		vs := CheckTuple(r.cfds, out)
-		if len(vs) == 0 {
+		n := r.repairConstantsOnce(out)
+		if n == 0 {
 			break
 		}
-		for _, v := range vs {
-			out.Set(v.Attr, v.Want)
-			changed++
-		}
+		changed += n
 	}
 	return out, changed
 }
@@ -341,56 +336,52 @@ func (r *Repairer) maxPasses() int {
 	return 5
 }
 
-// RepairTable repairs a table in place: constant CFDs overwrite RHS
-// cells; variable CFDs align each group on its plurality value.
-func (r *Repairer) RepairTable(tbl *storage.Table) RepairStats {
+// RepairTable repairs a table's rows in place: constant CFDs
+// overwrite RHS cells; variable CFDs align each group on its plurality
+// value.
+func (r *Repairer) RepairTable(rows []*schema.Tuple) RepairStats {
 	stats := RepairStats{}
 	for pass := 1; pass <= r.maxPasses(); pass++ {
 		stats.Passes = pass
 		changed := 0
 		// Constant CFDs.
-		for _, t := range tbl.All() {
-			fixed, n := r.repairConstantsOnce(t)
-			if n > 0 {
-				if err := tbl.Update(fixed); err == nil {
-					changed += n
-				}
-			}
+		for _, t := range rows {
+			changed += r.repairConstantsOnce(t)
 		}
 		// Variable CFDs: plurality alignment per group.
 		for _, c := range r.cfds {
 			if c.IsConstant() {
 				continue
 			}
-			changed += r.alignGroups(c, tbl)
+			changed += r.alignGroups(c, rows)
 		}
 		stats.CellsChanged += changed
 		if changed == 0 {
 			break
 		}
 	}
-	stats.Remaining = len(CheckTable(r.cfds, tbl))
+	stats.Remaining = len(CheckTable(r.cfds, rows))
 	return stats
 }
 
-func (r *Repairer) repairConstantsOnce(t *schema.Tuple) (*schema.Tuple, int) {
-	out := t.Clone()
-	changed := 0
-	for _, v := range CheckTuple(r.cfds, out) {
-		out.Set(v.Attr, v.Want)
-		changed++
+// repairConstantsOnce overwrites, in place, every cell of t that
+// violates a constant pattern, and returns how many it changed.
+func (r *Repairer) repairConstantsOnce(t *schema.Tuple) int {
+	vs := CheckTuple(r.cfds, t)
+	for _, v := range vs {
+		t.Set(v.Attr, v.Want)
 	}
-	return out, changed
+	return len(vs)
 }
 
 // alignGroups makes every X-group agree on each variable RHS attribute
 // by rewriting minority values to the plurality value (cost-based tie
 // break: the value minimizing total edit distance wins).
-func (r *Repairer) alignGroups(c *CFD, tbl *storage.Table) int {
+func (r *Repairer) alignGroups(c *CFD, rows []*schema.Tuple) int {
 	lhs := c.LHSAttrs()
 	groups := make(map[string][]*schema.Tuple)
 	var keys []string
-	for _, t := range tbl.All() {
+	for _, t := range rows {
 		if !c.lhsMatches(t) {
 			continue
 		}
@@ -415,9 +406,7 @@ func (r *Repairer) alignGroups(c *CFD, tbl *storage.Table) int {
 			for _, t := range group {
 				if t.Get(a.Attr) != target {
 					t.Set(a.Attr, target)
-					if err := tbl.Update(t); err == nil {
-						changed++
-					}
+					changed++
 				}
 			}
 		}

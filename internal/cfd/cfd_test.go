@@ -9,7 +9,6 @@ import (
 	"cerfix/internal/master"
 	"cerfix/internal/rule"
 	"cerfix/internal/schema"
-	"cerfix/internal/storage"
 	"cerfix/internal/value"
 )
 
@@ -164,19 +163,18 @@ func TestCheckTupleExample1(t *testing.T) {
 
 func TestCheckTableVariableCFD(t *testing.T) {
 	sch := schema.MustNew("R", schema.Str("zip"), schema.Str("city"))
-	tbl := storage.NewTable(sch)
-	mustInsert := func(vals ...value.V) {
-		t.Helper()
-		if _, err := tbl.InsertValues(vals...); err != nil {
-			t.Fatal(err)
-		}
+	var rows []*schema.Tuple
+	add := func(vals ...value.V) {
+		tu := schema.MustTuple(sch, vals...)
+		tu.ID = int64(len(rows) + 1)
+		rows = append(rows, tu)
 	}
-	mustInsert("Z1", "Edi")
-	mustInsert("Z1", "Ldn") // violates zip -> city
-	mustInsert("Z2", "Mnc")
-	mustInsert("Z2", "Mnc")
+	add("Z1", "Edi")
+	add("Z1", "Ldn") // violates zip -> city
+	add("Z2", "Mnc")
+	add("Z2", "Mnc")
 	cfds := mustParseSet(t, "fd: zip -> city")
-	vs := CheckTable(cfds, tbl)
+	vs := CheckTable(cfds, rows)
 	if len(vs) != 1 {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -212,39 +210,32 @@ func TestRepairTupleReproducesExample1Failure(t *testing.T) {
 }
 
 func TestRepairTableConstant(t *testing.T) {
-	sch := dataset.CustSchema()
-	tbl := storage.NewTable(sch)
-	if _, err := tbl.Insert(dataset.DemoInputExample1()); err != nil {
-		t.Fatal(err)
-	}
+	rows := []*schema.Tuple{dataset.DemoInputExample1()}
 	cfds := mustParseSet(t, example1CFDs)
-	stats := NewRepairer(cfds).RepairTable(tbl)
+	stats := NewRepairer(cfds).RepairTable(rows)
 	if stats.CellsChanged == 0 {
 		t.Fatal("no repairs made")
 	}
 	if stats.Remaining != 0 {
 		t.Fatalf("remaining = %d", stats.Remaining)
 	}
-	got := tbl.All()[0]
-	if got.Get("city") != "Ldn" {
+	if got := rows[0]; got.Get("city") != "Ldn" {
 		t.Fatalf("city = %q", got.Get("city"))
 	}
 }
 
 func TestRepairTableVariablePlurality(t *testing.T) {
 	sch := schema.MustNew("R", schema.Str("zip"), schema.Str("city"))
-	tbl := storage.NewTable(sch)
+	var rows []*schema.Tuple
 	for _, city := range []value.V{"Edi", "Edi", "Edj"} {
-		if _, err := tbl.InsertValues("Z1", city); err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, schema.MustTuple(sch, "Z1", city))
 	}
 	cfds := mustParseSet(t, "fd: zip -> city")
-	stats := NewRepairer(cfds).RepairTable(tbl)
+	stats := NewRepairer(cfds).RepairTable(rows)
 	if stats.CellsChanged != 1 {
 		t.Fatalf("changed = %d", stats.CellsChanged)
 	}
-	for _, tu := range tbl.All() {
+	for _, tu := range rows {
 		if tu.Get("city") != "Edi" {
 			t.Fatalf("plurality not enforced: %v", tu)
 		}

@@ -21,7 +21,6 @@ import (
 	"cerfix/internal/region"
 	"cerfix/internal/rule"
 	"cerfix/internal/schema"
-	"cerfix/internal/storage"
 	"cerfix/internal/value"
 )
 
@@ -401,20 +400,14 @@ func RunE4Hosp(noiseRates []float64, nProviders, nInputs int, seed uint64) ([]E4
 		}
 		mon := monitor.New(eng, nil)
 		row := E4Row{NoiseRate: rate}
-		// Baseline: repair the whole dirty table at once.
-		tbl := storage.NewTable(dataset.HospSchema())
-		var ids []int64
-		for _, d := range w.Dirty {
-			id, err := tbl.Insert(d)
-			if err != nil {
-				return nil, err
-			}
-			ids = append(ids, id)
+		// Baseline: repair the whole dirty table at once, on copies.
+		fixed := make([]*schema.Tuple, len(w.Dirty))
+		for i, d := range w.Dirty {
+			fixed[i] = d.Clone()
 		}
-		cfd.NewRepairer(fds).RepairTable(tbl)
-		for i, id := range ids {
-			fixed, _ := tbl.Get(id)
-			if err := row.Baseline.Add(w.Dirty[i], fixed, w.Truth[i]); err != nil {
+		cfd.NewRepairer(fds).RepairTable(fixed)
+		for i := range fixed {
+			if err := row.Baseline.Add(w.Dirty[i], fixed[i], w.Truth[i]); err != nil {
 				return nil, err
 			}
 		}

@@ -219,9 +219,8 @@ type QueueStats struct {
 	AvgServiceMS float64 `json:"avg_service_ms"`
 	// MasterMemory is the memory accounting of the master data the
 	// jobs run against (nil when the manager has no snapshot source).
-	// Job runners chase against O(1) COW snapshots, so this shows the
-	// shared bytes those snapshots pin and the COW debt live writes
-	// have accrued against them.
+	// Job runners chase against O(1) snapshots, which share the live
+	// master's rows and rule-index shards.
 	MasterMemory *master.MemStats `json:"master_memory,omitempty"`
 	// Stalls counts watchdog cancellations of wedged runs; Panics
 	// counts runner panics converted into job failures.

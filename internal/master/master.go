@@ -13,12 +13,12 @@
 //
 // An index entry is one slot of a flat open-addressing table: the
 // key's hash, its witness row (the first stored row with the key) and
-// conflict bits. It keeps no key bytes and no values: stored rows are
-// immutable, so a probe compares the tuple's values with the witness's
-// and reads the answer off the witness. A table write that bypasses
-// the Store leaves stale entries until PrepareForRules runs again, and
-// a stale entry keeps its old row reachable. The table underneath
-// stores plain rows.
+// conflict bits. It keeps no key bytes and no values: the table
+// underneath is an append-only log of plain rows (package storage), so
+// no stored row ever changes, and a probe compares the tuple's values
+// with the witness's and reads the answer off the witness. The one
+// write that can bypass the indexes is a bulk append through
+// Store.Table (ReadCSV), which must be followed by PrepareForRules.
 package master
 
 import (
@@ -132,11 +132,12 @@ func (m *Store) runlock() {
 // storage.ErrFrozen) and lock-free to read, so any number of
 // goroutines — the batch pipeline's workers, concurrent job runners —
 // chase against it while the live store keeps absorbing inserts. Cost
-// is independent of master size: both layers only mark their
-// constant-size shard directories copy-on-write (see storage.Table
-// and the rule-index registry). Snapshotting a snapshot returns the
-// same view. The snapshot inherits the live store's lookup mode at
-// capture; its mode remains independently settable (a per-view knob).
+// is independent of master size: the table hands out a prefix of its
+// row log (see storage.Table) and the rule-index registry marks its
+// constant-size shard directories copy-on-write. Snapshotting a
+// snapshot returns the same view. The snapshot inherits the live
+// store's lookup mode at capture; its mode remains independently
+// settable (a per-view knob).
 func (m *Store) Snapshot() *Store {
 	if m.frozen {
 		return m
@@ -146,7 +147,7 @@ func (m *Store) Snapshot() *Store {
 	tsnap := m.table.Snapshot()
 	// Re-freeze the rule indexes only when something changed since the
 	// last capture: a different table snapshot (the table caches by
-	// generation, covering direct-table bulk writes too) or a new
+	// length, covering direct-table bulk appends too) or a new
 	// rule-index version. Otherwise the previous frozen view is
 	// bit-for-bit current and re-marking shards would only re-tax
 	// writers.
@@ -173,8 +174,10 @@ func (m *Store) Frozen() bool { return m.frozen }
 func (m *Store) Schema() *schema.Schema { return m.table.Schema() }
 
 // Table exposes the underlying table (for CSV I/O and the server).
-// Bulk writes that bypass the Store (ReadCSV) must be followed by
-// PrepareForRules and serialized with Snapshot by the caller; the
+// The table only appends, so no stored row can change underneath the
+// rule indexes. The one write that bypasses them is a bulk append
+// (ReadCSV), which must be followed by PrepareForRules and serialized
+// with Snapshot by the caller, as System.LoadMasterCSV does; the
 // Store-level mutators need no such care.
 func (m *Store) Table() *storage.Table { return m.table }
 
@@ -297,8 +300,8 @@ func (m *Store) UniqueRHSForRule(r *rule.Rule, input *schema.Tuple) (value.List,
 	return m.UniqueRHS(r.MatchMasterAttrs(), key, r.SetMasterAttrs())
 }
 
-// MemStats is the store's memory account: the table's (rows, shards,
-// COW debt) and the unique-RHS rule indexes'.
+// MemStats is the store's memory account: the table's (rows and their
+// pointer log) and the unique-RHS rule indexes'.
 type MemStats struct {
 	Table storage.TableMem `json:"table"`
 	// RuleIndexKeys counts entries across all rule indexes (one per

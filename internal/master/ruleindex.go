@@ -38,7 +38,7 @@ import (
 // has resolved never moves; a schema has at most schema.MaxAttrs = 64
 // attributes, so U's bits fit a uint64. Lookups are O(1) regardless of
 // group size. The index is maintained incrementally on Store inserts
-// (master data is append-mostly); bulk loads that bypass the Store
+// (master data is append-only); bulk loads that bypass the Store
 // rebuild it via PrepareForRules.
 //
 // # Slots point at witness rows
@@ -72,10 +72,10 @@ import (
 //
 // # Staleness
 //
-// Table.Update and Table.Delete bypass the Store and are not reflected
-// in the indexes: callers re-run PrepareForRules. Until they do, an
-// entry whose witness was replaced or deleted answers from the old row
-// and keeps it reachable.
+// No stored row can change: the table is an append-only log, so a
+// witness never goes stale and Store inserts keep every index current.
+// Only a bulk append through Store.Table (ReadCSV) skips the indexes;
+// until PrepareForRules runs after it, probes miss the new rows.
 //
 // Synchronization lives entirely in Store.mu: mutators run under its
 // write lock, live lookups under its read lock, and frozen snapshots

@@ -181,8 +181,8 @@ type statusResponse struct {
 	// Jobs reports the async queue (absent when the daemon runs
 	// without -jobs-dir).
 	Jobs *jobs.QueueStats `json:"jobs,omitempty"`
-	// Memory is the master data manager's byte accounting: rows,
-	// snapshot-shared bytes and COW debt, rule indexes.
+	// Memory is the master data manager's byte accounting: rows and
+	// rule indexes.
 	Memory *master.MemStats `json:"memory,omitempty"`
 	// Persistence reports where the instance was loaded from and the
 	// live durability health (absent for in-memory systems with no
@@ -378,16 +378,12 @@ func (s *Server) handleMasterList(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	// Always an array in JSON, never null — an empty store, a high
 	// offset or limit=0 must not change the response shape. The scan
-	// reads the stored rows without copying them and stops after
-	// offset+limit, so a page costs what it holds.
+	// starts at row offset+1 by position, reads the stored rows
+	// without copying them and stops after limit, so a page costs what
+	// it holds.
 	rows := []map[string]string{}
 	if limit > 0 {
-		skip := offset
-		s.sys.Master().Table().ScanShared(func(tu *schema.Tuple) bool {
-			if skip > 0 {
-				skip--
-				return true
-			}
+		s.sys.Master().Table().ScanSharedTail(offset, func(tu *schema.Tuple) bool {
 			m := tu.Map()
 			m["_id"] = strconv.FormatInt(tu.ID, 10)
 			rows = append(rows, m)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -160,8 +161,18 @@ func TestMasterEndpoints(t *testing.T) {
 	}
 	// Offset pages through the remainder.
 	doJSON(t, "GET", ts.URL+"/api/v1/master?limit=2&offset=3", nil, 200, &list)
-	if list.Total != 4 || len(list.Items) != 1 {
+	if list.Total != 4 || len(list.Items) != 1 || list.Items[0]["_id"] != "4" {
 		t.Fatalf("offset page = %+v", list)
+	}
+	// An offset past every row answers an empty page.
+	resp, err := http.Get(ts.URL + "/api/v1/master?offset=9223372036854775807")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || !strings.Contains(string(body), `"items":[]`) {
+		t.Fatalf("max offset = %d: %s", resp.StatusCode, body)
 	}
 	doJSON(t, "GET", ts.URL+"/api/v1/master?limit=bogus", nil, 400, nil)
 	doJSON(t, "POST", ts.URL+"/api/v1/master", map[string]any{

@@ -38,7 +38,8 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // name so files survive schema attribute reordering. Each record is
 // stored as the row built from it, with no second copy; the record
 // slice is reused, and its cells, fresh strings per record, are copied
-// out of it at once.
+// out of it at once. Every row is built before any is stored, and all
+// are appended in one step: on an error the table is unchanged.
 func (t *Table) ReadCSV(r io.Reader) error {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
@@ -63,10 +64,11 @@ func (t *Table) ReadCSV(r io.Reader) error {
 		return fmt.Errorf("storage: csv header has %d columns, schema %s has %d attributes",
 			len(seen), t.sch.Name(), t.sch.Len())
 	}
+	var rows []*schema.Tuple
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return nil
+			return t.appendOwned(rows)
 		}
 		if err != nil {
 			return fmt.Errorf("storage: csv line %d: %w", line, err)
@@ -75,9 +77,7 @@ func (t *Table) ReadCSV(r io.Reader) error {
 		for i, cell := range rec {
 			vals[colToAttr[i]] = value.V(cell)
 		}
-		if _, err := t.insertOwned(&schema.Tuple{Schema: t.sch, Vals: vals}); err != nil {
-			return fmt.Errorf("storage: csv line %d: %w", line, err)
-		}
+		rows = append(rows, &schema.Tuple{Schema: t.sch, Vals: vals})
 	}
 }
 

@@ -70,11 +70,17 @@ func TestCSVHeaderErrors(t *testing.T) {
 		"FN,FN,LN\na,b,c\n",
 		"FN,LN\na,b\n",
 		"",
+		// A bad record after a good one: rows are built first and
+		// appended in one step, so the good one is not stored either.
+		"FN,LN,zip\na,b,c\ntoo,few\n",
 	}
 	for _, src := range cases {
 		tb := NewTable(sch)
 		if err := tb.ReadCSV(strings.NewReader(src)); err == nil {
-			t.Errorf("header %q accepted", strings.SplitN(src, "\n", 2)[0])
+			t.Errorf("csv %q accepted", src)
+		}
+		if tb.Len() != 0 {
+			t.Errorf("csv %q stored %d rows before failing", src, tb.Len())
 		}
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 	"cerfix/internal/value"
 )
 
-// TestSnapshotReadOnly: a snapshot is a frozen view — every mutator
+// TestSnapshotReadOnly: a snapshot is a frozen view — every append
 // is rejected, reads need no locks, and snapshotting a snapshot is
 // the identity.
 func TestSnapshotReadOnly(t *testing.T) {
@@ -29,15 +30,10 @@ func TestSnapshotReadOnly(t *testing.T) {
 	if _, err := snap.InsertValues("A", "B", "Z2"); !errors.Is(err, ErrFrozen) {
 		t.Fatalf("Insert on snapshot: %v, want ErrFrozen", err)
 	}
-	row, _ := snap.Get(id)
-	row.Set("zip", "Z9")
-	if err := snap.Update(row); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("Update on snapshot: %v, want ErrFrozen", err)
+	if err := snap.ReadCSV(strings.NewReader("FN,LN,zip\nA,B,Z3\n")); !errors.Is(err, ErrFrozen) {
+		t.Fatalf("ReadCSV on snapshot: %v, want ErrFrozen", err)
 	}
-	if snap.Delete(id) {
-		t.Error("Delete on snapshot reported success")
-	}
-	// The rejected mutations disturbed nothing.
+	// The rejected appends disturbed nothing.
 	if snap.Len() != 1 || tb.Len() != 1 {
 		t.Fatalf("lens: snap %d live %d", snap.Len(), tb.Len())
 	}
@@ -46,185 +42,85 @@ func TestSnapshotReadOnly(t *testing.T) {
 	}
 }
 
-// snapExpect pairs a published snapshot with the writer-side truth at
-// capture time.
-type snapExpect struct {
-	snap    *Table
-	wantLen int
-	wantGen uint64
-	lastZip string // zip of the newest live row
-	goneZip string // zip removed (deleted or overwritten) before capture
-	nextZip string // zip of a row the writer inserts only after capture
-}
-
-// TestSnapshotHammer interleaves one writer (inserts, updates,
-// deletes), O(1) snapshot captures, and concurrent snapshot readers.
-// Under -race this is the copy-on-write soundness proof: every
-// snapshot must see exactly its generation's rows — nothing torn,
-// nothing from the future — while the writer keeps touching the
-// shared shards.
+// TestSnapshotHammer interleaves one appending writer, O(1) snapshot
+// captures and concurrent snapshot readers. Under -race this is the
+// log's soundness proof: a snapshot of length n holds exactly rows
+// 1..n, in order, with the zips that were written — nothing torn,
+// nothing from the future — while the writer keeps appending to the
+// array the snapshot shares, and then to grown copies of it.
 func TestSnapshotHammer(t *testing.T) {
 	tb := NewTable(personSchema(t))
+	zipOf := func(id int64) value.V { return value.V(fmt.Sprintf("Z%d", id)) }
+	insert := func() {
+		if _, err := tb.InsertValues("F", "L", zipOf(int64(tb.Len()+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	const (
-		iters   = 400
+		iters   = 1000
 		readers = 4
 	)
-	snaps := make(chan snapExpect, iters)
+	snaps := make(chan *Table, iters)
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for e := range snaps {
-				if got := e.snap.Generation(); got != e.wantGen {
-					t.Errorf("snapshot generation = %d, want %d", got, e.wantGen)
-					return
-				}
-				if got := e.snap.Len(); got != e.wantLen {
-					t.Errorf("gen %d: Len = %d, want %d", e.wantGen, got, e.wantLen)
-					return
-				}
-				// Count each zip over the snapshot's rows; the scan
-				// agrees with Len and never surfaces a tombstone.
-				count, zips := 0, make(map[value.V]int)
-				e.snap.Scan(func(tu *schema.Tuple) bool {
-					count++
-					zips[tu.Get("zip")]++
+			for snap := range snaps {
+				n := snap.Len()
+				next := int64(0)
+				snap.ScanShared(func(tu *schema.Tuple) bool {
+					next++
+					if tu.ID != next || tu.Get("zip") != zipOf(next) {
+						t.Errorf("snapshot of %d rows: row %d is id %d zip %q", n, next, tu.ID, tu.Get("zip"))
+						return false
+					}
 					return true
 				})
-				if n := zips[value.V(e.lastZip)]; n != 1 {
-					t.Errorf("gen %d: newest row %q matched %d times", e.wantGen, e.lastZip, n)
+				if next != int64(n) {
+					t.Errorf("snapshot of %d rows: scan yielded %d", n, next)
 					return
 				}
-				if e.goneZip != "" {
-					if n := zips[value.V(e.goneZip)]; n != 0 {
-						t.Errorf("gen %d: removed row %q still present (%d hits)", e.wantGen, e.goneZip, n)
-						return
-					}
-				}
-				if n := zips[value.V(e.nextZip)]; n != 0 {
-					t.Errorf("gen %d: future row %q visible", e.wantGen, e.nextZip)
+				if row, ok := snap.Get(int64(n)); !ok || row.Get("zip") != zipOf(int64(n)) {
+					t.Errorf("snapshot of %d rows: Get(%d) = %v, %v", n, n, row, ok)
 					return
 				}
-				if count != e.wantLen {
-					t.Errorf("gen %d: Scan yielded %d rows, want %d", e.wantGen, count, e.wantLen)
+				if _, ok := snap.Get(int64(n) + 1); ok {
+					t.Errorf("snapshot of %d rows: future row %d visible", n, n+1)
+					return
+				}
+				if row, ok := tb.Get(int64(n) + 1); !ok || row.Get("zip") != zipOf(int64(n)+1) {
+					t.Errorf("live table: Get(%d) = %v, %v", n+1, row, ok)
 					return
 				}
 			}
 		}()
 	}
 
-	// Single writer; the model (count, gen, zips) is its ground truth.
-	var (
-		ids   []int64
-		zips  []string
-		count int
-		gen   = tb.Generation()
-	)
-	for i := 1; i <= iters; i++ {
-		zip := fmt.Sprintf("Z%d", i)
-		id, err := tb.InsertValues("F", "L", value.V(zip))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids, zips = append(ids, id), append(zips, zip)
-		count++
-		gen++
-		lastZip, goneZip := zip, ""
-		if i%3 == 0 {
-			// Delete the oldest remaining row (tombstone path).
-			if !tb.Delete(ids[0]) {
-				t.Fatalf("delete of %d failed", ids[0])
-			}
-			goneZip = zips[0]
-			ids, zips = ids[1:], zips[1:]
-			count--
-			gen++
-		}
-		if i%5 == 0 {
-			// Rewrite the newest row's zip (update path).
-			newZip := zip + "u"
-			row, ok := tb.Get(id)
-			if !ok {
-				t.Fatalf("row %d vanished", id)
-			}
-			row.Set("zip", value.V(newZip))
-			if err := tb.Update(row); err != nil {
-				t.Fatal(err)
-			}
-			goneZip = zip
-			zips[len(zips)-1] = newZip
-			lastZip = newZip
-			gen++
-		}
-		snaps <- snapExpect{
-			snap:    tb.Snapshot(),
-			wantLen: count,
-			wantGen: gen,
-			lastZip: lastZip,
-			goneZip: goneZip,
-			nextZip: fmt.Sprintf("Z%d", i+1),
-		}
+	// Each snapshot is published only after the row beyond it is
+	// stored, so readers can check the live table has it.
+	insert()
+	first := tb.Snapshot()
+	for i := 0; i < iters; i++ {
+		snap := tb.Snapshot()
+		insert()
+		snaps <- snap
 	}
 	close(snaps)
 	wg.Wait()
-}
-
-// TestDeleteTombstoneCompaction: deletes tombstone the order slice in
-// O(1) and compaction reclaims it, while an earlier snapshot keeps
-// the full view.
-func TestDeleteTombstoneCompaction(t *testing.T) {
-	tb := NewTable(personSchema(t))
-	const total, dead = 1000, 900
-	ids := make([]int64, 0, total)
-	for i := 0; i < total; i++ {
-		id, err := tb.InsertValues("F", "L", value.V(fmt.Sprintf("Z%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+	// The log outgrew the array the first snapshot captured, which
+	// still holds its one row.
+	if tb.Len() < 100*cap(first.rows) || &tb.rows[0] == &first.rows[0] {
+		t.Fatalf("log of %d rows still shares the first snapshot's array (cap %d)", tb.Len(), cap(first.rows))
 	}
-	snap := tb.Snapshot()
-	for i := 0; i < dead; i++ {
-		if !tb.Delete(ids[i]) {
-			t.Fatalf("delete %d failed", ids[i])
-		}
-	}
-	if tb.Len() != total-dead {
-		t.Fatalf("Len = %d, want %d", tb.Len(), total-dead)
-	}
-	tb.mu.RLock()
-	orderLen, tombs := len(tb.order), tb.dead
-	tb.mu.RUnlock()
-	if orderLen > 3*(total-dead) {
-		t.Fatalf("order not compacted: %d slots for %d live rows (%d tombstones)", orderLen, total-dead, tombs)
-	}
-	// Scan yields exactly the survivors, in insertion order.
-	var got []int64
-	tb.Scan(func(tu *schema.Tuple) bool { got = append(got, tu.ID); return true })
-	if len(got) != total-dead {
-		t.Fatalf("scan found %d rows", len(got))
-	}
-	for i, id := range got {
-		if id != ids[dead+i] {
-			t.Fatalf("scan order[%d] = %d, want %d", i, id, ids[dead+i])
-		}
-	}
-	// The pre-delete snapshot still sees everything.
-	if snap.Len() != total {
-		t.Fatalf("snapshot Len = %d after live compaction, want %d", snap.Len(), total)
-	}
-	n := 0
-	snap.Scan(func(*schema.Tuple) bool { n++; return true })
-	if n != total {
-		t.Fatalf("snapshot scan = %d rows, want %d", n, total)
+	if first.Len() != 1 {
+		t.Fatalf("first snapshot Len = %d after the log grew, want 1", first.Len())
 	}
 }
 
 // TestSnapshotCache: re-snapshotting an unchanged table returns the
-// identical frozen view (no re-marking, no fresh COW debt); any
-// row change invalidates the cache.
+// identical frozen view; an append invalidates the cache.
 func TestSnapshotCache(t *testing.T) {
 	tb := NewTable(personSchema(t))
 	if _, err := tb.InsertValues("F", "L", "Z1"); err != nil {
@@ -239,7 +135,7 @@ func TestSnapshotCache(t *testing.T) {
 	}
 	s3 := tb.Snapshot()
 	if s3 == s1 {
-		t.Fatal("mutation did not invalidate the snapshot cache")
+		t.Fatal("append did not invalidate the snapshot cache")
 	}
 	if s1.Len() != 1 || s3.Len() != 2 {
 		t.Fatalf("lens: s1 %d s3 %d", s1.Len(), s3.Len())

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -43,49 +45,48 @@ func TestInsertGet(t *testing.T) {
 	if !ok || tu.Get("FN") != "Mark" {
 		t.Fatalf("Get = %v, %v", tu, ok)
 	}
-	if _, ok := tb.Get(999); ok {
-		t.Fatal("Get(999) found phantom row")
+	for _, id := range []int64{999, 0, -1, int64(tb.Len()) + 1} {
+		if _, ok := tb.Get(id); ok {
+			t.Fatalf("Get(%d) found phantom row", id)
+		}
 	}
-	// IDs are unique and ascending.
-	if !(ids[0] < ids[1] && ids[1] < ids[2]) {
-		t.Fatalf("IDs not ascending: %v", ids)
+	// A row's ID is its position in the log plus one.
+	for i, id := range ids {
+		if id != int64(i+1) {
+			t.Fatalf("IDs = %v, want 1, 2, 3", ids)
+		}
 	}
 }
 
-// TestScanSharedTail pins the WAL writer's tail-scan contract: for an
-// append-only history past minID, ScanSharedTail visits exactly the
-// rows ScanShared would visit filtered to id >= minID, in the same
-// order — over tombstones too.
+// TestScanSharedTail pins the tail-scan contract the WAL writer and
+// the master listing rely on: skipping k rows visits exactly the rows
+// ScanShared visits after its first k, in the same order, and a skip
+// at or past the end visits nothing.
 func TestScanSharedTail(t *testing.T) {
 	tb := NewTable(personSchema(t))
-	var ids []int64
 	for i := 0; i < 300; i++ {
-		id, err := tb.InsertValues(value.V(string(rune('A'+i%26))), "L", "Z")
-		if err != nil {
+		if _, err := tb.InsertValues(value.V(string(rune('A'+i%26))), "L", "Z"); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
 	}
-	tb.Delete(ids[10])
-	tb.Delete(ids[250])
-	for _, minID := range []int64{ids[0], ids[137], ids[299], ids[299] + 1} {
-		var want, got []int64
-		tb.ScanShared(func(tu *schema.Tuple) bool {
-			if tu.ID >= minID {
-				want = append(want, tu.ID)
-			}
-			return true
-		})
-		tb.ScanSharedTail(minID, func(tu *schema.Tuple) bool {
+	var all []int64
+	tb.ScanShared(func(tu *schema.Tuple) bool {
+		all = append(all, tu.ID)
+		return true
+	})
+	for _, skip := range []int{0, 137, 299, 300, 301} {
+		want := all[min(skip, len(all)):]
+		var got []int64
+		tb.ScanSharedTail(skip, func(tu *schema.Tuple) bool {
 			got = append(got, tu.ID)
 			return true
 		})
 		if len(got) != len(want) {
-			t.Fatalf("tail scan from %d saw %d rows, want %d", minID, len(got), len(want))
+			t.Fatalf("tail scan skipping %d saw %d rows, want %d", skip, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("tail scan from %d: row %d = id %d, want %d", minID, i, got[i], want[i])
+				t.Fatalf("tail scan skipping %d: row %d = id %d, want %d", skip, i, got[i], want[i])
 			}
 		}
 	}
@@ -118,31 +119,6 @@ func TestInsertSchemaMismatch(t *testing.T) {
 	}
 }
 
-func TestUpdateDelete(t *testing.T) {
-	tb := NewTable(personSchema(t))
-	ids := fill(t, tb)
-	tu, _ := tb.Get(ids[0])
-	tu.Set("LN", "Changed")
-	if err := tb.Update(tu); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := tb.Get(ids[0])
-	if got.Get("LN") != "Changed" {
-		t.Fatal("Update lost")
-	}
-	ghost := tu.Clone()
-	ghost.ID = 999
-	if err := tb.Update(ghost); err == nil {
-		t.Fatal("Update of missing row accepted")
-	}
-	if !tb.Delete(ids[0]) || tb.Delete(ids[0]) {
-		t.Fatal("Delete semantics wrong")
-	}
-	if tb.Len() != 2 {
-		t.Fatalf("Len after delete = %d", tb.Len())
-	}
-}
-
 func TestScanOrderAndEarlyStop(t *testing.T) {
 	tb := NewTable(personSchema(t))
 	fill(t, tb)
@@ -157,7 +133,7 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 }
 
 // ScanShared yields the stored rows themselves (no copies) in
-// insertion order, honours early stop, and skips tombstones.
+// insertion order and honours early stop.
 func TestScanShared(t *testing.T) {
 	tb := NewTable(personSchema(t))
 	ids := fill(t, tb)
@@ -193,22 +169,11 @@ func TestScanShared(t *testing.T) {
 	if seen != again {
 		t.Fatal("ScanShared copied the row (want the shared instance)")
 	}
-	// Tombstones are skipped.
-	tb.Delete(ids[1])
-	count := 0
-	tb.ScanShared(func(*schema.Tuple) bool { count++; return true })
-	if count != 2 {
-		t.Fatalf("ScanShared visited %d rows after delete, want 2", count)
-	}
 }
 
 func TestSelect(t *testing.T) {
 	tb := NewTable(personSchema(t))
 	fill(t, tb)
-	rob := tb.Select(func(tu *schema.Tuple) bool { return tu.Get("FN") == "Robert" })
-	if len(rob) != 2 {
-		t.Fatalf("Select = %d rows", len(rob))
-	}
 	if len(tb.All()) != 3 {
 		t.Fatal("All wrong")
 	}
@@ -226,7 +191,7 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				tb.Select(func(tu *schema.Tuple) bool { return tu.Get("zip") == "Z" })
+				tb.All()
 				tb.Len()
 			}
 		}(g)
@@ -245,31 +210,24 @@ func TestMemStatsAccounting(t *testing.T) {
 		}
 	}
 	m := tb.MemStats()
-	if m.Rows != 400 || m.BoxedBytes == 0 {
-		t.Fatalf("boxed stats: %+v", m)
-	}
-	if m.SharedBytes != 0 {
-		t.Fatalf("SharedBytes = %d before any snapshot", m.SharedBytes)
+	if m.Rows != 400 || m.BoxedBytes == 0 || m.OrderBytes != 400*8 {
+		t.Fatalf("stats: %+v", m)
 	}
 
+	// A snapshot keeps the account of the prefix it captured while the
+	// live table grows past it.
 	snap := tb.Snapshot()
-	m = tb.MemStats()
-	if m.SharedBytes != m.BoxedBytes {
-		t.Fatalf("after snapshot every shard is shared: %+v", m)
-	}
-
-	// A write into a shared shard pays COW debt.
-	tu, _ := tb.Get(1)
-	tu.Set("FN", "X")
-	if err := tb.Update(tu); err != nil {
+	if _, err := tb.InsertValues("Mark", "late", ""); err != nil {
 		t.Fatal(err)
 	}
-	m = tb.MemStats()
-	if m.CowCopied == 0 {
-		t.Fatal("COW copy not accounted")
+	if sm := snap.MemStats(); sm != m {
+		t.Fatalf("snapshot stats = %+v, want the captured %+v", sm, m)
 	}
-	// The snapshot's own account still reports its shards.
-	if sm := snap.MemStats(); sm.BoxedBytes == 0 {
-		t.Fatalf("snapshot stats lost its shards: %+v", sm)
+	if live := tb.MemStats(); live.Rows != 401 || live.BoxedBytes <= m.BoxedBytes {
+		t.Fatalf("live stats after an append: %+v", live)
+	}
+	// CowCopied, always 0, is not reported.
+	if data, _ := json.Marshal(m); strings.Contains(string(data), "cow") {
+		t.Fatalf("account reports copy-on-write bytes: %s", data)
 	}
 }

@@ -19,14 +19,14 @@ package cerfix
 // Rewriting master.csv on every Save is O(master) — untenable once the
 // master relation is millions of rows and the common mutation between
 // saves is a handful of inserts. Save therefore keeps a cursor from
-// its last checkpoint (table generation, next row id, row count, rules
-// text) and proves whether the window since then was pure-append: k
-// inserts move all three table counters by exactly k and leave the
-// rules untouched. If so, Save appends the new rows to dir/wal.jsonl,
-// one record per row holding its cells as JSON strings, and fsyncs.
-// Updates, deletes, rule edits, a new cell that is not valid UTF-8
-// (JSON strings cannot carry it), a different target directory, or a
-// fresh process (no cursor) fall back to the full checkpoint, which
+// its last save (row count, rules text). The master table is an
+// append-only log (package storage), so the window since then was
+// pure-append exactly when the rules did not change: the new rows are
+// the log's rows after the cursor's count. Save appends them to
+// dir/wal.jsonl, one record per row holding its cells as JSON strings,
+// and fsyncs. A rule edit, a new cell that is not valid UTF-8 (JSON
+// strings cannot carry it), a different target directory, or a fresh
+// process (no cursor) falls back to the full checkpoint, which
 // atomically replaces the directory (including the WAL) via the
 // staging/backup dance below.
 //
@@ -148,16 +148,15 @@ type walCommit struct {
 }
 
 // walCursor is the in-memory state Save keeps after a checkpoint so
-// the next Save can prove pure-append and go to the WAL instead. It
-// is process-local by design: the table generation it proves
-// pure-append against lives in memory, so a fresh process (or a Load)
-// must checkpoint once before it can append.
+// the next Save can append to the WAL instead. It is process-local by
+// design: it vouches for the rows this process saved, so a fresh
+// process (or a Load) must checkpoint once before it can append.
 type walCursor struct {
-	dir    string
-	gen    uint64
-	nextID int64
-	rows   int
-	rules  string
+	dir string
+	// rows is the number of master rows the instance on disk holds;
+	// rules is its rules text.
+	rows  int
+	rules string
 	// walSize is the durable size of wal.jsonl after the last
 	// successful append — anything beyond it on disk is a torn tail
 	// from a failed save and is truncated before the next append.
@@ -168,8 +167,8 @@ type walCursor struct {
 // into dir, creating it if needed. The audit log and open sessions are
 // runtime state and are not persisted.
 //
-// When this process has already checkpointed dir and everything since
-// was pure-append (see the package comment), Save only appends the new
+// When this process has already checkpointed dir and the rules have
+// not changed since (see the package comment), Save only appends the new
 // rows to dir/wal.jsonl as one checksummed batch with an fsync — it
 // does not rewrite master.csv. Otherwise it takes the full checkpoint
 // path below.
@@ -200,7 +199,8 @@ func (s *System) save(dir string) error {
 		if done, err := s.saveAppendWAL(dir); done || err != nil {
 			return err
 		}
-		// Not a pure-append window: the cursor is stale either way.
+		// The rules changed, or a row cannot go to the WAL: the cursor
+		// is stale either way.
 		s.walCursor = nil
 	}
 	return s.saveCheckpoint(dir)
@@ -208,61 +208,48 @@ func (s *System) save(dir string) error {
 
 // saveAppendWAL tries the incremental path. It reports done=true when
 // the save was satisfied by a WAL append (or by nothing having
-// changed); done=false means the window was not pure-append and the
-// caller must checkpoint. On an I/O error the cursor is kept: nothing
-// was acknowledged, the durable prefix is still exactly cur.walSize,
-// and the next Save truncates whatever the failed attempt left behind
-// and re-appends the same rows.
+// changed); done=false means the rules changed or a new row cannot be
+// logged, and the caller must checkpoint. On an I/O error the cursor
+// is kept: nothing was acknowledged, the durable prefix is still
+// exactly cur.walSize, and the next Save truncates whatever the failed
+// attempt left behind and re-appends the same rows.
 func (s *System) saveAppendWAL(dir string) (done bool, err error) {
 	fsys := s.pfs()
 	cur := s.walCursor
-	t := s.store.Table()
-	gen, nextID, rows := t.Generation(), t.NextID(), t.Len()
-	k := nextID - cur.nextID
-	if s.rules.String() != cur.rules ||
-		k < 0 || rows != cur.rows+int(k) || gen != cur.gen+uint64(k) {
+	if s.rules.String() != cur.rules {
 		return false, nil
 	}
-	if k == 0 {
+	// The rows since the last save are the snapshot's rows after the
+	// cursor's count, so the scan costs O(k), not O(n). json.Marshal
+	// would replace the bytes of a cell that is not valid UTF-8, so
+	// such a row is left to the checkpoint, whose CSV keeps every byte.
+	snap := s.store.Table().Snapshot()
+	rows := snap.Len()
+	if rows == cur.rows {
 		return true, nil // nothing changed since the last save
 	}
-
-	// Encode the new rows, one ins record each. The pure-append proof
-	// above is exactly the evidence ScanSharedTail needs: the new rows
-	// are the tail of the insertion order, so the scan costs
-	// O(log n + k), not O(n). json.Marshal would replace the bytes of
-	// a cell that is not valid UTF-8, so such a row is left to the
-	// checkpoint, whose CSV keeps every byte.
 	var batch bytes.Buffer
-	nrec, encodable := 0, true
+	encodable := true
 	var encErr error
-	t.ScanSharedTail(cur.nextID, func(tu *schema.Tuple) bool {
-		if tu.ID < cur.nextID {
-			return true
-		}
+	snap.ScanSharedTail(cur.rows, func(tu *schema.Tuple) bool {
 		for _, v := range tu.Vals {
 			if !utf8.ValidString(string(v)) {
 				encodable = false
 				return false
 			}
 		}
-		if encErr = walWriteLine(&batch, &walRecord{Op: "ins", Row: tu.ID, Cells: tu.Vals}); encErr != nil {
-			return false
-		}
-		nrec++
-		return true
+		encErr = walWriteLine(&batch, &walRecord{Op: "ins", Row: tu.ID, Cells: tu.Vals})
+		return encErr == nil
 	})
 	if encErr != nil {
 		return false, fmt.Errorf("cerfix: wal: %w", encErr)
 	}
-	if !encodable || nrec != int(k) {
-		// A cell JSON cannot carry, or the counters said pure-append
-		// but the rows disagree: checkpoint instead.
+	if !encodable {
 		return false, nil
 	}
 
-	// Satellite of the batch format: the commit record seals the batch
-	// with its record count and a checksum of the exact bytes above.
+	// The commit record seals the batch with its record count and a
+	// checksum of the exact bytes above.
 	var buf bytes.Buffer
 	path := filepath.Join(dir, walFile)
 	size, serr := walDiskSize(fsys, path)
@@ -290,7 +277,7 @@ func (s *System) saveAppendWAL(dir string) (done bool, err error) {
 	}
 	crc := crc32.ChecksumIEEE(batch.Bytes())
 	buf.Write(batch.Bytes())
-	if err := walWriteLine(&buf, walCommit{Op: "commit", N: nrec, CRC: crc}); err != nil {
+	if err := walWriteLine(&buf, walCommit{Op: "commit", N: rows - cur.rows, CRC: crc}); err != nil {
 		return false, fmt.Errorf("cerfix: wal: %w", err)
 	}
 
@@ -319,7 +306,7 @@ func (s *System) saveAppendWAL(dir string) (done bool, err error) {
 			return false, fmt.Errorf("cerfix: wal: dir sync: %w", err)
 		}
 	}
-	cur.gen, cur.nextID, cur.rows = gen, nextID, rows
+	cur.rows = rows
 	cur.walSize = size + int64(buf.Len())
 	return true, nil
 }
@@ -362,13 +349,7 @@ func (s *System) saveCheckpoint(dir string) error {
 	// or a concurrent insert landing mid-save would later be appended
 	// twice (cursor behind the CSV) or lost (cursor ahead of it).
 	snap := s.store.Table().Snapshot()
-	cur := &walCursor{
-		dir:    dir,
-		gen:    snap.Generation(),
-		nextID: snap.NextID(),
-		rows:   snap.Len(),
-		rules:  s.rules.String(),
-	}
+	cur := &walCursor{dir: dir, rows: snap.Len(), rules: s.rules.String()}
 	m := manifest{Input: schemaToJSON(s.input), Master: schemaToJSON(s.store.Schema())}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

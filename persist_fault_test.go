@@ -121,15 +121,15 @@ func TestCrashSweepWALAppend(t *testing.T) {
 }
 
 // TestCrashSweepCheckpoint enumerates every crash point of a full
-// checkpoint swap (update + insert since the last save, so the window
-// is not pure-append). Invariant: the directory — or its .bak
-// fallback — always reloads to a complete instance that is exactly
-// the old acknowledged state or exactly the new one.
+// checkpoint swap (a rule edit + an insert since the last save, so
+// the window is not pure-append). Invariant: the directory — or its
+// .bak fallback — always reloads to a complete instance that is
+// exactly the old acknowledged state or exactly the new one: the
+// acknowledged rows under the old rules, or one more row under the
+// new rules.
 func TestCrashSweepCheckpoint(t *testing.T) {
 	mutate := func(t *testing.T, sys *System) {
-		row := sys.Master().Table().All()[0]
-		row.Set("city", "Rewritten")
-		if err := sys.Master().Table().Update(row); err != nil {
+		if err := sys.AddRule(`edit: match zip~zip set city := city`); err != nil {
 			t.Fatal(err)
 		}
 		addRowT(t, sys, "Walter", "White")
@@ -160,7 +160,7 @@ func TestCrashSweepCheckpoint(t *testing.T) {
 			if err := sys.Save(dir); err != nil {
 				t.Fatal(err)
 			}
-			acked := sys.Master().Len()
+			acked, oldRules := sys.Master().Len(), sys.Rules()
 			mutate(t, sys)
 			inj := faultfs.NewInjector(faultfs.OS)
 			sys.fs = inj
@@ -176,22 +176,13 @@ func TestCrashSweepCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("crash at op %d keep=%v: reload failed: %v", k, keep, err)
 			}
-			got := loaded.Master().Len()
-			rewritten := false
-			for _, tu := range loaded.Master().Table().All() {
-				if tu.Get("city") == "Rewritten" {
-					rewritten = true
-				}
-			}
+			got, rules := loaded.Master().Len(), loaded.Rules()
 			switch {
-			case got == acked && !rewritten: // old instance, intact
-			case got == acked+1 && rewritten: // new instance, intact
+			case got == acked && rules == oldRules: // old instance, intact
+			case got == acked+1 && rules == sys.Rules(): // new instance, intact
 			default:
-				t.Fatalf("crash at op %d keep=%v: mixed instance after reload (%d rows, rewritten=%v)",
-					k, keep, got, rewritten)
-			}
-			if loaded.Rules() != sys.Rules() {
-				t.Fatalf("crash at op %d keep=%v: rules damaged", k, keep)
+				t.Fatalf("crash at op %d keep=%v: mixed instance after reload (%d rows, rules %q)",
+					k, keep, got, rules)
 			}
 
 			// Recovery: a healthy save from the survivor lands the new
@@ -205,9 +196,9 @@ func TestCrashSweepCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("crash at op %d keep=%v: post-retry reload failed: %v", k, keep, err)
 			}
-			if final.Master().Len() != acked+1 {
-				t.Fatalf("crash at op %d keep=%v: retry landed %d rows, want %d",
-					k, keep, final.Master().Len(), acked+1)
+			if final.Master().Len() != acked+1 || final.Rules() != sys.Rules() {
+				t.Fatalf("crash at op %d keep=%v: retry landed %d rows and rules %q, want %d and %q",
+					k, keep, final.Master().Len(), final.Rules(), acked+1, sys.Rules())
 			}
 		}
 	}

@@ -401,9 +401,9 @@ func TestSaveNonUTF8RowRoundTrips(t *testing.T) {
 	}
 }
 
-// Updates, deletes and rule edits are not pure appends: Save must fall
-// back to a full checkpoint that rewrites master.csv and retires the
-// WAL.
+// A rule edit breaks the pure-append window: Save must fall back to a
+// full checkpoint that rewrites master.csv with the rows inserted
+// beside the edit and retires the WAL.
 func TestNonAppendMutationForcesCheckpoint(t *testing.T) {
 	sys := demoSystem(t)
 	dir := filepath.Join(t.TempDir(), "instance")
@@ -420,10 +420,12 @@ func TestNonAppendMutationForcesCheckpoint(t *testing.T) {
 		t.Fatalf("expected a WAL after insert-only save: %v", err)
 	}
 
-	// An in-place update breaks the pure-append window.
-	row := sys.Master().Table().All()[0]
-	row.Set("city", "Rewritten")
-	if err := sys.Master().Table().Update(row); err != nil {
+	// A rule edit plus an insert: the insert must land in the
+	// checkpoint, not the WAL.
+	if err := sys.AddRule(`edit: match zip~zip set city := city`); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddMasterRow("Jesse", "Pinkman", "505", "5", "6", "7", "8", "NM 87105", "09/24/84", "M"); err != nil {
 		t.Fatal(err)
 	}
 	csvBefore := readFileT(t, filepath.Join(dir, "master.csv"))
@@ -431,7 +433,7 @@ func TestNonAppendMutationForcesCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if bytes.Equal(csvBefore, readFileT(t, filepath.Join(dir, "master.csv"))) {
-		t.Fatal("checkpoint did not rewrite master.csv after an update")
+		t.Fatal("checkpoint did not rewrite master.csv after a rule edit and an insert")
 	}
 	if _, err := os.Stat(filepath.Join(dir, walFile)); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint left the old WAL in place: %v", err)
@@ -440,14 +442,9 @@ func TestNonAppendMutationForcesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, tu := range loaded.Master().Table().All() {
-		if tu.Get("city") == "Rewritten" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("checkpoint lost the updated row")
+	if loaded.Master().Len() != sys.Master().Len() || loaded.Rules() != sys.Rules() {
+		t.Fatalf("checkpoint holds %d rows and rules %q, want %d rows and %q",
+			loaded.Master().Len(), loaded.Rules(), sys.Master().Len(), sys.Rules())
 	}
 
 	// A rule edit also forces a checkpoint even with no table change.
